@@ -72,7 +72,6 @@ from .schema import (
     TypeHandle,
     TypeRegistry,
     new_object,
-    register_type,
 )
 from .serialization import deserialize, serialize
 from .values import (
@@ -99,4 +98,25 @@ from .values import (
     walk,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "errors",
+    "Exhaustive", "RandomSearch", "RegularizedEvolution", "SearchAlgorithm", "mutate",
+    "DNA", "CategoricalPoint", "Choice", "DecisionSpec", "FloatPoint", "IntPoint",
+    "abstract_search_space", "decode_dna", "encode_dna", "enumerate_dnas", "filter_spec",
+    "isomorphic", "merge_dna", "minimal_dna", "random_dna", "spec_to_json_obj", "split_dna",
+    "validate_dna",
+    "EagerContext", "eager_floatv", "eager_intv", "eager_oneof", "run_eager",
+    "SymsearchError",
+    "Feedback", "FlowReport", "SearchLoop", "TrialRecord", "run_factorized", "run_hybrid",
+    "run_joint", "run_separate", "sample", "top5_average",
+    "Categorical", "FloatRange", "INFINITE", "IntRange", "floatv", "intv", "is_deterministic",
+    "manyof", "oneof", "permutate", "space_size",
+    "infer_dna", "materialize", "materialize_partial",
+    "SyntheticNASOracle", "TableOracle", "build_nasbench_space", "dump_table", "eval_oracle",
+    "KeyPath", "ListIndex", "MapKey",
+    "ANY_OBJECT", "Param", "TypeDef", "TypeHandle", "TypeRegistry", "new_object",
+    "deserialize", "serialize",
+    "DELETE", "Delete", "HyperValue", "Insert", "Mapping", "ObjectNode", "Primitive",
+    "Sequence", "Set", "SymbolicValue", "clone", "equal", "get", "has", "parent_of", "path_of",
+    "query", "rebind", "to_symbolic", "validate_tree", "walk",
+]

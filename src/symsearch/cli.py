@@ -134,13 +134,23 @@ def _check_search_flags(args, parser):
     if args.flow in ("factorized", "hybrid"):
         if not args.partition:
             parser.error(f"--flow {args.flow} requires --partition")
-        if not args.inner_trials:
+        if args.inner_trials is None:
             parser.error(f"--flow {args.flow} requires --inner-trials")
     if args.flow in ("hybrid", "separate"):
         if args.phase2_trials is None:
             parser.error(f"--flow {args.flow} requires --phase2-trials")
     if args.flow == "separate" and not args.partition:
         parser.error("--flow separate requires --partition")
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--inner-trials", args.inner_trials, 1),
+                               ("--phase2-trials", args.phase2_trials, 0),
+                               ("--population", args.population, 1),
+                               ("--repeat", args.repeat, 1),
+                               ("--jobs", args.jobs, 1)):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}")
+    if not 1 <= args.tournament <= args.population:
+        parser.error("--tournament must be between 1 and --population")
 
 
 def _make_algorithm_factory(args):
@@ -167,32 +177,26 @@ def run_search_once(args, run_index: int) -> dict:
     make = _make_algorithm_factory(args)
     selector = (lambda p: p.hints == args.partition) if args.partition else None
     aggregator = AGGREGATORS[args.aggregator]
+    outer = SearchLoop(make, args.trials, seed=seed)
+    inner = SearchLoop(make, args.inner_trials, seed=seed)
 
     if args.flow == "joint":
         report = run_joint(space, make(seed), reward_fn, args.trials,
                            seed=seed, timing=args.timing)
     elif args.flow == "factorized":
-        report = run_factorized(
-            space, selector,
-            SearchLoop(make, args.trials, seed=seed),
-            SearchLoop(make, args.inner_trials, seed=seed),
-            reward_fn, aggregator=aggregator, timing=args.timing)
+        report = run_factorized(space, selector, outer, inner, reward_fn,
+                                aggregator=aggregator, timing=args.timing)
     elif args.flow == "hybrid":
-        report = run_hybrid(
-            space, selector,
-            SearchLoop(make, args.trials, seed=seed),
-            SearchLoop(make, args.inner_trials, seed=seed),
-            args.phase2_trials, reward_fn, aggregator=aggregator, timing=args.timing)
+        report = run_hybrid(space, selector, outer, inner, args.phase2_trials, reward_fn,
+                            aggregator=aggregator, timing=args.timing)
     else:
         if args.pivot:
             pivot = deserialize(Path(args.pivot).read_text(encoding="utf-8"))
         else:
             pivot = materialize(space, minimal_dna(spec))
-        report = run_separate(
-            space, selector, pivot,
-            SearchLoop(make, args.trials, seed=seed),
-            SearchLoop(make, args.phase2_trials, seed=seed + 1),
-            reward_fn, timing=args.timing)
+        report = run_separate(space, selector, pivot, outer,
+                              SearchLoop(make, args.phase2_trials, seed=seed + 1),
+                              reward_fn, timing=args.timing)
 
     if args.out:
         log_path = _run_path(Path(args.out), run_index, args.repeat)
@@ -211,8 +215,6 @@ def _run_path(out: Path, run_index: int, repeat: int) -> Path:
 
 def cmd_search(args, parser) -> int:
     _check_search_flags(args, parser)
-    if args.repeat < 1 or args.jobs < 1:
-        parser.error("--repeat and --jobs must be >= 1")
     if args.repeat == 1:
         summaries = [run_search_once(args, 0)]
     elif args.jobs == 1:
@@ -231,10 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except SymsearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SymsearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -311,20 +311,22 @@ def _enum_choices(point, prefix) -> Iterator[list]:
     if len(prefix) == point.k:
         yield []
         return
-    for index in _feasible_indices(point, prefix):
+    for index in _feasible_indices(point.n, point.distinct, point.sorted, prefix):
         for children in _enum_points(point.subspaces[index]):
             for rest in _enum_choices(point, prefix + [index]):
                 yield [Choice(index, children)] + rest
 
 
-def _feasible_indices(point, prefix):
-    for index in range(point.n):
-        if point.distinct and index in prefix:
+def _feasible_indices(n: int, distinct: bool, is_sorted: bool, prefix):
+    """Indices of n candidates that may fill the slot after ``prefix`` in a
+    tuple under the distinct/sorted constraints, lowest first."""
+    for index in range(n):
+        if distinct and index in prefix:
             continue
-        if point.sorted and prefix:
-            if point.distinct and index <= prefix[-1]:
+        if is_sorted and prefix:
+            if distinct and index <= prefix[-1]:
                 continue
-            if not point.distinct and index < prefix[-1]:
+            if not distinct and index < prefix[-1]:
                 continue
         yield index
 
@@ -379,7 +381,7 @@ def _minimal_decision(point):
     prefix: list[int] = []
     choices = []
     for _ in range(point.k):
-        index = next(_feasible_indices(point, prefix))
+        index = next(_feasible_indices(point.n, point.distinct, point.sorted, prefix))
         prefix.append(index)
         choices.append(Choice(index, [_minimal_decision(p) for p in point.subspaces[index]]))
     return choices

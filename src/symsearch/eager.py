@@ -17,6 +17,7 @@ different decisions than were registered raises DecisionStreamMismatch.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from itertools import repeat
 from typing import Callable
 
 from .algorithms import SearchAlgorithm
@@ -27,8 +28,8 @@ from .decisions import (
     FloatPoint,
     IntPoint,
 )
-from .errors import BadRange, DecisionStreamMismatch, EmptyCandidates, ExhaustedSpace
-from .flows import FlowReport, _Stopwatch, _Tracker
+from .errors import BadRange, DecisionStreamMismatch, EmptyCandidates
+from .flows import FlowReport, _proposals, _run_trials
 
 _current: ContextVar["EagerContext | None"] = ContextVar("eager_context", default=None)
 
@@ -208,25 +209,22 @@ def run_eager(program: Callable[[], float], algorithm: SearchAlgorithm,
     discarded and not counted against the budget); every trial afterwards
     re-runs it in apply mode with a proposed DNA.
     """
-    from .decisions import encode_dna  # local to avoid import clutter above
-
     ctx = EagerContext()
+
+    def apply(_child, dna: DNA) -> float:
+        ctx.begin_apply(dna)
+        reward = float(program())
+        ctx.end_run()
+        return reward
+
     with ctx:
         ctx.begin_collect()
         program()
         ctx.end_run()
         spec = ctx.spec()
         algorithm.setup(spec)
-        tracker = _Tracker("eager", {"trials": budget}, seed)
-        watch = _Stopwatch(timing)
-        for index in range(budget):
-            try:
-                dna = algorithm.propose()
-            except ExhaustedSpace:
-                break
-            ctx.begin_apply(dna)
-            reward, ms = watch.time(program)
-            ctx.end_run()
-            algorithm.feedback(dna, float(reward))
-            tracker.record(index, None, encode_dna(dna, spec, validate=False), float(reward), ms)
-    return tracker.report
+        report = FlowReport("eager", {"trials": budget}, seed)
+        # There is no child tree: the oracle re-runs the program itself.
+        proposals = _proposals(algorithm, spec, budget, strict=True)
+        _run_trials(report, zip(repeat(None), proposals), apply, timing)
+    return report

@@ -14,9 +14,10 @@ algorithm.  On top of it sit four drivers:
 * hybrid     - factorized phase, then resume the best sub-space with its
                retained inner algorithm state; a * b + c calls.
 
-Reward functions are called as ``oracle(child, dna)`` where ``dna`` is the
-child's full-space DNA, so tabular oracles keyed by canonical text work in
-every flow.
+Every driver, and ``eager.run_eager``, runs its trials through one trial
+step, ``_run_trials``.  Reward functions are called as ``oracle(child, dna)``
+where ``dna`` is the child's full-space DNA, so tabular oracles keyed by
+canonical text work in every flow.
 """
 
 from __future__ import annotations
@@ -71,15 +72,7 @@ class TrialRecord:
     wall_ms: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "outer_index": self.outer_index,
-            "inner_index": self.inner_index,
-            "dna": self.dna,
-            "reward": self.reward,
-            "best_so_far": self.best_so_far,
-            "wall_ms": self.wall_ms,
-        }
+        return dict(vars(self))  # fields in declaration order
 
 
 @dataclass
@@ -95,11 +88,8 @@ class FlowReport:
 
     @property
     def best_record(self) -> TrialRecord | None:
-        best = None
-        for record in self.records:
-            if best is None or record.reward > best.reward:
-                best = record
-        return best
+        """The first record with the highest reward."""
+        return max(self.records, key=lambda record: record.reward, default=None)
 
     @property
     def best_reward(self) -> float | None:
@@ -133,50 +123,8 @@ class FlowReport:
             handle.write("\n")
 
 
-class _Tracker:
-    """Accumulates trial records and the running best."""
-
-    def __init__(self, flow: str, budgets: dict, seed: int | None,
-                 resume_from: FlowReport | None = None):
-        self.report = FlowReport(flow, budgets, seed)
-        self._best = float("-inf")
-        if resume_from is not None:
-            self.report.records = resume_from.records
-            if self.report.records:
-                self._best = self.report.records[-1].best_so_far
-
-    def record(self, outer: int, inner: int | None, dna_text: str,
-               reward: float, wall_ms: int) -> None:
-        self._best = max(self._best, reward)
-        self.report.records.append(TrialRecord(
-            trial_index=len(self.report.records),
-            outer_index=outer,
-            inner_index=inner,
-            dna=dna_text,
-            reward=reward,
-            best_so_far=self._best,
-            wall_ms=wall_ms,
-        ))
-
-    @property
-    def best(self) -> float:
-        return self._best
-
-
-class _Stopwatch:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-    def time(self, fn, *args):
-        if not self.enabled:
-            return fn(*args), 0
-        start = time.perf_counter()
-        result = fn(*args)
-        return result, int((time.perf_counter() - start) * 1000)
-
-
 # ---------------------------------------------------------------------------
-# The sampling loop
+# The sampling loop and the trial step
 # ---------------------------------------------------------------------------
 
 class Feedback:
@@ -216,9 +164,20 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
         view = spec
     if reset:
         algorithm.setup(view)
-    else:
-        if algorithm.spec is None or not isomorphic(algorithm.spec, view):
-            raise UnsupportedSpace("resumed algorithm was set up for a different space")
+    elif algorithm.spec is None or not isomorphic(algorithm.spec, view):
+        raise UnsupportedSpace("resumed algorithm was set up for a different space")
+    for handle in _proposals(algorithm, view, budget, strict):
+        if partition is None:
+            child = materialize_prepared(space, spec, handle.dna)
+        else:
+            child = materialize_partial_prepared(space, spec, view, handle.dna, partition)
+        yield child, handle
+
+
+def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
+               strict: bool) -> Iterator[Feedback]:
+    """The proposal half of ``sample``: one feedback handle per proposed DNA,
+    after settling the previous handle if it was never fed."""
     produced = 0
     pending: Feedback | None = None
     while budget is None or produced < budget:
@@ -230,32 +189,58 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
             dna = algorithm.propose()
         except ExhaustedSpace:
             return
-        if partition is None:
-            child = materialize_prepared(space, spec, dna)
-        else:
-            child = materialize_partial_prepared(space, spec, view, dna, partition)
-        handle = Feedback(algorithm, dna, encode_dna(dna, view, validate=False))
-        pending = handle
+        pending = Feedback(algorithm, dna, encode_dna(dna, view, validate=False))
         produced += 1
-        yield child, handle
+        yield pending
+
+
+def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
+                spec: DecisionSpec | None = None, merge: Callable[[DNA], DNA] | None = None,
+                outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
+    """The trial step of every flow, eager included.
+
+    For each (child, feedback) pair: map the loop DNA to the full-space DNA
+    (``merge``, over ``spec``; the identity when None), call the oracle,
+    feed the reward back and append a TrialRecord with the running best.
+    Trials are numbered ``offset + i``, or as inner trials ``i`` of
+    ``outer_index``.  Returns the (loop DNA, reward) pairs.
+    """
+    records = report.records
+    best = records[-1].best_so_far if records else float("-inf")
+    results = []
+    for index, (child, feedback) in enumerate(pairs):
+        full = feedback.dna if merge is None else merge(feedback.dna)
+        start = time.perf_counter() if timing else 0.0
+        reward = oracle(child, full)
+        wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
+        feedback(reward)
+        best = max(best, reward)
+        records.append(TrialRecord(
+            trial_index=len(records),
+            outer_index=offset + index if outer_index is None else outer_index,
+            inner_index=None if outer_index is None else index,
+            dna=feedback.dna_text if merge is None else encode_dna(full, spec, validate=False),
+            reward=reward,
+            best_so_far=best,
+            wall_ms=wall_ms,
+        ))
+        results.append((feedback.dna, reward))
+    return results
 
 
 # ---------------------------------------------------------------------------
 # Aggregators
 # ---------------------------------------------------------------------------
 
-def top5_average(rewards: list[float]) -> float:
-    """Mean of the five largest rewards (fewer when fewer exist)."""
-    if not rewards:
-        raise EmptyRewards("no rewards to aggregate")
-    top = heapq.nlargest(5, rewards)
-    return sum(top) / len(top)
-
-
 def mean_reward(rewards: list[float]) -> float:
     if not rewards:
         raise EmptyRewards("no rewards to aggregate")
     return sum(rewards) / len(rewards)
+
+
+def top5_average(rewards: list[float]) -> float:
+    """Mean of the five largest rewards (fewer when fewer exist)."""
+    return mean_reward(heapq.nlargest(5, rewards))
 
 
 def max_reward(rewards: list[float]) -> float:
@@ -288,13 +273,9 @@ class SearchLoop:
 def run_joint(space, algorithm: SearchAlgorithm, oracle: RewardFn, trials: int,
               seed: int | None = None, timing: bool = False) -> FlowReport:
     """Optimize the whole space in a single loop."""
-    tracker = _Tracker("joint", {"trials": trials}, seed)
-    watch = _Stopwatch(timing)
-    for index, (child, feedback) in enumerate(sample(space, algorithm, budget=trials)):
-        reward, ms = watch.time(oracle, child, feedback.dna)
-        feedback(reward)
-        tracker.record(index, None, feedback.dna_text, reward, ms)
-    return tracker.report
+    report = FlowReport("joint", {"trials": trials}, seed)
+    _run_trials(report, sample(space, algorithm, budget=trials), oracle, timing)
+    return report
 
 
 def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
@@ -319,43 +300,31 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     _, pivot_complement = split_dna(spec, pivot_dna, selector)
 
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
-    tracker = _Tracker("separate", budgets, phase_a.seed)
-    watch = _Stopwatch(timing)
+    report = FlowReport("separate", budgets, phase_a.seed)
 
     phase_a_space = _transplant_complement(space, spec, selector, pivot)
-    best_selected: DNA | None = None
-    best_reward = float("-inf")
-    for index, (child, feedback) in enumerate(
-            sample(phase_a_space, phase_a.build(), budget=phase_a.trials)):
-        full = merge_dna(spec, selector, feedback.dna, pivot_complement)
-        reward, ms = watch.time(oracle, child, full)
-        feedback(reward)
-        tracker.record(index, None, encode_dna(full, spec, validate=False), reward, ms)
-        if best_selected is None or reward > best_reward:
-            best_selected, best_reward = feedback.dna, reward
+    results = _run_trials(
+        report, sample(phase_a_space, phase_a.build(), budget=phase_a.trials), oracle, timing,
+        spec, merge=lambda dna: merge_dna(spec, selector, dna, pivot_complement))
+    if not results:
+        raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
+    best_selected = max(results, key=lambda result: result[1])[0]
 
     phase_b_space = materialize_partial_prepared(space, spec, fspec, best_selected, selector)
     if abstract_search_space(phase_b_space).is_empty:
-        return tracker.report  # the selection covered everything
-    offset = phase_a.trials
-    for index, (child, feedback) in enumerate(
-            sample(phase_b_space, phase_b.build(), budget=phase_b.trials)):
-        full = merge_dna(spec, selector, best_selected, feedback.dna)
-        reward, ms = watch.time(oracle, child, full)
-        feedback(reward)
-        tracker.record(offset + index, None, encode_dna(full, spec, validate=False), reward, ms)
-    return tracker.report
+        return report  # the selection covered everything
+    _run_trials(
+        report, sample(phase_b_space, phase_b.build(), budget=phase_b.trials), oracle, timing,
+        spec, merge=lambda dna: merge_dna(spec, selector, best_selected, dna),
+        offset=phase_a.trials)
+    return report
 
 
 def run_factorized(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
                    oracle: RewardFn, aggregator=top5_average,
                    timing: bool = False) -> FlowReport:
     """Outer loop over sub-spaces, fresh inner algorithm per outer trial."""
-    report, _ = _factorized(space, selector, outer, inner, oracle, aggregator,
-                            timing, flow="factorized",
-                            budgets={"outer_trials": outer.trials,
-                                     "inner_trials": inner.trials})
-    return report
+    return _factorized(space, selector, outer, inner, oracle, aggregator, timing)
 
 
 def run_hybrid(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
@@ -363,64 +332,48 @@ def run_hybrid(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
                timing: bool = False) -> FlowReport:
     """Factorized phase, then resume the best sub-space with its retained
     inner algorithm (population, bookkeeping and rng carry over)."""
-    budgets = {"outer_trials": outer.trials, "inner_trials": inner.trials,
-               "phase2_trials": phase2_trials}
-    report, attempts = _factorized(space, selector, outer, inner, oracle,
-                                   aggregator, timing, flow="hybrid", budgets=budgets)
-    if phase2_trials <= 0 or not attempts:
-        return report
-    best = max(attempts, key=lambda a: (a["reward"], -a["outer_index"]))
-    tracker = _Tracker("hybrid", budgets, outer.seed, resume_from=report)
-    spec = abstract_search_space(to_symbolic(space))
-    watch = _Stopwatch(timing)
-    for index, (child, feedback) in enumerate(
-            sample(best["sub_space"], best["algorithm"], budget=phase2_trials, reset=False)):
-        full = merge_dna(spec, selector, best["outer_dna"], feedback.dna)
-        reward, ms = watch.time(oracle, child, full)
-        feedback(reward)
-        tracker.record(outer.trials + index, None,
-                       encode_dna(full, spec, validate=False), reward, ms)
-    return tracker.report
+    return _factorized(space, selector, outer, inner, oracle, aggregator, timing,
+                       phase2_trials)
 
 
 def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
-                flow, budgets):
+                phase2_trials=None):
+    """The factorized flow; with ``phase2_trials`` it is the hybrid flow."""
     space = to_symbolic(space)
     spec = abstract_search_space(space)
-    tracker = _Tracker(flow, budgets, outer.seed)
-    watch = _Stopwatch(timing)
+    budgets = {"outer_trials": outer.trials, "inner_trials": inner.trials}
+    if phase2_trials is not None:
+        budgets["phase2_trials"] = phase2_trials
+    report = FlowReport("factorized" if phase2_trials is None else "hybrid",
+                        budgets, outer.seed)
     attempts = []
-    outer_algorithm = outer.build()
     for outer_index, (sub_space, outer_feedback) in enumerate(
-            sample(space, outer_algorithm, partition=selector, budget=outer.trials)):
+            sample(space, outer.build(), partition=selector, budget=outer.trials)):
         inner_algorithm = inner.build(outer_index)
-        rewards = []
-        for inner_index, (child, inner_feedback) in enumerate(
-                sample(sub_space, inner_algorithm, budget=inner.trials)):
-            full = merge_dna(spec, selector, outer_feedback.dna, inner_feedback.dna)
-            reward, ms = watch.time(oracle, child, full)
-            inner_feedback(reward)
-            rewards.append(reward)
-            tracker.record(outer_index, inner_index,
-                           encode_dna(full, spec, validate=False), reward, ms)
-        aggregate = aggregator(rewards)
+        outer_dna = outer_feedback.dna
+        results = _run_trials(
+            report, sample(sub_space, inner_algorithm, budget=inner.trials), oracle, timing,
+            spec, merge=lambda dna: merge_dna(spec, selector, outer_dna, dna),
+            outer_index=outer_index)
+        aggregate = aggregator([reward for _, reward in results])
         outer_feedback(aggregate)
-        attempts.append({
-            "outer_index": outer_index,
-            "sub_space": sub_space,
-            "outer_dna": outer_feedback.dna,
-            "algorithm": inner_algorithm,
-            "reward": aggregate,
-        })
-    return tracker.report, attempts
+        attempts.append((aggregate, -outer_index, sub_space, outer_dna, inner_algorithm))
+
+    if phase2_trials is None or phase2_trials <= 0 or not attempts:
+        return report
+    _, _, sub_space, outer_dna, algorithm = max(attempts, key=lambda attempt: attempt[:2])
+    _run_trials(
+        report, sample(sub_space, algorithm, budget=phase2_trials, reset=False), oracle, timing,
+        spec, merge=lambda dna: merge_dna(spec, selector, outer_dna, dna),
+        offset=outer.trials)
+    return report
 
 
 def _require_flat_partition(spec: DecisionSpec, fspec: DecisionSpec, selector: Selector):
     """Separate flow needs selected/complement groups with no cross-nesting;
     otherwise the complement inside selected candidates cannot be pivoted."""
     full_selected = [p for p in spec.points if selector(p)]
-    flat = DecisionSpec(full_selected)
-    if sum(1 for _ in iter_all_points(fspec.points)) != sum(1 for _ in iter_all_points(flat.points)):
+    if sum(1 for _ in iter_all_points(fspec.points)) != sum(1 for _ in iter_all_points(full_selected)):
         raise UnsupportedSpace(
             "separate flow requires every point nested under a selected point to be selected too"
         )

@@ -19,6 +19,7 @@ from .decisions import (
     DecisionSpec,
     FloatPoint,
     Selector,
+    _feasible_indices,
     abstract_search_space,
     filter_spec,
     local_hyper_nodes,
@@ -196,14 +197,7 @@ def _assign_slots(node: Categorical, parts, prefix):
     slot = len(prefix)
     if slot == len(parts):
         return []
-    for index in range(node.num_candidates):
-        if node.distinct and index in prefix:
-            continue
-        if node.sorted and prefix:
-            if node.distinct and index <= prefix[-1]:
-                continue
-            if not node.distinct and index < prefix[-1]:
-                continue
+    for index in _feasible_indices(node.num_candidates, node.distinct, node.sorted, prefix):
         sub = _match_tree(node.candidates[index], parts[slot])
         if sub is None:
             continue

@@ -98,11 +98,6 @@ class SyntheticNASOracle:
         op_ids, edges = split_ops_edges(dna, spec, self.nodes, self.ops)
         return self.reward(op_ids, edges)
 
-    def reward_from_program(self, program: SymbolicValue) -> float:
-        op_ids = [node.to_plain() for node in program[0]]
-        edges = [node.to_plain() for node in program[1]]
-        return self.reward(op_ids, edges)
-
 
 def split_ops_edges(dna: DNA, spec: DecisionSpec, nodes: int, ops: int) -> tuple[list[int], list[int]]:
     """Read node operations and edge bits out of a builtin-space DNA."""

@@ -313,10 +313,6 @@ class TypeRegistry:
         return type_name in self._types
 
 
-def register_type(type_def: TypeDef, registry: TypeRegistry) -> TypeHandle:
-    return registry.register(type_def)
-
-
 def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
     """Construct a validated object node.
 

@@ -68,13 +68,15 @@ def deserialize(text: str, registry: TypeRegistry | None = None) -> SymbolicValu
     """Parse JSON text back into a symbolic value.
 
     Object documents require their types registered; a missing registry only
-    supports plain trees and hyper values.
+    supports plain trees and hyper values.  Documents nested deeper than the
+    interpreter's recursion limit allows are rejected as malformed.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return from_json_obj(json.loads(text, parse_constant=_reject_constant), registry)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
-    return from_json_obj(doc, registry)
+    except RecursionError:
+        raise MalformedDocument("document is nested too deeply") from None
 
 
 def _reject_constant(name):

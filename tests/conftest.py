@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +14,20 @@ import symsearch as ss
 from symsearch import schema
 from symsearch.hyper import floatv, intv, manyof, oneof
 from symsearch.values import Mapping, Primitive, Sequence
+
+
+@pytest.fixture(autouse=True, scope="session")
+def package_path_for_subprocesses():
+    """CLI tests start ``python -m symsearch.cli``; let those processes import
+    the package from ``src/`` even when pytest alone put it on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (src, saved) if p)
+    yield
+    if saved is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = saved
 
 
 @pytest.fixture()

@@ -163,3 +163,41 @@ def test_search_hybrid_flow(tmp_path):
     assert result.returncode == 0
     summary = json.loads(result.stdout)
     assert summary["oracle_calls"] == 3 * 4 + 5
+
+
+NAS_SEARCH = ("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+              "--oracle", "synthetic", "--seed", "0")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "-3"), "--trials"),
+    (("--flow", "separate", "--partition", "op", "--trials", "0",
+      "--phase2-trials", "4"), "--trials"),
+    (("--flow", "factorized", "--partition", "op", "--trials", "2",
+      "--inner-trials", "-1"), "--inner-trials"),
+    (("--flow", "hybrid", "--partition", "op", "--trials", "2", "--inner-trials", "2",
+      "--phase2-trials", "-5"), "--phase2-trials"),
+    (("--trials", "5", "--population", "0"), "--population"),
+    (("--trials", "5", "--tournament", "30"), "--tournament"),
+    (("--trials", "5", "--tournament", "0"), "--tournament"),
+])
+def test_search_bad_budget_and_size_flags_are_usage_errors(tmp_path, flags, message):
+    log = tmp_path / "log.jsonl"
+    result = run_cli(*NAS_SEARCH, *flags, "--out", str(log))
+    assert result.returncode == 2
+    assert f"error: {message} must be" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("depth", [900, 3000])
+def test_deeply_nested_space_is_runtime_error(tmp_path, depth):
+    space_file = tmp_path / "deep.json"
+    space_file.write_text("[" * depth + "1" + "]" * depth)
+    for command in (("inspect",),
+                    ("search", "--oracle", "table", "--table", str(tmp_path / "t.json"),
+                     "--trials", "1")):
+        result = run_cli(*command, "--space", str(space_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -303,6 +304,44 @@ def test_separate_rejects_cross_nested_partition(types):
                      SearchLoop(lambda s: RandomSearch(seed=s), 2, seed=0),
                      SearchLoop(lambda s: RandomSearch(seed=s), 2, seed=0),
                      lambda child, dna: 0.0)
+
+
+def test_separate_empty_phase_a_raises(bench):
+    space, spec, oracle, reward = bench
+    pivot = materialize(space, minimal_dna(spec))
+    with pytest.raises(EmptyRewards):
+        run_separate(space, op_selector, pivot,
+                     SearchLoop(lambda s: RandomSearch(seed=s), 0, seed=0),
+                     SearchLoop(lambda s: RandomSearch(seed=s), 3, seed=1),
+                     reward)
+
+
+@pytest.mark.parametrize("flow", ["joint", "eager"])
+def test_timing_records_wall_ms_and_nothing_else(bench, flow):
+    space, spec, oracle, reward = bench
+
+    def slow_reward(child, dna):
+        time.sleep(0.002)
+        return reward(child, dna)
+
+    def program():
+        time.sleep(0.002)
+        return ss.eager_oneof([1, 2, 3]) * ss.eager_intv(1, 4)
+
+    def search(timing):
+        if flow == "joint":
+            return run_joint(space, RegularizedEvolution(3, 2, seed=1), slow_reward, 8,
+                             seed=1, timing=timing)
+        return ss.run_eager(program, RegularizedEvolution(3, 2, seed=1), 8,
+                            seed=1, timing=timing)
+
+    timed, plain = search(True), search(False)
+    assert len(timed.records) == len(plain.records) == 8
+    for timed_record, plain_record in zip(timed.records, plain.records):
+        assert isinstance(timed_record.wall_ms, int) and timed_record.wall_ms >= 1
+        assert plain_record.wall_ms == 0
+        assert ({**timed_record.to_json_obj(), "wall_ms": 0}
+                == plain_record.to_json_obj())
 
 
 # -- aggregation -----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from symsearch.errors import (
     UnsupportedSpace,
 )
 from symsearch.hyper import floatv
-from symsearch.materialize import materialize
 from symsearch.oracles import (
     SyntheticNASOracle,
     TableOracle,
@@ -117,15 +116,6 @@ def test_rewards_in_unit_interval():
     spec = abstract_search_space(space)
     values = [eval_oracle(oracle, dna, spec) for dna in enumerate_dnas(spec)]
     assert all(0.0 <= v < 1.0 for v in values)
-
-
-def test_reward_from_program_agrees(types):
-    space = build_nasbench_space(3, 3)
-    spec = abstract_search_space(space)
-    oracle = SyntheticNASOracle(3, 3, seed=9)
-    for dna in list(enumerate_dnas(spec))[:20]:
-        program = materialize(space, dna)
-        assert oracle.reward_from_program(program) == eval_oracle(oracle, dna, spec)
 
 
 def test_synthetic_rejects_foreign_space():

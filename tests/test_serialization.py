@@ -100,3 +100,9 @@ def test_serialization_is_canonical(make_generator):
         text = ss.serialize(tree)
         assert ss.serialize(ss.clone(tree)) == text
         assert ss.serialize(ss.deserialize(text)) == text
+
+
+@pytest.mark.parametrize("depth", [900, 3000])
+def test_deep_nesting_is_malformed(depth):
+    with pytest.raises(MalformedDocument):
+        ss.deserialize("[" * depth + "1" + "]" * depth)
