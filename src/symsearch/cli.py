@@ -106,6 +106,8 @@ def cmd_inspect(args, parser) -> int:
 
 
 def cmd_enumerate(args, parser) -> int:
+    if args.limit is not None and args.limit < 0:
+        parser.error("--limit must be >= 0")
     space = load_space(args, parser)
     spec = abstract_search_space(space)
     for count, dna in enumerate(enumerate_dnas(spec)):

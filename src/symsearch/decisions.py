@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .errors import ContinuousSpace, NonconformingDNA, ParseError
 from .hyper import Categorical, FloatRange, IntRange
-from .values import HyperValue, SymbolicValue, path_of, to_symbolic
+from .values import SymbolicValue, path_of, to_symbolic
 
 
 @dataclass
@@ -126,16 +126,6 @@ def _extract(node: SymbolicValue) -> list:
     for _, child in node.child_items():
         points.extend(_extract(child))
     return points
-
-
-def local_hyper_nodes(node: SymbolicValue) -> list[HyperValue]:
-    """Top-level hyper nodes of a tree in pre-order, aligned with _extract."""
-    if isinstance(node, HyperValue):
-        return [node]
-    out = []
-    for _, child in node.child_items():
-        out.extend(local_hyper_nodes(child))
-    return out
 
 
 def filter_spec(spec: DecisionSpec, selector: Selector) -> DecisionSpec:
@@ -361,6 +351,8 @@ def random_decisions(points, rng: Random) -> list:
 def random_tuple(point: CategoricalPoint, rng: Random) -> list[int]:
     n, k = point.n, point.k
     if point.distinct:
+        if k == 1:
+            return [rng.randrange(n)]  # draws and leaves the state as sample would
         indices = rng.sample(range(n), k)
         return sorted(indices) if point.sorted else indices
     if point.sorted:

@@ -141,6 +141,11 @@ class EmptyRewards(SymsearchError):
     pass
 
 
+class InvalidReward(SymsearchError):
+    """An oracle returned NaN, which cannot be ranked against other rewards;
+    an infeasible trial should report -inf instead."""
+
+
 # --- oracles and CLI ---
 
 class UnknownKey(SymsearchError):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,7 @@ from .errors import (
     EmptySelection,
     ExhaustedSpace,
     FeedbackSkipped,
+    InvalidReward,
     UnsupportedSpace,
 )
 from .materialize import infer_dna, materialize_prepared, materialize_partial_prepared
@@ -202,6 +204,7 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
     For each (child, feedback) pair: map the loop DNA to the full-space DNA
     (``merge``, over ``spec``; the identity when None), call the oracle,
     feed the reward back and append a TrialRecord with the running best.
+    A NaN reward raises InvalidReward; -inf is a legal "infeasible" reward.
     Trials are numbered ``offset + i``, or as inner trials ``i`` of
     ``outer_index``.  Returns the (loop DNA, reward) pairs.
     """
@@ -213,13 +216,16 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
         start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
         wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
+        text = feedback.dna_text if merge is None else encode_dna(full, spec, validate=False)
+        if math.isnan(reward):
+            raise InvalidReward(f"oracle returned NaN for DNA {text!r}")
         feedback(reward)
         best = max(best, reward)
         records.append(TrialRecord(
             trial_index=len(records),
             outer_index=offset + index if outer_index is None else outer_index,
             inner_index=None if outer_index is None else index,
-            dna=feedback.dna_text if merge is None else encode_dna(full, spec, validate=False),
+            dna=text,
             reward=reward,
             best_so_far=best,
             wall_ms=wall_ms,

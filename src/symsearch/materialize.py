@@ -1,12 +1,19 @@
 """Merging abstract child programs back into concrete programs.
 
-Materialization recursively substitutes every decided hyper value: an int or
-float decision becomes the value itself; a categorical decision materializes
-each chosen candidate with its own child decisions, splicing a single result
-in place and multiple results as a sequence in chosen order.  Partial
-materialization substitutes only the selected decision points and preserves
-every other hyper value verbatim, which is how a space splits into a
-sub-space and its complement.  Inputs are never mutated.
+Materialization builds the child in one pass over the space, taking the
+decisions in pre-order: an int or float decision becomes the value itself;
+a categorical decision builds only its chosen candidates, each with its own
+child decisions, returning a single result in place and several as a
+sequence in chosen order; every other node is rebuilt around its built
+children.  Unchosen candidates are never copied.  Partial materialization
+substitutes only the selected decision points and copies every other hyper
+value verbatim, which is how a space splits into a sub-space and its
+complement.  Inputs are never mutated.
+
+A full materialization re-checks only the object fields whose subtree held
+a substituted hyper value.  Every other field is a copy of one that was
+validated when the space was built, and a spec accepts a hyper value only
+when every materialization of it would be accepted.
 """
 
 from __future__ import annotations
@@ -22,20 +29,21 @@ from .decisions import (
     _feasible_indices,
     abstract_search_space,
     filter_spec,
-    local_hyper_nodes,
     validate_dna,
 )
-from .errors import NonconformingDNA
+from .errors import ConstraintViolation, NonconformingDNA
 from .hyper import Categorical, FloatRange, IntRange
 from .values import (
+    HyperValue,
+    Mapping,
     ObjectNode,
     Primitive,
     Sequence,
     SymbolicValue,
     clone,
     equal,
+    path_of,
     to_symbolic,
-    validate_tree,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,8 +65,14 @@ def materialize_prepared(space: SymbolicValue, spec: DecisionSpec, dna: DNA) -> 
     """Like :func:`materialize` with the extraction reused across calls;
     `spec` must be ``abstract_search_space(space)``."""
     validate_dna(dna, spec)
-    result = _apply_selected(clone(space), spec.points, iter(dna.decisions), _SELECT_ALL)
-    validate_tree(result)
+    checks = []
+    result = _build(space, iter(spec.points), iter(dna.decisions), _SELECT_ALL, checks)
+    for value, param in filter(None, checks):
+        try:
+            param.spec.check(value)
+        except ConstraintViolation:
+            param.spec.check(value, path_of(value).render())  # only an error needs the path
+            raise
     return result
 
 
@@ -84,40 +98,42 @@ def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
     """Loop-friendly variant of :func:`materialize_partial`; `spec` and
     `fspec` must be the extraction and its selector-filtered view."""
     validate_dna(dna_subset, fspec)
-    return _apply_selected(clone(space), spec.points, iter(dna_subset.decisions), selector)
+    return _build(space, iter(spec.points), iter(dna_subset.decisions), selector, [])
 
 
-def _apply_selected(root, points, decisions, selector):
-    """Substitute selected hyper nodes of `root` (aligned with `points`),
-    consuming their decisions in order.  Returns the possibly-replaced root."""
-    hypers = local_hyper_nodes(root)
-    for point, node in zip(points, hypers):
+def _build(node, points, decisions, selector, checks):
+    """A fresh copy of `node` with its selected hyper values substituted.
+
+    Hyper values meet `points` (their level of the spec) in pre-order and
+    take the selected ones' decisions in order; only chosen candidates are
+    copied.  Each substitution appends None to `checks`, and each object
+    field whose subtree held one appends its ``(new value, param)``.
+    """
+    if isinstance(node, HyperValue):
+        point = next(points)
         if not selector(point):
-            continue
-        replacement = _materialize_node(point, node, next(decisions), selector)
-        root = _splice(root, node, replacement)
-    return root
-
-
-def _materialize_node(point, node, decision, selector):
-    if isinstance(node, (IntRange, FloatRange)):
-        value = float(decision) if isinstance(point, FloatPoint) else decision
-        return Primitive(value)
-    parts = []
-    for choice in decision:
-        candidate = node.candidates[choice.index].clone()
-        sub_points = point.subspaces[choice.index]
-        candidate = _apply_selected(candidate, sub_points, iter(choice.children), selector)
-        parts.append(candidate)
-    return parts[0] if node.k == 1 else Sequence(parts)
-
-
-def _splice(root, old, new):
-    if old is root:
-        return new
-    parent, _ = old._parent
-    parent._replace_child(old, new)
-    return root
+            return node.clone()
+        checks.append(None)
+        decision = next(decisions)
+        if not isinstance(node, Categorical):
+            return Primitive(float(decision) if isinstance(point, FloatPoint) else decision)
+        parts = [_build(node.candidates[choice.index], iter(point.subspaces[choice.index]),
+                        iter(choice.children), selector, checks) for choice in decision]
+        return parts[0] if node.k == 1 else Sequence(parts)
+    if isinstance(node, Sequence):
+        return Sequence([_build(child, points, decisions, selector, checks) for child in node])
+    if isinstance(node, Mapping):
+        return Mapping({key: _build(child, points, decisions, selector, checks)
+                        for key, child in node.items()})
+    if isinstance(node, ObjectNode):
+        fields = {}
+        for name, child in node.bound_fields().items():
+            mark = len(checks)
+            fields[name] = _build(child, points, decisions, selector, checks)
+            if len(checks) > mark:
+                checks.append((fields[name], node.type_def.param(name)))
+        return ObjectNode(node.type_def, fields)
+    return node.clone()
 
 
 # ---------------------------------------------------------------------------

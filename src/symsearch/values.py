@@ -173,7 +173,6 @@ class Sequence(SymbolicValue):
         node = self._adopt(ListIndex(i), new)
         old._parent = None
         self._children[i] = node
-        self._reindex()
         return node
 
     def _insert_before(self, anchor: "SymbolicValue | None", value):

@@ -12,8 +12,18 @@ import pytest
 
 import symsearch as ss
 from symsearch import schema
-from symsearch.hyper import floatv, intv, manyof, oneof
+from symsearch.hyper import IntRange, floatv, intv, manyof, oneof
 from symsearch.values import Mapping, Primitive, Sequence
+
+# Constrained holders for generated hyper values (see SpaceGenerator.typed):
+# every categorical candidate the generator makes is a two-element sequence.
+_PAIR = schema.ListOf(schema.Any(), min_len=2, max_len=2)
+_HOLDERS = ss.TypeRegistry()
+Slot = _HOLDERS.register(ss.TypeDef("Slot", [ss.Param("value", schema.Int(min=0))]))
+Pick = _HOLDERS.register(ss.TypeDef("Pick", [ss.Param("choice", _PAIR)]))
+Group = _HOLDERS.register(ss.TypeDef("Group", [
+    ss.Param("items", schema.ListOf(_PAIR, min_len=1, max_len=3)),
+]))
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -86,12 +96,18 @@ def trainer(types):
 
 class SpaceGenerator:
     """Random conditional spaces whose DNAs materialize to pairwise-distinct
-    programs (every categorical candidate carries a unique tag)."""
+    programs (every categorical candidate carries a unique tag).
 
-    def __init__(self, rng: random.Random, with_hints: bool = False, max_depth: int = 3):
+    With ``with_types`` every hyper value sits in a field of a typed object
+    whose spec constrains it; the random draws are the same either way.
+    """
+
+    def __init__(self, rng: random.Random, with_hints: bool = False, max_depth: int = 3,
+                 with_types: bool = False):
         self.rng = rng
         self.with_hints = with_hints
         self.max_depth = max_depth
+        self.with_types = with_types
         self._tags = itertools.count()
 
     def tag(self) -> int:
@@ -113,16 +129,24 @@ class SpaceGenerator:
                             for i in range(self.rng.randint(1, 2))})
         if roll < 0.6:
             lo = self.tag() * 10
-            return intv(lo, lo + self.rng.randint(0, 3), hints=self.hint())
+            return self.typed(intv(lo, lo + self.rng.randint(0, 3), hints=self.hint()))
         if roll < 0.75:
-            return oneof([self.candidate(depth) for _ in range(self.rng.randint(2, 3))],
-                         hints=self.hint())
+            return self.typed(oneof([self.candidate(depth)
+                                     for _ in range(self.rng.randint(2, 3))],
+                                    hints=self.hint()))
         n = self.rng.randint(2, 3)
         distinct = self.rng.random() < 0.5
         k = self.rng.randint(1, n if distinct else 3)
-        return manyof(k, [self.candidate(depth) for _ in range(n)],
-                      distinct=distinct, sorted=self.rng.random() < 0.5,
-                      hints=self.hint())
+        return self.typed(manyof(k, [self.candidate(depth) for _ in range(n)],
+                                 distinct=distinct, sorted=self.rng.random() < 0.5,
+                                 hints=self.hint()))
+
+    def typed(self, hyper):
+        if not self.with_types:
+            return hyper
+        if isinstance(hyper, IntRange):
+            return Slot(value=hyper)
+        return Pick(choice=hyper) if hyper.k == 1 else Group(items=hyper)
 
     def candidate(self, depth: int):
         return Sequence([Primitive(self.tag()), self.space(depth + 1)])

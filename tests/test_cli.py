@@ -47,6 +47,13 @@ def test_enumerate_limit():
     assert len(result.stdout.splitlines()) == 5
 
 
+def test_enumerate_negative_limit_is_usage_error():
+    result = run_cli("enumerate", "--builtin", "nasbench", "--limit", "-1")
+    assert result.returncode == 2
+    assert "error: --limit must be >= 0" in result.stderr
+    assert result.stdout == ""
+
+
 def test_enumerate_continuous_is_runtime_error(tmp_path):
     space_file = tmp_path / "space.json"
     space_file.write_text('{"_hyper":"floatv","min":0.0,"max":1.0,"hints":null}')
@@ -140,6 +147,22 @@ def test_search_table_unknown_key_is_runtime_error(tmp_path):
                      "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0")
     assert result.returncode == 1
     assert "0|0|0" in result.stderr
+
+
+def test_search_nan_reward_is_runtime_error(tmp_path):
+    table_path = tmp_path / "table.json"
+    run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+            "--out", str(table_path))
+    doc = json.loads(table_path.read_text())
+    doc["rewards"]["0|1|0"] = float("nan")
+    table_path.write_text(json.dumps(doc))  # written as a bare NaN token
+    result = run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                     "--oracle", "table", "--table", str(table_path), "--algo",
+                     "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "'0|1|0'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_search_separate_flow(tmp_path):

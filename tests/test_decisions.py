@@ -21,6 +21,7 @@ from symsearch.decisions import (
     merge_dna,
     minimal_dna,
     random_dna,
+    random_tuple,
     spec_to_json_obj,
     split_dna,
     validate_dna,
@@ -203,6 +204,18 @@ def test_random_dna_uniform_over_oneof():
     expected = n / 3
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 13.8  # chi-square, 2 dof, p = 0.001
+
+
+def test_single_distinct_choice_draws_like_sample():
+    """A one-of draws with randrange, which returns what ``sample(range(n),
+    1)`` returns and leaves the generator in the same state."""
+    for n in (1, 2, 3, 7, 50, 560):
+        point = CategoricalPoint("x", k=1, n=n, distinct=True, sorted=False)
+        for seed in range(300):
+            fast, reference = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert random_tuple(point, fast) == reference.sample(range(n), 1)
+                assert fast.getstate() == reference.getstate()
 
 
 def test_random_dna_distinct_sorted_feasible_only():

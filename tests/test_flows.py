@@ -15,6 +15,7 @@ from symsearch.errors import (
     EmptyRewards,
     EmptySelection,
     FeedbackSkipped,
+    InvalidReward,
     UnsupportedSpace,
 )
 from symsearch.flows import (
@@ -314,6 +315,21 @@ def test_separate_empty_phase_a_raises(bench):
                      SearchLoop(lambda s: RandomSearch(seed=s), 0, seed=0),
                      SearchLoop(lambda s: RandomSearch(seed=s), 3, seed=1),
                      reward)
+
+
+def test_nan_reward_raises_naming_the_dna(bench):
+    space, spec, oracle, reward = bench
+    rewards = iter([0.5, float("-inf"), float("nan"), 0.7])
+    seen = []
+
+    def flaky(child, dna):
+        seen.append(ss.encode_dna(dna, spec))
+        return next(rewards)
+
+    with pytest.raises(InvalidReward, match="NaN") as caught:
+        run_joint(space, RandomSearch(seed=0), flaky, 4, seed=0)
+    assert len(seen) == 3  # -inf is a legal reward; the NaN trial stops the run
+    assert repr(seen[-1]) in str(caught.value)
 
 
 @pytest.mark.parametrize("flow", ["joint", "eager"])

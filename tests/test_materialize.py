@@ -17,9 +17,11 @@ from symsearch.decisions import (
     random_dna,
     split_dna,
 )
-from symsearch.errors import NonconformingDNA
+from symsearch import schema
+from symsearch.errors import ConstraintViolation, NonconformingDNA
 from symsearch.hyper import intv, manyof, oneof
 from symsearch.materialize import infer_dna, materialize, materialize_partial
+from symsearch.values import ObjectNode
 
 
 @pytest.fixture()
@@ -82,6 +84,17 @@ def test_results_are_deterministic_valid_and_distinct(make_generator):
             ss.validate_tree(program)
             seen.add(ss.serialize(program))
         assert len(seen) == ss.space_size(space)
+
+
+def test_substituted_fields_are_checked_without_construction_checks():
+    """An object built directly, skipping new_object's checks, holds a range
+    its spec does not accept; the substituted value is still checked."""
+    box = ss.TypeDef("Box", [ss.Param("size", schema.Int(max=10))])
+    space = ss.Sequence([ObjectNode(box, {"size": intv(0, 100)})])
+    assert materialize(space, DNA([5]))[0]["size"] == 5
+    with pytest.raises(ConstraintViolation) as caught:
+        materialize(space, DNA([50]))
+    assert caught.value.path == "[0].size"
 
 
 # -- partial materialization -------------------------------------------------------

@@ -1,0 +1,64 @@
+"""Materialization invariants as properties over generated spaces."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+import symsearch as ss
+from conftest import SpaceGenerator
+from symsearch.decisions import (
+    CategoricalPoint,
+    abstract_search_space,
+    filter_spec,
+    random_dna,
+    split_dna,
+)
+from symsearch.materialize import materialize, materialize_partial
+
+SELECTORS = {
+    "hint a": lambda p: p.hints == "a",
+    "hint b": lambda p: p.hints == "b",
+    "categorical": lambda p: isinstance(p, CategoricalPoint),
+    "range": lambda p: not isinstance(p, CategoricalPoint),
+}
+
+
+def spaces(**options):
+    """SpaceGenerator as a strategy: hypothesis makes (and shrinks) its draws."""
+    return st.randoms(use_true_random=False).map(
+        lambda rng: SpaceGenerator(rng, **options).space())
+
+
+def assert_fresh_tree(tree, space):
+    """`tree` shares no node with `space`, and every node's parent chain is
+    consistent and ends at the root of `tree`."""
+    space_nodes = {id(node) for _, node in ss.walk(space)}
+    for _, node in ss.walk(tree):
+        assert id(node) not in space_nodes
+        top = node
+        while top._parent is not None:
+            parent, segment = top._parent
+            assert parent.get_child(segment) is top
+            top = parent
+        assert top is tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(with_hints=True, with_types=True),
+       rng=st.randoms(use_true_random=False),
+       selector=st.sampled_from(sorted(SELECTORS)))
+def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
+    spec = abstract_search_space(space)
+    dna = random_dna(spec, rng)
+    child = materialize(space, dna)
+    ss.validate_tree(child)
+    assert ss.is_deterministic(child)
+    assert_fresh_tree(child, space)
+
+    select = SELECTORS[selector]
+    if filter_spec(spec, select).is_empty:
+        return
+    selected, complement = split_dna(spec, dna, select)
+    sub_space = materialize_partial(space, selected, select)
+    assert_fresh_tree(sub_space, space)
+    assert ss.equal(materialize(sub_space, complement), child)

@@ -160,6 +160,15 @@ def test_rebind_list_edits_use_original_indices():
     assert edited == [10, 99, 11, 22]
 
 
+def test_rebind_replaced_elements_keep_their_parent_links():
+    x = ss.to_symbolic([10, [11, 12], 13])
+    for edited in (ss.rebind(x, {"[1][0]": 21, "[2]": 23}),
+                   ss.rebind(x, lambda path, v, parent: 23 if v == 13 else v)):
+        for path, node in ss.walk(edited):
+            assert ss.get(edited, path) is node
+            assert path.is_root or ss.path_of(node) == path
+
+
 def test_rebind_delete_mapping_key():
     x = ss.to_symbolic({"a": 1, "b": 2})
     assert ss.rebind(x, {"b": ss.DELETE}) == {"a": 1}
