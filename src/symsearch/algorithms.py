@@ -26,13 +26,17 @@ from .decisions import (
     random_decisions,
     random_dna,
     random_tuple,
-    validate_dna,
 )
 from .errors import ExhaustedSpace, UnknownProposal, UnsupportedSpace
 
 
 class SearchAlgorithm:
-    """Base class implementing the setup/propose/feedback bookkeeping."""
+    """Base class implementing the setup/propose/feedback bookkeeping.
+
+    The search loops call the ``_propose`` and ``_feedback`` hooks directly:
+    they encode (and so check) each proposal once and feed it through a
+    single-use handle.  ``propose`` and ``feedback`` are the checked manual
+    interface."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
@@ -55,15 +59,14 @@ class SearchAlgorithm:
         if self.spec is None:
             raise UnsupportedSpace("setup() must run before propose()")
         dna = self._propose()
-        self._outstanding[encode_dna(dna, self.spec, validate=False)] += 1
+        self._outstanding[encode_dna(dna, self.spec)] += 1
         return dna
 
     def _propose(self) -> DNA:
         raise NotImplementedError
 
     def feedback(self, dna: DNA, reward: float) -> None:
-        validate_dna(dna, self.spec)
-        text = encode_dna(dna, self.spec, validate=False)
+        text = encode_dna(dna, self.spec)
         if self._outstanding[text] <= 0:
             raise UnknownProposal(f"DNA {text!r} was not proposed by this instance")
         self._outstanding[text] -= 1
@@ -71,8 +74,7 @@ class SearchAlgorithm:
 
     def seed_feedback(self, dna: DNA, reward: float) -> None:
         """Inject an externally evaluated DNA, bypassing the proposal check."""
-        validate_dna(dna, self.spec)
-        self._feedback(dna, encode_dna(dna, self.spec, validate=False), float(reward))
+        self._feedback(dna, encode_dna(dna, self.spec), float(reward))
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
         pass

@@ -113,7 +113,7 @@ def cmd_enumerate(args, parser) -> int:
     for count, dna in enumerate(enumerate_dnas(spec)):
         if args.limit is not None and count >= args.limit:
             break
-        print(encode_dna(dna, spec, validate=False))
+        print(encode_dna(dna, spec))
     return 0
 
 

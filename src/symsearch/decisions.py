@@ -147,125 +147,96 @@ def _filter_points(points, selector):
 
 
 # ---------------------------------------------------------------------------
-# Conformance
+# Canonical text and conformance
 # ---------------------------------------------------------------------------
+
+def encode_dna(dna: DNA, spec: DecisionSpec) -> str:
+    """Flatten decisions pre-order into the canonical ``|``-joined text,
+    checking each decision as its token is emitted; raises NonconformingDNA
+    unless `dna` conforms to `spec`."""
+    tokens: list[str] = []
+    _encode_points(spec.points, dna.decisions, tokens, "")
+    return "|".join(tokens)
+
 
 def validate_dna(dna: DNA, spec: DecisionSpec) -> None:
     """Raise NonconformingDNA unless `dna` conforms to `spec`."""
-    _validate_points(spec.points, dna.decisions, "")
+    encode_dna(dna, spec)
 
 
-def _validate_points(points, decisions, context):
+def _encode_points(points, decisions, tokens, context):
     if not isinstance(decisions, list) or len(decisions) != len(points):
         raise NonconformingDNA(context or "<root>",
                                f"expected {len(points)} decisions, got {decisions!r}")
     for point, decision in zip(points, decisions):
-        _validate_decision(point, decision)
-
-
-def _validate_decision(point, decision):
-    if isinstance(point, IntPoint):
-        if not isinstance(decision, int) or isinstance(decision, bool):
-            raise NonconformingDNA(point.id, f"expected an int, got {decision!r}")
-        if not point.min <= decision <= point.max:
-            raise NonconformingDNA(point.id, f"{decision} outside [{point.min}, {point.max}]")
-        return
-    if isinstance(point, FloatPoint):
-        if not isinstance(decision, (int, float)) or isinstance(decision, bool):
+        if isinstance(point, CategoricalPoint):
+            _check_choices(point, decision)
+            for choice in decision:
+                tokens.append(str(choice.index))
+                _encode_points(point.subspaces[choice.index], choice.children, tokens, point.id)
+            continue
+        if isinstance(point, IntPoint):
+            if not isinstance(decision, int) or isinstance(decision, bool):
+                raise NonconformingDNA(point.id, f"expected an int, got {decision!r}")
+        elif not isinstance(decision, (int, float)) or isinstance(decision, bool):
             raise NonconformingDNA(point.id, f"expected a float, got {decision!r}")
         if not point.min <= decision <= point.max:
             raise NonconformingDNA(point.id, f"{decision} outside [{point.min}, {point.max}]")
-        return
-    if not isinstance(decision, list) or not all(isinstance(c, Choice) for c in decision):
-        raise NonconformingDNA(point.id, f"expected a list of choices, got {decision!r}")
-    if len(decision) != point.k:
-        raise NonconformingDNA(point.id, f"expected {point.k} choices, got {len(decision)}")
-    indices = [c.index for c in decision]
-    for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < point.n:
-            raise NonconformingDNA(point.id, f"index {i!r} outside [0, {point.n})")
-    if point.distinct and len(set(indices)) != len(indices):
-        raise NonconformingDNA(point.id, f"indices {indices} not distinct")
-    if point.sorted:
-        ordered = all(a < b for a, b in zip(indices, indices[1:])) if point.distinct \
-            else all(a <= b for a, b in zip(indices, indices[1:]))
-        if not ordered:
-            raise NonconformingDNA(point.id, f"indices {indices} not sorted")
+        tokens.append(str(decision) if isinstance(point, IntPoint) else repr(float(decision)))
+
+
+def _check_choices(point: CategoricalPoint, decision) -> None:
+    """A categorical decision's own constraints, before any of its children."""
+    if not isinstance(decision, list) or len(decision) != point.k:
+        raise NonconformingDNA(point.id, f"expected a list of {point.k} choices, got {decision!r}")
+    prefix: list[int] = []
     for choice in decision:
-        _validate_points(point.subspaces[choice.index], choice.children, point.id)
-
-
-# ---------------------------------------------------------------------------
-# Canonical text
-# ---------------------------------------------------------------------------
-
-def encode_dna(dna: DNA, spec: DecisionSpec, validate: bool = True) -> str:
-    """Flatten decisions pre-order into the canonical ``|``-joined text."""
-    if validate:
-        validate_dna(dna, spec)
-    tokens: list[str] = []
-    _encode_points(spec.points, dna.decisions, tokens)
-    return "|".join(tokens)
-
-
-def _encode_points(points, decisions, tokens):
-    for point, decision in zip(points, decisions):
-        if isinstance(point, IntPoint):
-            tokens.append(str(decision))
-        elif isinstance(point, FloatPoint):
-            tokens.append(repr(float(decision)))
-        else:
-            for choice in decision:
-                tokens.append(str(choice.index))
-                _encode_points(point.subspaces[choice.index], choice.children, tokens)
+        if not isinstance(choice, Choice):
+            raise NonconformingDNA(point.id, f"expected a choice, got {choice!r}")
+        index = choice.index
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < point.n:
+            raise NonconformingDNA(point.id, f"index {index!r} outside [0, {point.n})")
+        if not _may_follow(index, prefix, point.distinct, point.sorted):
+            raise NonconformingDNA(point.id, f"index {index} may not follow {prefix} "
+                                             f"(distinct={point.distinct}, sorted={point.sorted})")
+        prefix.append(index)
 
 
 def decode_dna(text: str, spec: DecisionSpec) -> DNA:
     """Parse canonical text against a spec; validates conformance."""
-    tokens = text.split("|") if text else []
-    cursor = [0]
-
-    def take(point) -> str:
-        if cursor[0] >= len(tokens):
-            raise ParseError(f"too few decisions for {point.id!r}")
-        token = tokens[cursor[0]]
-        cursor[0] += 1
-        return token
-
-    def read_points(points):
-        out = []
-        for point in points:
-            if isinstance(point, IntPoint):
-                out.append(_parse_int(take(point), point))
-            elif isinstance(point, FloatPoint):
-                token = take(point)
-                try:
-                    out.append(float(token))
-                except ValueError:
-                    raise ParseError(f"bad float {token!r} for {point.id!r}") from None
-            else:
-                choices = []
-                for _ in range(point.k):
-                    index = _parse_int(take(point), point)
-                    if not 0 <= index < point.n:
-                        raise NonconformingDNA(point.id, f"index {index} outside [0, {point.n})")
-                    choices.append(Choice(index, read_points(point.subspaces[index])))
-                out.append(choices)
-        return out
-
-    decisions = read_points(spec.points)
-    if cursor[0] != len(tokens):
-        raise ParseError(f"{len(tokens) - cursor[0]} unconsumed decisions")
-    dna = DNA(decisions)
+    tokens = iter(text.split("|") if text else [])
+    dna = DNA(_decode_points(spec.points, tokens))
+    extra = sum(1 for _ in tokens)
+    if extra:
+        raise ParseError(f"{extra} unconsumed decisions")
     validate_dna(dna, spec)
     return dna
 
 
-def _parse_int(token: str, point) -> int:
+def _decode_points(points, tokens) -> list:
+    out = []
+    for point in points:
+        if not isinstance(point, CategoricalPoint):
+            out.append(_parse(next(tokens, None), int if isinstance(point, IntPoint) else float,
+                              point))
+            continue
+        choices = []
+        for _ in range(point.k):
+            index = _parse(next(tokens, None), int, point)
+            if not 0 <= index < point.n:
+                raise NonconformingDNA(point.id, f"index {index} outside [0, {point.n})")
+            choices.append(Choice(index, _decode_points(point.subspaces[index], tokens)))
+        out.append(choices)
+    return out
+
+
+def _parse(token: str | None, kind: type, point):
+    if token is None:
+        raise ParseError(f"too few decisions for {point.id!r}")
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise ParseError(f"bad int {token!r} for {point.id!r}") from None
+        raise ParseError(f"bad {kind.__name__} {token!r} for {point.id!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +278,18 @@ def _enum_choices(point, prefix) -> Iterator[list]:
                 yield [Choice(index, children)] + rest
 
 
+def _may_follow(index: int, prefix, distinct: bool, is_sorted: bool) -> bool:
+    """Whether candidate ``index`` may fill the slot after ``prefix`` in a
+    tuple under the distinct/sorted constraints."""
+    if distinct and index in prefix:
+        return False
+    return not (is_sorted and prefix and index < prefix[-1])
+
+
 def _feasible_indices(n: int, distinct: bool, is_sorted: bool, prefix):
-    """Indices of n candidates that may fill the slot after ``prefix`` in a
-    tuple under the distinct/sorted constraints, lowest first."""
-    for index in range(n):
-        if distinct and index in prefix:
-            continue
-        if is_sorted and prefix:
-            if distinct and index <= prefix[-1]:
-                continue
-            if not distinct and index < prefix[-1]:
-                continue
-        yield index
+    """Indices of n candidates that may fill the slot after ``prefix``,
+    lowest first."""
+    return (index for index in range(n) if _may_follow(index, prefix, distinct, is_sorted))
 
 
 def count_tuples(point: CategoricalPoint) -> int:

@@ -74,7 +74,13 @@ class TrialRecord:
     wall_ms: int
 
     def to_json_obj(self) -> dict:
-        return dict(vars(self))  # fields in declaration order
+        return {**vars(self), "reward": _json_reward(self.reward),  # declaration order
+                "best_so_far": _json_reward(self.best_so_far)}
+
+
+def _json_reward(reward: float | None) -> float | None:
+    """-inf, the "infeasible" reward, is written as JSON null."""
+    return None if reward == -math.inf else reward
 
 
 @dataclass
@@ -110,18 +116,19 @@ class FlowReport:
             "seed": self.seed,
             "oracle_calls": self.oracle_calls,
             "best_dna": self.best_dna,
-            "best_reward": self.best_reward,
+            "best_reward": _json_reward(self.best_reward),
         }
 
     def write_jsonl(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
             for record in self.records:
-                handle.write(json.dumps(record.to_json_obj(), separators=(",", ":")))
+                handle.write(json.dumps(record.to_json_obj(), separators=(",", ":"),
+                                        allow_nan=False))
                 handle.write("\n")
 
     def write_summary(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
-            json.dump(self.summary_dict(), handle, indent=2, sort_keys=True)
+            json.dump(self.summary_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
 
 
@@ -130,7 +137,9 @@ class FlowReport:
 # ---------------------------------------------------------------------------
 
 class Feedback:
-    """Single-use reward channel bound to the DNA that produced one child."""
+    """Single-use reward channel bound to one proposed DNA and its canonical
+    text.  It feeds the algorithm's ``_feedback`` hook; being single-use, it
+    does the proposal bookkeeping of ``SearchAlgorithm.feedback``."""
 
     def __init__(self, algorithm: SearchAlgorithm, dna: DNA, dna_text: str):
         self._algorithm = algorithm
@@ -141,7 +150,7 @@ class Feedback:
     def __call__(self, reward: float) -> None:
         if self.used:
             raise DoubleFeedback(f"reward for DNA {self.dna_text!r} already delivered")
-        self._algorithm.feedback(self.dna, reward)
+        self._algorithm._feedback(self.dna, self.dna_text, float(reward))
         self.used = True
 
 
@@ -179,7 +188,8 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
 def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
                strict: bool) -> Iterator[Feedback]:
     """The proposal half of ``sample``: one feedback handle per proposed DNA,
-    after settling the previous handle if it was never fed."""
+    after settling the previous handle if it was never fed.  Encoding the
+    proposal against `view` is the one check of what the algorithm made."""
     produced = 0
     pending: Feedback | None = None
     while budget is None or produced < budget:
@@ -188,10 +198,10 @@ def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | Non
                 raise FeedbackSkipped(f"trial for DNA {pending.dna_text!r} received no reward")
             pending(float("-inf"))
         try:
-            dna = algorithm.propose()
+            dna = algorithm._propose()
         except ExhaustedSpace:
             return
-        pending = Feedback(algorithm, dna, encode_dna(dna, view, validate=False))
+        pending = Feedback(algorithm, dna, encode_dna(dna, view))
         produced += 1
         yield pending
 
@@ -202,10 +212,11 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
     """The trial step of every flow, eager included.
 
     For each (child, feedback) pair: map the loop DNA to the full-space DNA
-    (``merge``, over ``spec``; the identity when None), call the oracle,
-    feed the reward back and append a TrialRecord with the running best.
-    A NaN reward raises InvalidReward; -inf is a legal "infeasible" reward.
-    Trials are numbered ``offset + i``, or as inner trials ``i`` of
+    with ``merge`` and encode that over ``spec`` (without ``merge`` the
+    proposal's DNA and text serve as they are), call the oracle, feed the
+    reward back and append a TrialRecord with the running best.  A reward that is not a
+    number, NaN or +inf raises InvalidReward; -inf is the legal "infeasible"
+    reward.  Trials are numbered ``offset + i``, or as inner trials ``i`` of
     ``outer_index``.  Returns the (loop DNA, reward) pairs.
     """
     records = report.records
@@ -213,12 +224,11 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
     results = []
     for index, (child, feedback) in enumerate(pairs):
         full = feedback.dna if merge is None else merge(feedback.dna)
+        text = feedback.dna_text if merge is None else encode_dna(full, spec)
         start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
         wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
-        text = feedback.dna_text if merge is None else encode_dna(full, spec, validate=False)
-        if math.isnan(reward):
-            raise InvalidReward(f"oracle returned NaN for DNA {text!r}")
+        reward = _checked_reward(reward, text)
         feedback(reward)
         best = max(best, reward)
         records.append(TrialRecord(
@@ -232,6 +242,17 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
         ))
         results.append((feedback.dna, reward))
     return results
+
+
+def _checked_reward(reward, text: str) -> float:
+    try:
+        value = float(reward)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if value != value or value == math.inf:
+        raise InvalidReward(f"oracle returned {reward!r} for DNA {text!r}; "
+                            "a reward must be a number other than NaN or +inf")
+    return value
 
 
 # ---------------------------------------------------------------------------

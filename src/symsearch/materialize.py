@@ -58,13 +58,15 @@ def materialize(space, dna: DNA) -> SymbolicValue:
     input space is left untouched.
     """
     space = to_symbolic(space)
-    return materialize_prepared(space, abstract_search_space(space), dna)
+    spec = abstract_search_space(space)
+    validate_dna(dna, spec)
+    return materialize_prepared(space, spec, dna)
 
 
 def materialize_prepared(space: SymbolicValue, spec: DecisionSpec, dna: DNA) -> SymbolicValue:
     """Like :func:`materialize` with the extraction reused across calls;
-    `spec` must be ``abstract_search_space(space)``."""
-    validate_dna(dna, spec)
+    `spec` must be ``abstract_search_space(space)`` and `dna` must already
+    conform to it."""
     checks = []
     result = _build(space, iter(spec.points), iter(dna.decisions), _SELECT_ALL, checks)
     for value, param in filter(None, checks):
@@ -89,6 +91,7 @@ def materialize_partial(space, dna_subset: DNA, selector: Selector) -> SymbolicV
     if fspec.is_empty:
         logger.warning("partition selector matched no decision points; space unchanged")
         return clone(space)
+    validate_dna(dna_subset, fspec)
     return materialize_partial_prepared(space, spec, fspec, dna_subset, selector)
 
 
@@ -96,8 +99,8 @@ def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
                                  fspec: DecisionSpec, dna_subset: DNA,
                                  selector: Selector) -> SymbolicValue:
     """Loop-friendly variant of :func:`materialize_partial`; `spec` and
-    `fspec` must be the extraction and its selector-filtered view."""
-    validate_dna(dna_subset, fspec)
+    `fspec` must be the extraction and its selector-filtered view, and
+    `dna_subset` must already conform to `fspec`."""
     return _build(space, iter(spec.points), iter(dna_subset.decisions), selector, [])
 
 

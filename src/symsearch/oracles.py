@@ -156,7 +156,7 @@ def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
         raise ContinuousSpaceForTable("cannot tabulate a continuous space")
     rewards = {}
     for dna in enumerate_dnas(spec):
-        rewards[encode_dna(dna, spec, validate=False)] = oracle.reward_from_dna(dna, spec)
+        rewards[encode_dna(dna, spec)] = oracle.reward_from_dna(dna, spec)
     return TableOracle(spec, rewards)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 from pathlib import Path
@@ -160,6 +161,13 @@ class SpaceGenerator:
 
     def continuous_candidate(self, depth: int = 0):
         return floatv(0.0, float(self.rng.randint(1, 5)), hints=self.hint())
+
+
+def strict_json(text: str):
+    """Parse JSON, rejecting the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture()

@@ -27,7 +27,7 @@ def small_spec():
 
 
 def flatten(dna, spec):
-    return encode_dna(dna, spec, validate=False)
+    return encode_dna(dna, spec)
 
 
 # -- setup -----------------------------------------------------------------------
@@ -120,6 +120,19 @@ def test_feedback_requires_proposal(small_spec):
     assert len(algo.population) == 1
     with pytest.raises(NonconformingDNA):
         algo.feedback(ss.DNA([]), 1.0)
+
+
+def test_public_propose_and_seed_feedback_check_the_dna(small_spec):
+    class Broken(ss.SearchAlgorithm):
+        def _propose(self):
+            return ss.DNA([[ss.Choice(3)], 0])
+
+    with pytest.raises(NonconformingDNA):
+        Broken().setup(small_spec).propose()
+    algo = RegularizedEvolution(2, 1, seed=0).setup(small_spec)
+    with pytest.raises(NonconformingDNA):
+        algo.seed_feedback(ss.DNA([[ss.Choice(0)], 5]), 1.0)
+    assert len(algo.population) == 0
 
 
 def test_random_ignores_feedback(small_spec):

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from conftest import strict_json
+
 BASE = [sys.executable, "-m", "symsearch.cli"]
 
 
@@ -149,20 +151,49 @@ def test_search_table_unknown_key_is_runtime_error(tmp_path):
     assert "0|0|0" in result.stderr
 
 
-def test_search_nan_reward_is_runtime_error(tmp_path):
+def write_table(tmp_path, key, reward):
     table_path = tmp_path / "table.json"
     run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
             "--out", str(table_path))
     doc = json.loads(table_path.read_text())
-    doc["rewards"]["0|1|0"] = float("nan")
-    table_path.write_text(json.dumps(doc))  # written as a bare NaN token
-    result = run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
-                     "--oracle", "table", "--table", str(table_path), "--algo",
-                     "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0")
+    doc["rewards"][key] = reward
+    table_path.write_text(json.dumps(doc))  # non-finite values as bare tokens
+    return table_path
+
+
+def search_table(tmp_path, table_path):
+    return run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                   "--oracle", "table", "--table", str(table_path), "--algo",
+                   "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0",
+                   "--out", str(tmp_path / "run.jsonl"))
+
+
+def assert_bad_reward_error(result):
     assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
-    assert "'0|1|0'" in result.stderr
+    assert result.stderr.startswith("error: ") and "'0|1|0'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_search_nan_reward_is_runtime_error(tmp_path):
+    assert_bad_reward_error(search_table(tmp_path, write_table(tmp_path, "0|1|0", float("nan"))))
+
+
+def test_search_positive_infinite_reward_is_runtime_error(tmp_path):
+    assert_bad_reward_error(search_table(tmp_path, write_table(tmp_path, "0|1|0", float("inf"))))
+
+
+def test_search_infeasible_reward_is_logged_as_null(tmp_path):
+    result = search_table(tmp_path, write_table(tmp_path, "0|0|0", float("-inf")))
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "run.jsonl").read_text().splitlines()
+    records = [strict_json(line) for line in lines]
+    assert records[0]["dna"] == "0|0|0"
+    assert records[0]["reward"] is None and records[0]["best_so_far"] is None
+    assert all(isinstance(r["reward"], float) for r in records[1:])
+    summary = strict_json((tmp_path / "run.summary.json").read_text())
+    assert summary["best_reward"] == max(r["reward"] for r in records[1:])
+    printed = strict_json(result.stdout)
+    assert printed["best_reward"] == summary["best_reward"]
 
 
 def test_search_separate_flow(tmp_path):

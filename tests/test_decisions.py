@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from symsearch.decisions import (
     Choice,
     IntPoint,
     abstract_search_space,
+    count_tuples,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -116,6 +118,38 @@ def test_encode_examples(cond_space):
     spec = abstract_search_space(cond_space)
     assert encode_dna(DNA([[Choice(2, [[Choice(1, [])]])]]), spec) == "2|1"
     assert encode_dna(DNA([[Choice(0, [])]]), spec) == "0"
+
+
+def test_encode_names_the_failing_point(cond_space):
+    spec = abstract_search_space(ss.Mapping({"layer": cond_space}))
+    outer = spec.points[0].id
+    inner = spec.points[0].subspaces[2][0].id
+    cases = [
+        (DNA([[Choice(5)]]), outer),                    # index out of range
+        (DNA([["x"]]), outer),                          # not a choice
+        (DNA([[Choice(2)]]), outer),                    # missing child decision
+        (DNA([[Choice(2, [[Choice(2)]])]]), inner),     # nested index out of range
+        (DNA([[Choice(2, [[Choice(0, [3])]])]]), inner),  # extra decision under inner
+        (DNA([]), "<root>"),
+    ]
+    for dna, point_id in cases:
+        with pytest.raises(NonconformingDNA) as caught:
+            encode_dna(dna, spec)
+        assert caught.value.point_id == point_id
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+@pytest.mark.parametrize("is_sorted", [True, False])
+def test_encode_accepts_exactly_the_enumerated_tuples(distinct, is_sorted):
+    spec = abstract_search_space(manyof(3, [1, 2, 3, 4], distinct=distinct, sorted=is_sorted))
+    accepted = set()
+    for indices in itertools.product(range(4), repeat=3):
+        try:
+            accepted.add(encode_dna(DNA([[Choice(i) for i in indices]]), spec))
+        except NonconformingDNA as exc:
+            assert exc.point_id == spec.points[0].id
+    assert accepted == {encode_dna(dna, spec) for dna in enumerate_dnas(spec)}
+    assert len(accepted) == count_tuples(spec.points[0])
 
 
 def test_decode_validates(cond_space):

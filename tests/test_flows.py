@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
 
 import symsearch as ss
-from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution
-from symsearch.decisions import abstract_search_space, enumerate_dnas, minimal_dna
+from conftest import strict_json
+from symsearch import decisions
+from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, SearchAlgorithm
+from symsearch.decisions import DNA, Choice, abstract_search_space, enumerate_dnas, minimal_dna
 from symsearch.errors import (
     DoubleFeedback,
     EmptyRewards,
     EmptySelection,
     FeedbackSkipped,
     InvalidReward,
+    NonconformingDNA,
     UnsupportedSpace,
 )
 from symsearch.flows import (
@@ -332,6 +336,116 @@ def test_nan_reward_raises_naming_the_dna(bench):
     assert repr(seen[-1]) in str(caught.value)
 
 
+@pytest.mark.parametrize("bad", [None, "high", float("inf")])
+def test_non_numeric_and_positive_infinite_rewards_raise(bench, bad):
+    space, spec, oracle, reward = bench
+    rewards = iter([0.5, bad])
+    seen = []
+
+    def flaky(child, dna):
+        seen.append(ss.encode_dna(dna, spec))
+        return next(rewards)
+
+    with pytest.raises(InvalidReward) as caught:
+        run_joint(space, RandomSearch(seed=0), flaky, 3, seed=0)
+    assert len(seen) == 2
+    assert repr(bad) in str(caught.value) and repr(seen[-1]) in str(caught.value)
+
+
+def test_minus_infinity_is_written_as_null(tmp_path, bench):
+    space, *_ = bench
+
+    def write(rewards):
+        values = iter(rewards)
+        report = run_joint(space, RandomSearch(seed=0), lambda child, dna: next(values),
+                           len(rewards), seed=0)
+        report.write_jsonl(tmp_path / "run.jsonl")
+        report.write_summary(tmp_path / "run.summary.json")
+        lines = (tmp_path / "run.jsonl").read_text().splitlines()
+        return ([strict_json(line) for line in lines],
+                strict_json((tmp_path / "run.summary.json").read_text()))
+
+    records, summary = write([float("-inf"), 0.5, float("-inf")])
+    assert [(r["reward"], r["best_so_far"]) for r in records] == \
+        [(None, None), (0.5, 0.5), (None, 0.5)]
+    assert summary["best_reward"] == 0.5
+    records, summary = write([float("-inf")] * 2)
+    assert summary["best_reward"] is None and summary["best_dna"] == records[0]["dna"]
+
+
+class Nonconforming(SearchAlgorithm):
+    """Proposes a fixed DNA whatever the space."""
+
+    def __init__(self, dna):
+        super().__init__()
+        self.dna = dna
+
+    def _propose(self):
+        return self.dna
+
+
+def test_joint_checks_the_proposal_before_the_oracle(bench):
+    space, *_ = bench
+    calls = []
+    with pytest.raises(NonconformingDNA):
+        run_joint(space, Nonconforming(DNA([[Choice(99)]])),
+                  lambda child, dna: calls.append(dna) or 0.0, 3)
+    assert calls == []
+
+
+def test_eager_checks_the_proposal_before_the_program():
+    runs = []
+
+    def program():
+        runs.append(None)
+        return float(ss.eager_intv(1, 5))
+
+    with pytest.raises(NonconformingDNA):
+        ss.run_eager(program, Nonconforming(DNA([99])), 3)
+    assert len(runs) == 1  # the collection pass only
+
+
+def count_calls(monkeypatch, name):
+    """Record the result of every call to ``decisions.<name>``, under every
+    module binding of the function."""
+    original = getattr(decisions, name)
+    seen = []
+
+    def counted(dna, spec):
+        seen.append(original(dna, spec))
+        return seen[-1]
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("symsearch") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_joint_encodes_each_trial_once_and_never_validates(monkeypatch, bench):
+    space, spec, oracle, reward = bench
+    encoded = count_calls(monkeypatch, "encode_dna")
+    validated = count_calls(monkeypatch, "validate_dna")
+    report = run_joint(space, RegularizedEvolution(4, 2, seed=0), reward, 12, seed=0)
+    assert validated == []
+    assert encoded == [record.dna for record in report.records]
+    assert len(encoded) == 12
+
+
+def test_merged_flows_encode_at_most_twice_per_trial(monkeypatch, bench):
+    space, spec, oracle, reward = bench
+    pivot = materialize(space, minimal_dna(spec))
+    random_loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
+    encoded = count_calls(monkeypatch, "encode_dna")
+    validated = count_calls(monkeypatch, "validate_dna")
+    separate = run_separate(space, op_selector, pivot, random_loop(5), random_loop(4), reward)
+    assert len(encoded) == 2 * separate.oracle_calls
+    del encoded[:]
+    hybrid = run_hybrid(space, op_selector, random_loop(3), random_loop(4), 5, reward)
+    assert hybrid.oracle_calls == 3 * 4 + 5
+    assert len(encoded) == 2 * hybrid.oracle_calls + 3  # plus each outer proposal
+    assert validated == []
+
+
 @pytest.mark.parametrize("flow", ["joint", "eager"])
 def test_timing_records_wall_ms_and_nothing_else(bench, flow):
     space, spec, oracle, reward = bench
@@ -383,13 +497,13 @@ def test_factorized_outer_reward_is_aggregated(bench):
     space, spec, oracle, reward = bench
     outer_algo = RegularizedEvolution(2, 1, seed=0)
     captured = []
-    original = outer_algo.feedback
+    original = outer_algo._feedback  # the loop feeds the algorithm's hook directly
 
-    def spy(dna, value):
+    def spy(dna, text, value):
         captured.append(value)
-        return original(dna, value)
+        return original(dna, text, value)
 
-    outer_algo.feedback = spy
+    outer_algo._feedback = spy
     inner_rewards = []
 
     def tracking(child, dna):

@@ -114,6 +114,14 @@ def test_partial_fixes_selected_and_keeps_rest():
     assert len(selected.points) == 1
 
 
+def test_partial_rejects_nonconforming(types):
+    space = ss.Mapping({"op": oneof([10, 11, 12], hints="op"), "width": intv(1, 4)})
+    op = lambda p: p.hints == "op"
+    for dna in (DNA([[Choice(3)]]), DNA([[Choice(0)], 2]), DNA([2])):
+        with pytest.raises(NonconformingDNA):
+            materialize_partial(space, dna, op)
+
+
 def test_partial_preserves_nested_unselected(types):
     space = oneof(
         [types.Conv(oneof([2, 4], hints="filters"), 3), types.Identity()],

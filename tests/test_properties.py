@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
 from conftest import SpaceGenerator
+from symsearch.algorithms import mutate
 from symsearch.decisions import (
     CategoricalPoint,
     abstract_search_space,
+    decode_dna,
+    encode_dna,
+    enumerate_dnas,
     filter_spec,
     random_dna,
     split_dna,
 )
+from symsearch.hyper import floatv
 from symsearch.materialize import materialize, materialize_partial
 
 SELECTORS = {
@@ -62,3 +67,23 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
     sub_space = materialize_partial(space, selected, select)
     assert_fresh_tree(sub_space, space)
     assert ss.equal(materialize(sub_space, complement), child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(), rng=st.randoms(use_true_random=False), with_float=st.booleans())
+def test_encode_decode_round_trip(space, rng, with_float):
+    if with_float:
+        space = ss.Sequence([space, floatv(0.0, 1.0)])
+    spec = abstract_search_space(space)
+    dna = random_dna(spec, rng)
+    for candidate in (dna, mutate(dna, spec, rng, exclude_current=True),
+                      mutate(dna, spec, rng, exclude_current=False)):
+        assert decode_dna(encode_dna(candidate, spec), spec) == candidate
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces())
+def test_space_size_equals_enumeration_count(space):
+    size = ss.space_size(space)
+    assume(size <= 500)
+    assert sum(1 for _ in enumerate_dnas(abstract_search_space(space))) == size
