@@ -17,7 +17,7 @@ from symsearch.errors import (
     PathNotFound,
     ReservedKey,
 )
-from symsearch.values import Mapping
+from symsearch.values import Mapping, Primitive
 
 
 # -- construction and equality ------------------------------------------------
@@ -237,6 +237,57 @@ def test_transform_is_post_order_and_skips_replacements(types):
     result = ss.rebind(types.Dense(10), grow)
     assert result == types.Dense(99)
     assert calls.count("units") == 1
+
+
+def hyper_space():
+    return ss.to_symbolic({"a": ss.oneof([1, 2, 3]), "b": [ss.intv(1, 4), 5]})
+
+
+def test_transform_rebuilds_every_kind_with_children():
+    space = hyper_space()
+    before = ss.serialize(space)
+    seen = []
+
+    def bump(path, value, parent):
+        seen.append(path)
+        if isinstance(value, Primitive) and type(value.value) is int:
+            return value.value + 10
+        return value
+
+    result = ss.rebind(space, bump)
+    assert ss.serialize(result) == (
+        '{"a":{"_hyper":"oneof","candidates":[11,12,13],"hints":null},'
+        '"b":[{"_hyper":"intv","min":1,"max":4,"hints":null},15]}')
+    assert seen == ["a.candidates[0]", "a.candidates[1]", "a.candidates[2]",
+                    "a.candidates", "a", "b[0]", "b[1]", "b", ""]
+    assert ss.serialize(space) == before
+    for path, node in ss.walk(result):
+        assert ss.get(result, path) is node
+
+
+def test_transform_applies_empty_containers():
+    space = ss.to_symbolic({"a": [1], "b": {"c": 2}, "c": ss.oneof([[1], 2])})
+    empty = {"a": [], "b": {}, "c.candidates[0]": []}
+    result = ss.rebind(space, lambda path, value, parent: empty.get(path, value))
+    assert ss.serialize(result) == (
+        '{"a":[],"b":{},"c":{"_hyper":"oneof","candidates":[[],2],"hints":null}}')
+
+
+def test_transform_copies_a_returned_node_that_has_a_parent():
+    space = hyper_space()
+    before = ss.serialize(space)
+    result = ss.rebind(space, lambda path, value, parent: space["b"] if path == "a" else value)
+    assert result["a"] is not space["b"]
+    assert ss.equal(result["a"], space["b"])
+    assert ss.path_of(result["a"]).render() == "a"
+    assert ss.serialize(space) == before
+
+
+def test_query_paths_reach_categorical_candidates():
+    found = ss.query(hyper_space(), ".*")
+    assert list(found) == ["", "a", "a.candidates", "a.candidates[0]", "a.candidates[1]",
+                           "a.candidates[2]", "b", "b[0]", "b[1]"]
+    assert found["a.candidates[0]"] == 1
 
 
 # -- recompute hooks --------------------------------------------------------------
