@@ -203,13 +203,17 @@ def _check_choices(point: CategoricalPoint, decision) -> None:
 
 
 def decode_dna(text: str, spec: DecisionSpec) -> DNA:
-    """Parse canonical text against a spec; validates conformance."""
+    """Parse canonical text against a spec; validates conformance.  Any other
+    spelling of a DNA (a sign, a space, a leading zero, a float that is not
+    the shortest repr) raises ParseError."""
     tokens = iter(text.split("|") if text else [])
     dna = DNA(_decode_points(spec.points, tokens))
     extra = sum(1 for _ in tokens)
     if extra:
         raise ParseError(f"{extra} unconsumed decisions")
-    validate_dna(dna, spec)
+    canonical = encode_dna(dna, spec)
+    if canonical != text:
+        raise ParseError(f"DNA text {text!r} is not canonical; its canonical form is {canonical!r}")
     return dna
 
 

@@ -13,7 +13,16 @@ import math
 
 from .errors import BadRange, ConstraintViolation, EmptyCandidates, KTooLarge
 from .paths import MapKey
-from .values import HyperValue, Primitive, Sequence, SymbolicValue, equal, to_symbolic, walk
+from .values import (
+    HyperValue,
+    Primitive,
+    Sequence,
+    SymbolicValue,
+    _copy_children,
+    equal,
+    to_symbolic,
+    walk,
+)
 
 INFINITE = math.inf
 
@@ -56,8 +65,8 @@ class Categorical(HyperValue):
     def num_candidates(self) -> int:
         return len(self._candidates)
 
-    def child_items(self):
-        return [(MapKey("candidates"), self._candidates)]
+    def _items(self):
+        return (("candidates", self._candidates),)
 
     def get_child(self, segment):
         if isinstance(segment, MapKey) and segment.key == "candidates":
@@ -72,14 +81,14 @@ class Categorical(HyperValue):
         self._candidates = node
         return node
 
-    def clone(self):
+    def _copy(self, replaced=None):
         fresh = Categorical.__new__(Categorical)
-        SymbolicValue.__init__(fresh)
+        fresh._parent = None
         fresh.k = self.k
         fresh.distinct = self.distinct
         fresh.sorted = self.sorted
         fresh.hints = self.hints
-        fresh._candidates = fresh._adopt(MapKey("candidates"), self._candidates.clone())
+        [fresh._candidates] = _copy_children(fresh, self._items(), replaced)
         return fresh
 
     def _equals_same_kind(self, other):
@@ -124,7 +133,7 @@ class IntRange(HyperValue):
         self.max = max
         self.hints = hints
 
-    def clone(self):
+    def _copy(self, replaced=None):
         return IntRange(self.min, self.max, self.hints)
 
     def _equals_same_kind(self, other):
@@ -156,7 +165,7 @@ class FloatRange(HyperValue):
         self.max = float(max)
         self.hints = hints
 
-    def clone(self):
+    def _copy(self, replaced=None):
         return FloatRange(self.min, self.max, self.hints)
 
     def _equals_same_kind(self, other):

@@ -31,7 +31,7 @@ from .decisions import (
     filter_spec,
     validate_dna,
 )
-from .errors import ConstraintViolation, NonconformingDNA
+from .errors import NonconformingDNA
 from .hyper import Categorical, FloatRange, IntRange
 from .values import (
     HyperValue,
@@ -40,9 +40,9 @@ from .values import (
     Primitive,
     Sequence,
     SymbolicValue,
+    _check_lazily,
     clone,
     equal,
-    path_of,
     to_symbolic,
 )
 
@@ -70,11 +70,7 @@ def materialize_prepared(space: SymbolicValue, spec: DecisionSpec, dna: DNA) -> 
     checks = []
     result = _build(space, iter(spec.points), iter(dna.decisions), _SELECT_ALL, checks)
     for value, param in filter(None, checks):
-        try:
-            param.spec.check(value)
-        except ConstraintViolation:
-            param.spec.check(value, path_of(value).render())  # only an error needs the path
-            raise
+        _check_lazily(param.spec, value)
     return result
 
 

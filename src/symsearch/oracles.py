@@ -32,6 +32,7 @@ from .decisions import (
     CategoricalPoint,
     DecisionSpec,
     abstract_search_space,
+    decode_dna,
     encode_dna,
     enumerate_dnas,
     spec_to_json_obj,
@@ -40,6 +41,8 @@ from .errors import (
     BadDimensions,
     ContinuousSpaceForTable,
     MalformedDocument,
+    NonconformingDNA,
+    ParseError,
     UnknownKey,
     UnsupportedSpace,
 )
@@ -146,7 +149,14 @@ class TableOracle:
             spec = spec_from_json_obj(doc["spec"])
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
-        return cls(spec, rewards)
+        table = cls(spec, rewards)
+        for key in rewards:
+            try:
+                decode_dna(key, spec)
+            except (ParseError, NonconformingDNA) as exc:
+                raise MalformedDocument(f"bad table file {path}: key {key!r} is not canonical "
+                                        f"DNA text of its spec: {exc}") from None
+        return table
 
 
 def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:

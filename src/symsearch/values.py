@@ -8,11 +8,21 @@ to-be-determined part (see :mod:`symsearch.hyper`).
 Trees are value-semantic.  Structural equality (``equal``/``==``) compares
 variants, type names, keys and all descendants; ``clone`` produces an
 independent deep copy.  A node belongs to at most one parent: attaching a
-value that already sits in a tree clones it first.
+value that already sits in a tree clones it first.  Every kind copies
+itself through one routine, ``_copy``, which takes replacement children by
+key; ``clone`` is the case with none.  A copy re-runs no check, since its
+source already passed them.
 
 Manipulation goes through :func:`rebind`, which never mutates its input; it
-returns an edited copy.  Inquiry is served by :func:`get`, :func:`query`,
+returns an edited copy.  A transform copies each node of the result once:
+an ancestor of a change is rebuilt from its new children plus one clone of
+each unchanged sibling.  Inquiry is served by :func:`get`, :func:`query`,
 :func:`parent_of` and :func:`path_of`.
+
+Paths are rendered as text only where text is needed.  :func:`query` and the
+transform carry the parent's text down and append one segment per child;
+:func:`walk` yields :class:`KeyPath` values; :func:`validate_tree` and the
+re-check after a rebind render a path only for the error they raise.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BindingConflict,
+    ConstraintViolation,
     IllegalDirective,
     InvalidPattern,
     MissingRequiredField,
@@ -63,9 +74,14 @@ class SymbolicValue:
 
     # -- tree structure -------------------------------------------------
 
-    def child_items(self) -> Iterable[tuple[object, "SymbolicValue"]]:
-        """Yield (segment, child) pairs in canonical order."""
+    def _items(self) -> Iterable[tuple[int | str, "SymbolicValue"]]:
+        """(key, child) pairs in canonical order; a key is a list index or
+        map key text."""
         return ()
+
+    def child_items(self) -> list[tuple[object, "SymbolicValue"]]:
+        """(segment, child) pairs in canonical order."""
+        return [(child._parent[1], child) for _, child in self._items()]
 
     def get_child(self, segment) -> "SymbolicValue":
         raise PathNotFound(f"{self._variant_name()} has no child {segment!r}")
@@ -84,6 +100,12 @@ class SymbolicValue:
     # -- value semantics -------------------------------------------------
 
     def clone(self) -> "SymbolicValue":
+        return self._copy()
+
+    def _copy(self, replaced: dict | None = None) -> "SymbolicValue":
+        """A fresh copy of this node, taking each child from `replaced` (by
+        key) when present there and cloning it otherwise.  The source already
+        passed every check, so nothing is re-checked."""
         raise NotImplementedError
 
     def _equals_same_kind(self, other) -> bool:
@@ -130,8 +152,11 @@ class Primitive(SymbolicValue):
             raise ValueError(f"non-finite float not representable: {value!r}")
         self.value = value
 
-    def clone(self):
-        return Primitive(self.value)
+    def _copy(self, replaced=None):
+        fresh = Primitive.__new__(Primitive)
+        fresh._parent = None
+        fresh.value = self.value
+        return fresh
 
     def _equals_same_kind(self, other):
         a, b = self.value, other.value
@@ -160,8 +185,8 @@ class Sequence(SymbolicValue):
         for child in children:
             self._children.append(self._adopt(ListIndex(len(self._children)), child))
 
-    def child_items(self):
-        return [(ListIndex(i), c) for i, c in enumerate(self._children)]
+    def _items(self):
+        return enumerate(self._children)
 
     def get_child(self, segment):
         if isinstance(segment, ListIndex) and 0 <= segment.index < len(self._children):
@@ -192,8 +217,11 @@ class Sequence(SymbolicValue):
         for i, c in enumerate(self._children):
             c._parent = (self, ListIndex(i))
 
-    def clone(self):
-        return Sequence([c.clone() for c in self._children])
+    def _copy(self, replaced=None):
+        fresh = Sequence.__new__(Sequence)
+        fresh._parent = None
+        fresh._children = _copy_children(fresh, self._items(), replaced)
+        return fresh
 
     def _equals_same_kind(self, other):
         if len(self._children) != len(other._children):
@@ -235,8 +263,8 @@ class Mapping(SymbolicValue):
                 raise ValueError(f"duplicate mapping key {key!r}")
             self._entries[key] = self._adopt(MapKey(key), value)
 
-    def child_items(self):
-        return [(MapKey(k), v) for k, v in self._entries.items()]
+    def _items(self):
+        return self._entries.items()
 
     def get_child(self, segment):
         if isinstance(segment, MapKey) and segment.key in self._entries:
@@ -255,10 +283,10 @@ class Mapping(SymbolicValue):
         self._entries[key]._parent = None
         del self._entries[key]
 
-    def clone(self):
-        fresh = Mapping()
-        for k, v in self._entries.items():
-            fresh._entries[k] = fresh._adopt(MapKey(k), v.clone())
+    def _copy(self, replaced=None):
+        fresh = Mapping.__new__(Mapping)
+        fresh._parent = None
+        fresh._entries = dict(zip(self._entries, _copy_children(fresh, self._items(), replaced)))
         return fresh
 
     def _equals_same_kind(self, other):
@@ -310,8 +338,8 @@ class ObjectNode(SymbolicValue):
     def type_name(self) -> str:
         return self.type_def.type_name
 
-    def child_items(self):
-        return [(MapKey(name), node) for name, node in self._fields.items()]
+    def _items(self):
+        return self._fields.items()
 
     def get_child(self, segment):
         if isinstance(segment, MapKey) and segment.key in self._fields:
@@ -333,13 +361,11 @@ class ObjectNode(SymbolicValue):
                 ordered[param.name] = self._fields[param.name]
         self._fields = ordered
 
-    def clone(self):
+    def _copy(self, replaced=None):
         fresh = ObjectNode.__new__(ObjectNode)
-        SymbolicValue.__init__(fresh)
+        fresh._parent = None
         fresh.type_def = self.type_def
-        fresh._fields = {}
-        for name, node in self._fields.items():
-            fresh._fields[name] = fresh._adopt(MapKey(name), node.clone())
+        fresh._fields = dict(zip(self._fields, _copy_children(fresh, self._items(), replaced)))
         return fresh
 
     def _equals_same_kind(self, other):
@@ -425,6 +451,23 @@ class HyperValue(SymbolicValue):
         raise NotImplementedError
 
 
+def _copy_children(fresh, items, replaced) -> list:
+    """Copies of `items`' children attached to `fresh` under the same
+    segments: a child whose key is in `replaced` becomes that node (cloned
+    if it already has a parent), every other child a clone."""
+    copies = []
+    for key, child in items:
+        if replaced is None or key not in replaced:
+            new = child._copy()
+        else:
+            new = replaced[key]
+            if new._parent is not None:
+                new = new._copy()
+        new._parent = (fresh, child._parent[1])
+        copies.append(new)
+    return copies
+
+
 def _index_by_identity(children: list, node) -> int:
     for i, c in enumerate(children):
         if c is node:
@@ -483,12 +526,26 @@ def parent_of(node: SymbolicValue) -> SymbolicValue | None:
 
 
 def path_of(node: SymbolicValue) -> KeyPath:
+    return _path_within(None, node)
+
+
+def _path_within(top, node) -> KeyPath:
+    """Path of `node` below its ancestor `top`, or below its root when `top`
+    is None."""
     segments = []
-    while node._parent is not None:
-        parent, segment = node._parent
+    while node is not top and node._parent is not None:
+        node, segment = node._parent
         segments.append(segment)
-        node = parent
     return KeyPath(tuple(reversed(segments)))
+
+
+def _child_text(text: str, key) -> str:
+    """Rendered path of the child at `key` (a list index or map key) of the
+    node whose rendered path is `text`: one segment appended, in the fixed
+    grammar of :meth:`KeyPath.render`."""
+    if type(key) is int:
+        return f"{text}[{key}]"
+    return f"{text}.{key}" if text else key
 
 
 def walk(x: SymbolicValue, root: KeyPath = KeyPath()) -> Iterator[tuple[KeyPath, SymbolicValue]]:
@@ -519,10 +576,12 @@ def query(x: SymbolicValue, selector) -> dict:
     else:
         raise InvalidPattern(f"selector must be pattern text or a predicate, got {selector!r}")
     found = {}
-    for path, node in walk(x):
-        text = path.render()
-        if match(text, node, parent_of(node)):
+    stack = [("", x, parent_of(x))]
+    while stack:
+        text, node, parent = stack.pop()
+        if match(text, node, parent):
             found[text] = node
+        stack.extend(reversed([(_child_text(text, key), child, node) for key, child in node._items()]))
     return found
 
 
@@ -564,8 +623,13 @@ def rebind(x: SymbolicValue, edits) -> SymbolicValue:
     against the original tree before anything is applied, and list directives
     sharing a parent are applied so indices always refer to the original
     children.  With a callable, the transform is applied to every node in
-    depth-first post-order; returning a value equal to the input (or None)
-    means "no change", and replacement subtrees are not re-visited.
+    depth-first post-order and receives the node's rendered path, built by
+    appending one segment to its parent's; returning a value equal to the
+    input (or None) means "no change", and replacement subtrees are not
+    re-visited.  Each node of the result is copied once: a node whose
+    subtree changed is rebuilt from its replaced children and a clone of
+    each other child.  A returned value is attached as it is, or cloned
+    once when it already sits in a tree.
 
     Changed fields are re-validated against their specs, then each affected
     object's recompute hook fires exactly once, bottom-up.
@@ -649,38 +713,36 @@ def _validate_directive(x, path, directive):
 
 
 def _rebind_transform(x: SymbolicValue, fn) -> SymbolicValue:
-    changed: list[KeyPath] = []
-    result = _transform(x, KeyPath(), None, fn, changed)
+    changed: list[str] = []
+    result = _transform(x, "", None, fn, changed)
     if result._parent is not None:
         result = result.clone()
-    _validate_changed_fields(result, changed)
-    _fire_hooks(result, changed)
+    paths = [KeyPath.parse(text) for text in changed]
+    _validate_changed_fields(result, paths)
+    _fire_hooks(result, paths)
     return result
 
 
-def _transform(node, path, parent, fn, changed):
-    replaced = {}
-    for segment, child in node.child_items():
-        new_child = _transform(child, path.child(segment), node, fn, changed)
+def _transform(node, text, parent, fn, changed):
+    """`node` after the transform: the node itself when nothing under it
+    changed, else one copy built from its replaced children and clones of
+    the rest.  Appends the rendered path of each changed node to `changed`."""
+    replaced = None
+    for key, child in node._items():
+        new_child = _transform(child, _child_text(text, key), node, fn, changed)
         if new_child is not child:
-            replaced[segment] = new_child
-    current = _with_replaced_children(node, replaced) if replaced else node
-    returned = fn(path.render(), current, parent)
+            if replaced is None:
+                replaced = {}
+            replaced[key] = new_child
+    current = node if replaced is None else node._copy(replaced)
+    returned = fn(text, current, parent)
     if returned is None or returned is current:
         return current
     new = to_symbolic(returned)
     if equal(new, current):
         return current
-    changed.append(path)
+    changed.append(text)
     return new
-
-
-def _with_replaced_children(node, replaced: dict) -> SymbolicValue:
-    fresh = node.clone()
-    for segment, new_child in replaced.items():
-        old = fresh.get_child(segment)
-        fresh._replace_child(old, new_child)
-    return fresh
 
 
 def _validate_changed_fields(root, changed):
@@ -695,7 +757,7 @@ def _validate_changed_fields(root, changed):
             continue
         seen.add(key)
         if param.name in obj._fields:
-            param.spec.check(obj._fields[param.name], path_of(obj).child(MapKey(param.name)).render())
+            _check_lazily(param.spec, obj._fields[param.name])
 
 
 def _enclosing_object_field(root, path):
@@ -741,13 +803,28 @@ def _fire_hooks(root, changed):
 # ---------------------------------------------------------------------------
 
 def validate_tree(root: SymbolicValue) -> None:
-    """Re-check every object field against its spec; raises on violation."""
-    for path, node in walk(root):
+    """Re-check every object field against its spec, in pre-order; raises on
+    violation.  Paths (relative to `root`) are rendered only for the error."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, ObjectNode):
             for param in node.type_def.params:
                 if param.name in node._fields:
-                    param.spec.check(node._fields[param.name], path.child(MapKey(param.name)).render())
+                    _check_lazily(param.spec, node._fields[param.name], root)
                 elif not node.type_def.callable:
                     raise MissingRequiredField(
-                        f"{node.type_name} at {path.render()!r} is missing field {param.name!r}"
+                        f"{node.type_name} at {_path_within(root, node).render()!r} "
+                        f"is missing field {param.name!r}"
                     )
+        stack.extend(reversed([child for _, child in node._items()]))
+
+
+def _check_lazily(spec, value: SymbolicValue, top=None) -> None:
+    """``spec.check(value)``, rendering the path of `value` below `top` (its
+    root when None) only when the check fails."""
+    try:
+        spec.check(value)
+    except ConstraintViolation:
+        spec.check(value, _path_within(top, value).render())
+        raise

@@ -19,10 +19,10 @@ from symsearch.values import Mapping, Primitive, Sequence
 # Constrained holders for generated hyper values (see SpaceGenerator.typed):
 # every categorical candidate the generator makes is a two-element sequence.
 _PAIR = schema.ListOf(schema.Any(), min_len=2, max_len=2)
-_HOLDERS = ss.TypeRegistry()
-Slot = _HOLDERS.register(ss.TypeDef("Slot", [ss.Param("value", schema.Int(min=0))]))
-Pick = _HOLDERS.register(ss.TypeDef("Pick", [ss.Param("choice", _PAIR)]))
-Group = _HOLDERS.register(ss.TypeDef("Group", [
+HOLDERS = ss.TypeRegistry()
+Slot = HOLDERS.register(ss.TypeDef("Slot", [ss.Param("value", schema.Int(min=0))]))
+Pick = HOLDERS.register(ss.TypeDef("Pick", [ss.Param("choice", _PAIR)]))
+Group = HOLDERS.register(ss.TypeDef("Group", [
     ss.Param("items", schema.ListOf(_PAIR, min_len=1, max_len=3)),
 ]))
 

@@ -151,6 +151,23 @@ def test_search_table_unknown_key_is_runtime_error(tmp_path):
     assert "0|0|0" in result.stderr
 
 
+def test_search_table_non_canonical_key_fails_at_load(tmp_path):
+    table_path = tmp_path / "table.json"
+    run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+            "--out", str(table_path))
+    doc = json.loads(table_path.read_text())
+    doc["rewards"]["+1|0|1"] = doc["rewards"].pop("1|0|1")
+    table_path.write_text(json.dumps(doc))
+    result = run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                     "--oracle", "table", "--table", str(table_path), "--algo",
+                     "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0",
+                     "--out", str(tmp_path / "run.jsonl"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "'+1|0|1'" in result.stderr
+    assert "no reward recorded" not in result.stderr
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def write_table(tmp_path, key, reward):
     table_path = tmp_path / "table.json"
     run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",

@@ -164,6 +164,17 @@ def test_decode_validates(cond_space):
         decode_dna("x", spec)
 
 
+def test_decode_rejects_non_canonical_text():
+    spec = abstract_search_space(ss.build_nasbench_space(2, 2))
+    assert encode_dna(decode_dna("1|0|1", spec), spec) == "1|0|1"
+    for text in ("+1|0| 1", "01|0|1", "1|0|1 "):
+        with pytest.raises(ParseError, match="not canonical"):
+            decode_dna(text, spec)
+    float_spec = abstract_search_space(floatv(0.0, 1.0))
+    with pytest.raises(ParseError, match="'0.5'"):
+        decode_dna("0.50", float_spec)
+
+
 def test_empty_spec_roundtrip(types):
     spec = abstract_search_space(types.Dense(10))
     assert encode_dna(DNA([]), spec) == ""

@@ -9,6 +9,7 @@ from symsearch.decisions import abstract_search_space, decode_dna, enumerate_dna
 from symsearch.errors import (
     BadDimensions,
     ContinuousSpaceForTable,
+    MalformedDocument,
     UnknownKey,
     UnsupportedSpace,
 )
@@ -139,6 +140,16 @@ def test_table_roundtrip(tmp_path):
     loaded = TableOracle.load(path)
     for dna in enumerate_dnas(spec):
         assert eval_oracle(loaded, dna, spec) == eval_oracle(oracle, dna, spec)
+
+
+def test_table_load_rejects_non_canonical_key(tmp_path):
+    space = build_nasbench_space(2, 2)
+    table = dump_table(space, SyntheticNASOracle(2, 2, seed=3))
+    table.rewards["+1|0|1"] = table.rewards.pop("1|0|1")
+    path = tmp_path / "table.json"
+    table.save(path)
+    with pytest.raises(MalformedDocument, match=r"'\+1\|0\|1'"):
+        TableOracle.load(path)
 
 
 def test_table_unknown_key():

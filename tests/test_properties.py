@@ -1,11 +1,12 @@
-"""Materialization invariants as properties over generated spaces."""
+"""Tree, materialization and DNA invariants as properties over generated
+spaces."""
 
 from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
-from conftest import SpaceGenerator
+from conftest import HOLDERS, SpaceGenerator
 from symsearch.algorithms import mutate
 from symsearch.decisions import (
     CategoricalPoint,
@@ -18,7 +19,8 @@ from symsearch.decisions import (
     split_dna,
 )
 from symsearch.hyper import floatv
-from symsearch.materialize import materialize, materialize_partial
+from symsearch.materialize import infer_dna, materialize, materialize_partial
+from symsearch.values import Primitive
 
 SELECTORS = {
     "hint a": lambda p: p.hints == "a",
@@ -87,3 +89,58 @@ def test_space_size_equals_enumeration_count(space):
     size = ss.space_size(space)
     assume(size <= 500)
     assert sum(1 for _ in enumerate_dnas(abstract_search_space(space))) == size
+
+
+def int_leaves(tree) -> dict:
+    """{rendered path: value} of every int primitive in `tree`."""
+    return {path.render(): node.value for path, node in ss.walk(tree)
+            if isinstance(node, Primitive) and type(node.value) is int}
+
+
+def bump_ints(path, value, parent):
+    if isinstance(value, Primitive) and type(value.value) is int:
+        return value.value + 1
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(with_types=True))
+def test_query_sees_the_walk(space):
+    walked = list(ss.walk(space))
+    found = ss.query(space, ".*")
+    assert list(found) == [path.render() for path, _ in walked]
+    assert all(found[path.render()] is node for path, node in walked)
+    seen = []
+    ss.query(space, lambda path, value, parent: seen.append((path, value, parent)))
+    assert seen == [(path.render(), node, ss.parent_of(node)) for path, node in walked]
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(with_types=True))
+def test_transform_equals_set_edits_and_copies(space):
+    leaves = int_leaves(space)
+    assume(leaves)
+    before = ss.serialize(space)
+    bumped = ss.rebind(space, bump_ints)
+    assert ss.equal(bumped, ss.rebind(space, {path: value + 1 for path, value in leaves.items()}))
+    assert_fresh_tree(bumped, space)
+    assert ss.serialize(space) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(with_types=True))
+def test_clone_is_equal_and_fresh(space):
+    copy = ss.clone(space)
+    assert ss.equal(copy, space)
+    assert_fresh_tree(copy, space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(with_types=True), rng=st.randoms(use_true_random=False))
+def test_serialize_and_infer_dna_round_trip(space, rng):
+    spec = abstract_search_space(space)
+    dna = random_dna(spec, rng)
+    child = materialize(space, dna)
+    for tree in (space, child):
+        assert ss.deserialize(ss.serialize(tree), HOLDERS) == tree
+    assert encode_dna(infer_dna(space, child), spec) == encode_dna(dna, spec)
