@@ -17,6 +17,7 @@ from .decisions import (
     FloatPoint,
     IntPoint,
     abstract_search_space,
+    condition_spec,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -102,9 +103,9 @@ __all__ = [
     "errors",
     "Exhaustive", "RandomSearch", "RegularizedEvolution", "SearchAlgorithm", "mutate",
     "DNA", "CategoricalPoint", "Choice", "DecisionSpec", "FloatPoint", "IntPoint",
-    "abstract_search_space", "decode_dna", "encode_dna", "enumerate_dnas", "filter_spec",
-    "isomorphic", "merge_dna", "minimal_dna", "random_dna", "spec_to_json_obj", "split_dna",
-    "validate_dna",
+    "abstract_search_space", "condition_spec", "decode_dna", "encode_dna", "enumerate_dnas",
+    "filter_spec", "isomorphic", "merge_dna", "minimal_dna", "random_dna", "spec_to_json_obj",
+    "split_dna", "validate_dna",
     "EagerContext", "eager_floatv", "eager_intv", "eager_oneof", "run_eager",
     "SymsearchError",
     "Feedback", "FlowReport", "SearchLoop", "TrialRecord", "run_factorized", "run_hybrid",

@@ -21,11 +21,18 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .algorithms import Exhaustive, RandomSearch, RegularizedEvolution
-from .decisions import abstract_search_space, encode_dna, enumerate_dnas, minimal_dna, spec_to_json_obj
-from .errors import SymsearchError
+from .decisions import (
+    abstract_search_space,
+    encode_dna,
+    enumerate_dnas,
+    isomorphic,
+    minimal_dna,
+    spec_to_json_obj,
+)
+from .errors import SymsearchError, UnsupportedSpace
 from .flows import AGGREGATORS, SearchLoop, run_factorized, run_hybrid, run_joint, run_separate
 from .hyper import INFINITE, space_size
-from .materialize import materialize
+from .materialize import infer_dna
 from .oracles import SyntheticNASOracle, TableOracle, build_nasbench_space, dump_table, eval_oracle
 from .serialization import deserialize
 
@@ -86,16 +93,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_space(args, parser):
+def _check_space_flags(args, parser):
     if bool(args.space) == bool(args.builtin):
         parser.error("exactly one of --space and --builtin is required")
+
+
+def load_space(args):
+    """The space that ``--space`` or ``--builtin`` names; the flags are
+    checked first by ``_check_space_flags``."""
     if args.builtin:
         return build_nasbench_space(args.nodes, args.ops)
     return deserialize(Path(args.space).read_text(encoding="utf-8"))
 
 
 def cmd_inspect(args, parser) -> int:
-    space = load_space(args, parser)
+    _check_space_flags(args, parser)
+    space = load_space(args)
     size = space_size(space)
     doc = {
         "space_size": "infinite" if size == INFINITE else size,
@@ -108,7 +121,8 @@ def cmd_inspect(args, parser) -> int:
 def cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be >= 0")
-    space = load_space(args, parser)
+    _check_space_flags(args, parser)
+    space = load_space(args)
     spec = abstract_search_space(space)
     for count, dna in enumerate(enumerate_dnas(spec)):
         if args.limit is not None and count >= args.limit:
@@ -127,8 +141,7 @@ def cmd_dump_table(args, parser) -> int:
 
 
 def _check_search_flags(args, parser):
-    if bool(args.space) == bool(args.builtin):
-        parser.error("exactly one of --space and --builtin is required")
+    _check_space_flags(args, parser)
     if args.oracle == "synthetic" and not args.builtin:
         parser.error("--oracle synthetic requires --builtin nasbench")
     if args.oracle == "table" and not args.table:
@@ -165,8 +178,7 @@ def _make_algorithm_factory(args):
 
 
 def run_search_once(args, run_index: int) -> dict:
-    parser = build_parser()  # for consistent error text in workers
-    space = load_space(args, parser)
+    space = load_space(args)
     spec = abstract_search_space(space)
     seed = args.seed + run_index
 
@@ -174,6 +186,11 @@ def run_search_once(args, run_index: int) -> dict:
         oracle = SyntheticNASOracle(args.nodes, args.ops, args.oracle_seed)
     else:
         oracle = TableOracle.load(args.table)
+        if not isomorphic(oracle.spec, spec):
+            raise UnsupportedSpace(f"table {args.table} does not fit the search space: "
+                                   "its decision spec differs")
+    # The oracles read only the DNA, so the flows run over the spec and
+    # build no child.
     reward_fn = lambda child, dna: eval_oracle(oracle, dna, spec)
 
     make = _make_algorithm_factory(args)
@@ -183,20 +200,20 @@ def run_search_once(args, run_index: int) -> dict:
     inner = SearchLoop(make, args.inner_trials, seed=seed)
 
     if args.flow == "joint":
-        report = run_joint(space, make(seed), reward_fn, args.trials,
+        report = run_joint(spec, make(seed), reward_fn, args.trials,
                            seed=seed, timing=args.timing)
     elif args.flow == "factorized":
-        report = run_factorized(space, selector, outer, inner, reward_fn,
+        report = run_factorized(spec, selector, outer, inner, reward_fn,
                                 aggregator=aggregator, timing=args.timing)
     elif args.flow == "hybrid":
-        report = run_hybrid(space, selector, outer, inner, args.phase2_trials, reward_fn,
+        report = run_hybrid(spec, selector, outer, inner, args.phase2_trials, reward_fn,
                             aggregator=aggregator, timing=args.timing)
     else:
         if args.pivot:
-            pivot = deserialize(Path(args.pivot).read_text(encoding="utf-8"))
+            pivot = infer_dna(space, deserialize(Path(args.pivot).read_text(encoding="utf-8")))
         else:
-            pivot = materialize(space, minimal_dna(spec))
-        report = run_separate(space, selector, pivot, outer,
+            pivot = minimal_dna(spec)
+        report = run_separate(spec, selector, pivot, outer,
                               SearchLoop(make, args.phase2_trials, seed=seed + 1),
                               reward_fn, timing=args.timing)
 

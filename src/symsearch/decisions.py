@@ -387,6 +387,32 @@ def _split_points(points, decisions, selector):
     return selected, complement
 
 
+def condition_spec(spec: DecisionSpec, selector: Selector, selected: DNA) -> DecisionSpec:
+    """The spec left when the selected points are fixed to `selected`, a DNA
+    of ``filter_spec(spec, selector)``.
+
+    It lists the complement points in the pre-order in which
+    :func:`split_dna` emits complement decisions, so it is isomorphic to the
+    spec of the partially materialized space.  Its points are those of
+    `spec`, ids included.
+    """
+    points: list = []
+    _condition_points(spec.points, iter(selected.decisions), selector, points)
+    return DecisionSpec(points)
+
+
+def _condition_points(points, decisions, selector, out):
+    for point in points:
+        if not selector(point):
+            out.append(point)
+        elif isinstance(point, CategoricalPoint):
+            for choice in next(decisions):
+                _condition_points(point.subspaces[choice.index], iter(choice.children),
+                                  selector, out)
+        else:
+            next(decisions)
+
+
 def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA) -> DNA:
     """Inverse of :func:`split_dna`."""
     sel_iter = iter(selected.decisions)

@@ -17,7 +17,6 @@ different decisions than were registered raises DecisionStreamMismatch.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from itertools import repeat
 from typing import Callable
 
 from .algorithms import SearchAlgorithm
@@ -29,7 +28,7 @@ from .decisions import (
     IntPoint,
 )
 from .errors import BadRange, DecisionStreamMismatch, EmptyCandidates
-from .flows import FlowReport, _proposals, _run_trials
+from .flows import FlowReport, _loop, _run_trials
 
 _current: ContextVar["EagerContext | None"] = ContextVar("eager_context", default=None)
 
@@ -222,9 +221,7 @@ def run_eager(program: Callable[[], float], algorithm: SearchAlgorithm,
         program()
         ctx.end_run()
         spec = ctx.spec()
-        algorithm.setup(spec)
         report = FlowReport("eager", {"trials": budget}, seed)
         # There is no child tree: the oracle re-runs the program itself.
-        proposals = _proposals(algorithm, spec, budget, strict=True)
-        _run_trials(report, zip(repeat(None), proposals), apply, timing)
+        _run_trials(report, _loop(algorithm, spec, budget), apply, timing)
     return report

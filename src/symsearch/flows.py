@@ -1,9 +1,10 @@
 """Search flows: the sampling loop and its for-loop compositions.
 
-``sample`` is the basic loop: the algorithm proposes an abstract child
+``sample`` is the public loop: the algorithm proposes an abstract child
 program over the (optionally partitioned) space, the space materializes it,
 and the yielded feedback handle forwards the measured reward back to the
-algorithm.  On top of it sit four drivers:
+algorithm.  The four drivers compose such loops over decision specs, a
+sub-space being the spec conditioned on a selection (``condition_spec``):
 
 * joint      - one loop over the whole space; n trials, n oracle calls.
 * separate   - optimize the selected part against a fixed pivot, then the
@@ -16,8 +17,11 @@ algorithm.  On top of it sit four drivers:
 
 Every driver, and ``eager.run_eager``, runs its trials through one trial
 step, ``_run_trials``.  Reward functions are called as ``oracle(child, dna)``
-where ``dna`` is the child's full-space DNA, so tabular oracles keyed by
-canonical text work in every flow.
+with the trial's full-space DNA, so tabular oracles keyed by canonical text
+work in every flow.  Given a symbolic space, a driver builds each child once,
+from the root space with that DNA; given a ``DecisionSpec``, it builds none
+and calls ``oracle(None, dna)``, as the CLI does.  The separate flow's pivot
+may be a full-space DNA, and must be one over a spec.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -35,12 +40,12 @@ from .decisions import (
     DecisionSpec,
     Selector,
     abstract_search_space,
+    condition_spec,
     encode_dna,
     filter_spec,
-    isomorphic,
-    iter_all_points,
     merge_dna,
     split_dna,
+    validate_dna,
 )
 from .errors import (
     DoubleFeedback,
@@ -54,7 +59,7 @@ from .errors import (
 from .materialize import infer_dna, materialize_prepared, materialize_partial_prepared
 from .algorithms import SearchAlgorithm
 from .prng import derive_seed
-from .values import Set, SymbolicValue, clone, get, rebind, to_symbolic, validate_tree
+from .values import SymbolicValue, to_symbolic
 
 RewardFn = Callable[[SymbolicValue, DNA], float]
 
@@ -155,8 +160,8 @@ class Feedback:
 
 
 def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
-           budget: int | None = None, strict: bool = True,
-           reset: bool = True) -> Iterator[tuple[SymbolicValue, Feedback]]:
+           budget: int | None = None,
+           strict: bool = True) -> Iterator[tuple[SymbolicValue, Feedback]]:
     """Yield (child, feedback) pairs until the budget or the space runs out.
 
     Without a partition every child is a concrete program; with one, each
@@ -167,17 +172,8 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
     """
     space = to_symbolic(space)
     spec = abstract_search_space(space)
-    if partition is not None:
-        view = filter_spec(spec, partition)
-        if view.is_empty:
-            raise EmptySelection("partition selector matched no decision points")
-    else:
-        view = spec
-    if reset:
-        algorithm.setup(view)
-    elif algorithm.spec is None or not isomorphic(algorithm.spec, view):
-        raise UnsupportedSpace("resumed algorithm was set up for a different space")
-    for handle in _proposals(algorithm, view, budget, strict):
+    view = spec if partition is None else _selection(spec, partition)
+    for handle in _loop(algorithm, view, budget, strict):
         if partition is None:
             child = materialize_prepared(space, spec, handle.dna)
         else:
@@ -206,15 +202,17 @@ def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | Non
         yield pending
 
 
-def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
+def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardFn,
+                timing: bool, build: Callable[[DNA], SymbolicValue] | None = None,
                 spec: DecisionSpec | None = None, merge: Callable[[DNA], DNA] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
     """The trial step of every flow, eager included.
 
-    For each (child, feedback) pair: map the loop DNA to the full-space DNA
-    with ``merge`` and encode that over ``spec`` (without ``merge`` the
-    proposal's DNA and text serve as they are), call the oracle, feed the
-    reward back and append a TrialRecord with the running best.  A reward that is not a
+    For each feedback handle: map the loop DNA to the full-space DNA with
+    ``merge`` and encode it over ``spec`` (without ``merge`` the proposal's
+    DNA and text serve as they are), build its child if there is a
+    ``build``, call the oracle (timed alone), feed the reward back and
+    append a TrialRecord with the running best.  A reward that is not a
     number, NaN or +inf raises InvalidReward; -inf is the legal "infeasible"
     reward.  Trials are numbered ``offset + i``, or as inner trials ``i`` of
     ``outer_index``.  Returns the (loop DNA, reward) pairs.
@@ -222,9 +220,10 @@ def _run_trials(report: FlowReport, pairs, oracle: RewardFn, timing: bool,
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
     results = []
-    for index, (child, feedback) in enumerate(pairs):
+    for index, feedback in enumerate(handles):
         full = feedback.dna if merge is None else merge(feedback.dna)
         text = feedback.dna_text if merge is None else encode_dna(full, spec)
+        child = None if build is None else build(full)
         start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
         wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
@@ -300,8 +299,9 @@ class SearchLoop:
 def run_joint(space, algorithm: SearchAlgorithm, oracle: RewardFn, trials: int,
               seed: int | None = None, timing: bool = False) -> FlowReport:
     """Optimize the whole space in a single loop."""
+    spec, build = _problem(space)
     report = FlowReport("joint", {"trials": trials}, seed)
-    _run_trials(report, sample(space, algorithm, budget=trials), oracle, timing)
+    _run_trials(report, _loop(algorithm, spec, trials), oracle, timing, build)
     return report
 
 
@@ -311,39 +311,40 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     """Optimize the selected points against a fixed pivot, then fix them to
     the phase-A best and optimize the complement.
 
-    The pivot is a concrete child program of the space; its decisions fix
-    the complement during phase A.  Selected and complement points must form
-    disjoint top-level groups (no point of one group nested inside the
-    other).
+    The pivot is a concrete child program of the space, or its full-space
+    DNA (the only form accepted when `space` is a DecisionSpec); its
+    decisions fix the complement during phase A.  Selected and complement
+    points must form disjoint top-level groups (no point of one group nested
+    inside the other).
     """
-    space = to_symbolic(space)
-    spec = abstract_search_space(space)
-    fspec = filter_spec(spec, selector)
-    if fspec.is_empty:
-        raise EmptySelection("partition selector matched no decision points")
-    _require_flat_partition(spec, fspec, selector)
-
-    pivot_dna = infer_dna(space, pivot)
-    _, pivot_complement = split_dna(spec, pivot_dna, selector)
+    spec, build = _problem(space)
+    fspec = _selection(spec, selector)
+    if fspec.points != [point for point in spec.points if selector(point)]:
+        raise UnsupportedSpace("separate flow requires every point nested under a selected "
+                               "point to be selected too")
+    if isinstance(pivot, DNA):
+        validate_dna(pivot, spec)
+    elif build is None:
+        raise UnsupportedSpace("over a decision spec the pivot must be a full-space DNA")
+    else:
+        pivot = infer_dna(space, pivot)
+    _, pivot_complement = split_dna(spec, pivot, selector)
 
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)
-
-    phase_a_space = _transplant_complement(space, spec, selector, pivot)
     results = _run_trials(
-        report, sample(phase_a_space, phase_a.build(), budget=phase_a.trials), oracle, timing,
-        spec, merge=lambda dna: merge_dna(spec, selector, dna, pivot_complement))
+        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, timing, build, spec,
+        merge=lambda dna: merge_dna(spec, selector, dna, pivot_complement))
     if not results:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
     best_selected = max(results, key=lambda result: result[1])[0]
 
-    phase_b_space = materialize_partial_prepared(space, spec, fspec, best_selected, selector)
-    if abstract_search_space(phase_b_space).is_empty:
+    rest = condition_spec(spec, selector, best_selected)
+    if rest.is_empty:
         return report  # the selection covered everything
     _run_trials(
-        report, sample(phase_b_space, phase_b.build(), budget=phase_b.trials), oracle, timing,
-        spec, merge=lambda dna: merge_dna(spec, selector, best_selected, dna),
-        offset=phase_a.trials)
+        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, timing, build, spec,
+        merge=partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
     return report
 
 
@@ -366,56 +367,53 @@ def run_hybrid(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
 def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
                 phase2_trials=None):
     """The factorized flow; with ``phase2_trials`` it is the hybrid flow."""
-    space = to_symbolic(space)
-    spec = abstract_search_space(space)
+    spec, build = _problem(space)
+    fspec = _selection(spec, selector)
     budgets = {"outer_trials": outer.trials, "inner_trials": inner.trials}
     if phase2_trials is not None:
         budgets["phase2_trials"] = phase2_trials
     report = FlowReport("factorized" if phase2_trials is None else "hybrid",
                         budgets, outer.seed)
     attempts = []
-    for outer_index, (sub_space, outer_feedback) in enumerate(
-            sample(space, outer.build(), partition=selector, budget=outer.trials)):
+    for outer_index, outer_feedback in enumerate(_loop(outer.build(), fspec, outer.trials)):
+        sub_spec = condition_spec(spec, selector, outer_feedback.dna)
         inner_algorithm = inner.build(outer_index)
-        outer_dna = outer_feedback.dna
+        merge = partial(merge_dna, spec, selector, outer_feedback.dna)
         results = _run_trials(
-            report, sample(sub_space, inner_algorithm, budget=inner.trials), oracle, timing,
-            spec, merge=lambda dna: merge_dna(spec, selector, outer_dna, dna),
-            outer_index=outer_index)
+            report, _loop(inner_algorithm, sub_spec, inner.trials), oracle, timing, build,
+            spec, merge, outer_index=outer_index)
         aggregate = aggregator([reward for _, reward in results])
         outer_feedback(aggregate)
-        attempts.append((aggregate, -outer_index, sub_space, outer_dna, inner_algorithm))
+        attempts.append((aggregate, -outer_index, sub_spec, merge, inner_algorithm))
 
-    if phase2_trials is None or phase2_trials <= 0 or not attempts:
+    if phase2_trials is None or not attempts:
         return report
-    _, _, sub_space, outer_dna, algorithm = max(attempts, key=lambda attempt: attempt[:2])
-    _run_trials(
-        report, sample(sub_space, algorithm, budget=phase2_trials, reset=False), oracle, timing,
-        spec, merge=lambda dna: merge_dna(spec, selector, outer_dna, dna),
-        offset=outer.trials)
+    _, _, sub_spec, merge, algorithm = max(attempts, key=lambda attempt: attempt[:2])
+    _run_trials(report, _proposals(algorithm, sub_spec, phase2_trials, strict=True), oracle,
+                timing, build, spec, merge, offset=outer.trials)
     return report
 
 
-def _require_flat_partition(spec: DecisionSpec, fspec: DecisionSpec, selector: Selector):
-    """Separate flow needs selected/complement groups with no cross-nesting;
-    otherwise the complement inside selected candidates cannot be pivoted."""
-    full_selected = [p for p in spec.points if selector(p)]
-    if sum(1 for _ in iter_all_points(fspec.points)) != sum(1 for _ in iter_all_points(full_selected)):
-        raise UnsupportedSpace(
-            "separate flow requires every point nested under a selected point to be selected too"
-        )
+def _problem(space) -> tuple[DecisionSpec, Callable[[DNA], SymbolicValue] | None]:
+    """A search problem: its decision spec and the builder that makes a
+    child from a full-space DNA.  A spec has no builder."""
+    if isinstance(space, DecisionSpec):
+        return space, None
+    space = to_symbolic(space)
+    spec = abstract_search_space(space)
+    return spec, lambda dna: materialize_prepared(space, spec, dna)
 
 
-def _transplant_complement(space, spec: DecisionSpec, selector: Selector, pivot):
-    """Space with every unselected top-level hyper node replaced by the pivot
-    program's content at the same path."""
-    pivot = to_symbolic(pivot)
-    if not abstract_search_space(pivot).is_empty:
-        raise UnsupportedSpace("pivot must be a deterministic child program")
-    edits = {}
-    for point in spec.points:
-        if not selector(point):
-            edits[point.id] = Set(clone(get(pivot, point.id)))
-    result = rebind(space, edits) if edits else clone(space)
-    validate_tree(result)
-    return result
+def _selection(spec: DecisionSpec, selector: Selector) -> DecisionSpec:
+    view = filter_spec(spec, selector)
+    if view.is_empty:
+        raise EmptySelection("partition selector matched no decision points")
+    return view
+
+
+def _loop(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
+          strict: bool = True) -> Iterator[Feedback]:
+    """Set `algorithm` up on `view` and return its feedback handles."""
+    algorithm.setup(view)
+    return _proposals(algorithm, view, budget, strict)
+

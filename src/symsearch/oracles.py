@@ -25,6 +25,7 @@ fully discrete space and rejects unknown keys.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .decisions import (
@@ -150,7 +151,11 @@ class TableOracle:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
-        for key in rewards:
+        for key, reward in rewards.items():
+            if reward != reward or reward == math.inf:
+                raise MalformedDocument(f"bad table file {path}: reward {reward!r} for key "
+                                        f"{key!r} is NaN or +inf; -inf is the only "
+                                        "non-finite reward")
             try:
                 decode_dna(key, spec)
             except (ParseError, NonconformingDNA) as exc:

@@ -18,6 +18,7 @@ Serialization is deterministic: equal values produce identical text.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import MalformedDocument, ReservedKey, UnknownType
 from .hyper import Categorical, FloatRange, IntRange
@@ -126,19 +127,44 @@ def _hyper_from_json(doc, registry):
         raise MalformedDocument(f"hints must be text or null, got {hints!r}")
     try:
         if kind in ("oneof", "manyof", "permutate"):
-            candidates = [from_json_obj(c, registry) for c in doc["candidates"]]
+            candidates = _field(doc, "candidates", list, "a list")
+            candidates = [from_json_obj(c, registry) for c in candidates]
             if kind == "oneof":
                 return Categorical(1, candidates, hints=hints)
             if kind == "permutate":
                 return Categorical(len(candidates), candidates, distinct=True,
                                    sorted=False, hints=hints)
-            return Categorical(int(doc["k"]), candidates,
-                               distinct=bool(doc.get("distinct", True)),
-                               sorted=bool(doc.get("sorted", False)), hints=hints)
+            return Categorical(_field(doc, "k", int, "an integer"), candidates,
+                               distinct=_field(doc, "distinct", bool, "true or false", True),
+                               sorted=_field(doc, "sorted", bool, "true or false", False),
+                               hints=hints)
         if kind == "intv":
-            return IntRange(int(doc["min"]), int(doc["max"]), hints=hints)
+            return IntRange(_field(doc, "min", int, "an integer"),
+                            _field(doc, "max", int, "an integer"), hints=hints)
         if kind == "floatv":
-            return FloatRange(float(doc["min"]), float(doc["max"]), hints=hints)
+            return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
     except KeyError as exc:
         raise MalformedDocument(f"hyper document missing key {exc}") from None
     raise MalformedDocument(f"unknown hyper kind {kind!r}")
+
+
+def _field(doc, key, kind, wanted, default=None):
+    """``doc[key]``, which must be of `kind` (a bool is no int); a missing
+    key gives `default`, or KeyError when there is none."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise MalformedDocument(f"{doc['_hyper']} {key} must be {wanted}, got {value!r}")
+    return value
+
+
+def _finite(doc, key) -> float:
+    """``doc[key]`` as a finite float; JSON parses 1e400 as infinity."""
+    value = doc[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer too large for a float
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise MalformedDocument(f"{doc['_hyper']} {key} must be a finite number, got {value!r}")

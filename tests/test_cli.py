@@ -98,8 +98,10 @@ def test_search_usage_errors():
     assert "--partition" in result.stderr
     result = run_cli("search", "--builtin", "nasbench", "--oracle", "table", "--trials", "5")
     assert result.returncode == 2
-    result = run_cli("search", "--trials", "5", "--oracle", "synthetic")
-    assert result.returncode == 2
+    for command in (("search", "--trials", "5", "--oracle", "synthetic"), ("inspect",)):
+        result = run_cli(*command)
+        assert result.returncode == 2
+        assert "error: exactly one of --space and --builtin is required" in result.stderr
     result = run_cli("search", "--builtin", "nasbench", "--oracle", "synthetic",
                      "--flow", "hybrid", "--trials", "5", "--inner-trials", "2",
                      "--partition", "op")
@@ -149,6 +151,19 @@ def test_search_table_unknown_key_is_runtime_error(tmp_path):
                      "exhaustive", "--flow", "joint", "--trials", "8", "--seed", "0")
     assert result.returncode == 1
     assert "0|0|0" in result.stderr
+
+
+def test_search_table_that_does_not_fit_the_space_fails_at_load(tmp_path):
+    table_path = tmp_path / "table.json"
+    run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+            "--out", str(table_path))
+    result = run_cli("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "2",
+                     "--oracle", "table", "--table", str(table_path), "--trials", "4",
+                     "--out", str(tmp_path / "run.jsonl"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "does not fit the search space" in result.stderr
+    assert not (tmp_path / "run.jsonl").exists()
 
 
 def test_search_table_non_canonical_key_fails_at_load(tmp_path):
@@ -225,6 +240,25 @@ def test_search_separate_flow(tmp_path):
     assert len(lines) == 10
 
 
+def test_search_separate_flow_with_pivot_file(tmp_path):
+    pivot = tmp_path / "pivot.json"
+    pivot.write_text("[[2,1,0],[1,1,0]]")
+    args = ("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+            "--oracle", "synthetic", "--algo", "random", "--flow", "separate",
+            "--trials", "4", "--phase2-trials", "3", "--partition", "op", "--seed", "2",
+            "--pivot", str(pivot), "--out", str(tmp_path / "sep.jsonl"))
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in (tmp_path / "sep.jsonl").read_text().splitlines()]
+    assert len(records) == 7
+    assert all(record["dna"].endswith("|1|1|0") for record in records[:4])  # pivot's edges
+
+    pivot.write_text("[[2,1,7],[1,1,0]]")  # 7 is no op of the space
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
 def test_search_hybrid_flow(tmp_path):
     result = run_cli("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
                      "--oracle", "synthetic", "--algo", "regevo", "--flow", "hybrid",
@@ -259,6 +293,22 @@ def test_search_bad_budget_and_size_flags_are_usage_errors(tmp_path, flags, mess
     assert f"error: {message} must be" in result.stderr
     assert "Traceback" not in result.stderr
     assert not log.exists()
+
+
+@pytest.mark.parametrize("document", [
+    '{"_hyper":"intv","min":1.5,"max":3}',
+    '{"_hyper":"oneof","candidates":5}',
+    '{"_hyper":"floatv","min":0,"max":"x"}',
+    '{"_hyper":"floatv","min":0,"max":1e400}',
+])
+def test_malformed_hyper_document_is_runtime_error(tmp_path, document):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(document)
+    result = run_cli("inspect", "--space", str(space_file))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("depth", [900, 3000])

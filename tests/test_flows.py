@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import json
 import sys
 import time
@@ -10,7 +13,7 @@ import pytest
 
 import symsearch as ss
 from conftest import strict_json
-from symsearch import decisions
+from symsearch import cli, decisions
 from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, SearchAlgorithm
 from symsearch.decisions import DNA, Choice, abstract_search_space, enumerate_dnas, minimal_dna
 from symsearch.errors import (
@@ -48,6 +51,10 @@ def bench():
     oracle = SyntheticNASOracle(3, 3, seed=7)
     reward = lambda child, dna: eval_oracle(oracle, dna, spec)
     return space, spec, oracle, reward
+
+
+# The package's ``materialize`` attribute is the function of that name.
+materialize_module = importlib.import_module("symsearch.materialize")
 
 
 def op_selector(point):
@@ -405,14 +412,14 @@ def test_eager_checks_the_proposal_before_the_program():
     assert len(runs) == 1  # the collection pass only
 
 
-def count_calls(monkeypatch, name):
-    """Record the result of every call to ``decisions.<name>``, under every
+def count_calls(monkeypatch, name, module=decisions):
+    """Record the result of every call to ``<module>.<name>``, under every
     module binding of the function."""
-    original = getattr(decisions, name)
+    original = getattr(module, name)
     seen = []
 
-    def counted(dna, spec):
-        seen.append(original(dna, spec))
+    def counted(*args):
+        seen.append(original(*args))
         return seen[-1]
 
     for module in list(sys.modules.values()):
@@ -444,6 +451,41 @@ def test_merged_flows_encode_at_most_twice_per_trial(monkeypatch, bench):
     assert hybrid.oracle_calls == 3 * 4 + 5
     assert len(encoded) == 2 * hybrid.oracle_calls + 3  # plus each outer proposal
     assert validated == []
+
+
+CLI_FLOWS = {
+    "joint": ["--flow", "joint", "--trials", "12"],
+    "separate": ["--flow", "separate", "--partition", "op", "--trials", "5",
+                 "--phase2-trials", "4"],
+    "factorized": ["--flow", "factorized", "--partition", "op", "--trials", "3",
+                   "--inner-trials", "4"],
+    "hybrid": ["--flow", "hybrid", "--partition", "op", "--trials", "3",
+               "--inner-trials", "4", "--phase2-trials", "5"],
+}
+
+
+@pytest.mark.parametrize("flow", sorted(CLI_FLOWS))
+def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
+    built = count_calls(monkeypatch, "materialize_prepared", materialize_module)
+    partial = count_calls(monkeypatch, "materialize_partial_prepared", materialize_module)
+    extracted = count_calls(monkeypatch, "abstract_search_space")
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+                         "--oracle", "synthetic", "--algo", "regevo", "--population", "4",
+                         "--tournament", "2", *CLI_FLOWS[flow]]) == 0
+    assert json.loads(printed.getvalue())["oracle_calls"] > 0
+    assert built == [] and partial == []
+    assert len(extracted) == 1
+
+
+def test_separate_over_a_spec_needs_a_dna_pivot(bench):
+    space, spec, oracle, reward = bench
+    loop = SearchLoop(lambda s: RandomSearch(seed=s), 2, seed=0)
+    with pytest.raises(UnsupportedSpace):
+        run_separate(spec, op_selector, materialize(space, minimal_dna(spec)), loop, loop,
+                     reward)
+    with pytest.raises(NonconformingDNA):
+        run_separate(spec, op_selector, DNA([]), loop, loop, reward)
 
 
 @pytest.mark.parametrize("flow", ["joint", "eager"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import symsearch as ss
@@ -149,6 +151,19 @@ def test_table_load_rejects_non_canonical_key(tmp_path):
     path = tmp_path / "table.json"
     table.save(path)
     with pytest.raises(MalformedDocument, match=r"'\+1\|0\|1'"):
+        TableOracle.load(path)
+
+
+@pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+def test_table_load_rejects_nan_and_positive_infinity(tmp_path, reward):
+    table = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3))
+    table.rewards["1|0|1"] = reward
+    path = tmp_path / "table.json"
+    table.save(path)  # non-finite values as bare tokens
+    if reward == -math.inf:  # the legal "infeasible" reward
+        assert TableOracle.load(path).lookup("1|0|1") == -math.inf
+        return
+    with pytest.raises(MalformedDocument, match=r"'1\|0\|1'"):
         TableOracle.load(path)
 
 

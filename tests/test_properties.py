@@ -3,6 +3,9 @@ spaces."""
 
 from __future__ import annotations
 
+import random
+import zlib
+
 from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
@@ -11,10 +14,13 @@ from symsearch.algorithms import mutate
 from symsearch.decisions import (
     CategoricalPoint,
     abstract_search_space,
+    condition_spec,
     decode_dna,
     encode_dna,
     enumerate_dnas,
     filter_spec,
+    isomorphic,
+    minimal_dna,
     random_dna,
     split_dna,
 )
@@ -34,6 +40,14 @@ def spaces(**options):
     """SpaceGenerator as a strategy: hypothesis makes (and shrinks) its draws."""
     return st.randoms(use_true_random=False).map(
         lambda rng: SpaceGenerator(rng, **options).space())
+
+
+def seeded_spaces(**options):
+    """SpaceGenerator seeded with a drawn integer.  Its trees are as varied
+    as the generator makes them, while the hypothesis-made randoms of
+    `spaces` mostly give trees with one decision point or none."""
+    return st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: SpaceGenerator(random.Random(seed), **options).space())
 
 
 def assert_fresh_tree(tree, space):
@@ -69,6 +83,18 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
     sub_space = materialize_partial(space, selected, select)
     assert_fresh_tree(sub_space, space)
     assert ss.equal(materialize(sub_space, complement), child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       selector=st.sampled_from(sorted(SELECTORS)))
+def test_conditioned_spec_is_the_spec_of_the_partial_space(space, seed, selector):
+    spec = abstract_search_space(space)
+    select = SELECTORS[selector]
+    assume(not filter_spec(spec, select).is_empty)
+    selected, _ = split_dna(spec, random_dna(spec, random.Random(seed)), select)
+    sub_space = materialize_partial(space, selected, select)
+    assert isomorphic(condition_spec(spec, select, selected), abstract_search_space(sub_space))
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,3 +170,54 @@ def test_serialize_and_infer_dna_round_trip(space, rng):
     for tree in (space, child):
         assert ss.deserialize(ss.serialize(tree), HOLDERS) == tree
     assert encode_dna(infer_dna(space, child), spec) == encode_dna(dna, spec)
+    assert materialize(space, infer_dna(space, child)) == child
+
+
+def loop(trials: int, seed: int = 0) -> ss.SearchLoop:
+    return ss.SearchLoop(lambda s: ss.RegularizedEvolution(4, 2, seed=s), trials, seed)
+
+
+FLOWS = {
+    "joint": lambda problem, select, pivot, reward: ss.run_joint(
+        problem, ss.RegularizedEvolution(4, 2, seed=3), reward, 12, seed=3),
+    "separate": lambda problem, select, pivot, reward: ss.run_separate(
+        problem, select, pivot, loop(5), loop(4, seed=1), reward),
+    "factorized": lambda problem, select, pivot, reward: ss.run_factorized(
+        problem, select, loop(3), loop(4), reward),
+    "hybrid": lambda problem, select, pivot, reward: ss.run_hybrid(
+        problem, select, loop(3), loop(4), 5, reward),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=seeded_spaces(with_hints=True, with_types=True), flow=st.sampled_from(sorted(FLOWS)),
+       selector=st.sampled_from(sorted(SELECTORS)))
+def test_flows_give_the_same_records_over_the_spec_and_the_space(space, flow, selector):
+    """A flow given the spec calls the oracle with no child; given the space,
+    with the child its full-space DNA describes.  Under a reward that reads
+    only the DNA, both give the same records, or fail alike."""
+    spec = abstract_search_space(space)
+    assume(not spec.is_empty)
+
+    def reward(child, dna):
+        return zlib.crc32(encode_dna(dna, spec).encode()) / 2 ** 32
+
+    def spec_reward(child, dna):
+        assert child is None
+        return reward(child, dna)
+
+    def space_reward(child, dna):
+        assert child == materialize(space, dna)
+        return reward(child, dna)
+
+    def outcome(problem, pivot, oracle):
+        try:
+            report = FLOWS[flow](problem, SELECTORS[selector], pivot, oracle)
+        except ss.SymsearchError as exc:
+            return type(exc)
+        return [record.to_json_obj() for record in report.records]
+
+    pivot = minimal_dna(spec)
+    expected = outcome(spec, pivot, spec_reward)
+    assert outcome(space, pivot, space_reward) == expected
+    assert outcome(space, materialize(space, pivot), space_reward) == expected
