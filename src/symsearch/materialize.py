@@ -1,17 +1,19 @@
 """Merging abstract child programs back into concrete programs.
 
-Materialization builds the child in one pass over the space, taking the
-decisions in pre-order: an int or float decision becomes the value itself;
-a categorical decision builds only its chosen candidates, each with its own
-child decisions, returning a single result in place and several as a
-sequence in chosen order; every other node is rebuilt around its built
-children.  Unchosen candidates are never copied.  Partial materialization
-substitutes only the selected decision points and copies every other hyper
-value verbatim, which is how a space splits into a sub-space and its
-complement.  Inputs are never mutated.
+Materialization takes the decisions in pre-order: an int or float decision
+becomes the value itself; a categorical decision builds only its chosen
+candidates, each with its own child decisions, returning a single result in
+place and several as a sequence in chosen order; every other node is
+rebuilt around its built children.  Unchosen candidates are never copied.
+Partial materialization substitutes only the selected decision points and
+copies every other hyper value verbatim, which is how a space splits into a
+sub-space and its complement.  Inputs are never mutated.
 
-A full materialization re-checks only the object fields whose subtree held
-a substituted hyper value.  Every other field is a copy of one that was
+Full and partial materialization compile the space once into a builder and
+run it for every DNA.  The last compiled space is cached by identity (with
+its selector), so a search loop compiles once.  A full materialization
+re-checks only the object fields whose subtree held a substituted hyper
+value, on every call.  Every other field is a copy of one that was
 validated when the space was built, and a spec accepts a hyper value only
 when every materialization of it would be accepted.
 """
@@ -66,11 +68,13 @@ def materialize(space, dna: DNA) -> SymbolicValue:
 def materialize_prepared(space: SymbolicValue, spec: DecisionSpec, dna: DNA) -> SymbolicValue:
     """Like :func:`materialize` with the extraction reused across calls;
     `spec` must be ``abstract_search_space(space)`` and `dna` must already
-    conform to it."""
+    conform to it.  The space is compiled into a builder on the first call
+    and the builder is reused while the same space object comes back; the
+    substituted fields are re-checked on every call."""
     checks = []
-    result = _build(space, iter(spec.points), iter(dna.decisions), _SELECT_ALL, checks)
-    for value, param in filter(None, checks):
-        _check_lazily(param.spec, value)
+    result = _run_plan(space, spec, _SELECT_ALL, dna, checks)
+    for value, field_spec in checks:
+        _check_lazily(field_spec, value)
     return result
 
 
@@ -96,43 +100,89 @@ def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
                                  selector: Selector) -> SymbolicValue:
     """Loop-friendly variant of :func:`materialize_partial`; `spec` and
     `fspec` must be the extraction and its selector-filtered view, and
-    `dna_subset` must already conform to `fspec`."""
-    return _build(space, iter(spec.points), iter(dna_subset.decisions), selector, [])
+    `dna_subset` must conform to `fspec`.  No field is re-checked."""
+    return _run_plan(space, spec, selector, dna_subset, [])
 
 
-def _build(node, points, decisions, selector, checks):
-    """A fresh copy of `node` with its selected hyper values substituted.
+# The last (space, selector, builder) compiled.  A hit needs the very same
+# space and selector objects: held references, never ids (which are reused)
+# nor spec equality (equal specs come from spaces with different constants).
+_plan = (None, None, None)
 
-    Hyper values meet `points` (their level of the spec) in pre-order and
-    take the selected ones' decisions in order; only chosen candidates are
-    copied.  Each substitution appends None to `checks`, and each object
-    field whose subtree held one appends its ``(new value, param)``.
+
+def _run_plan(space, spec, selector, dna, checks):
+    global _plan
+    cached_space, cached_selector, build = _plan
+    if cached_space is not space or cached_selector is not selector:
+        build = _compile(space, iter(spec.points), selector)
+        _plan = (space, selector, build)
+    return space._copy() if build is None else build(iter(dna.decisions), checks)
+
+
+def _compile(node, points, selector):
+    """A builder of fresh copies of `node` with its selected hyper values
+    substituted, or None when none is selected and ``_copy()`` will do.
+
+    Hyper values meet `points` (their level of the spec) in pre-order.
+    ``build(decisions, checks)`` takes the selected decisions in order from
+    the `decisions` iterator and appends ``(new value, spec)`` for each
+    object field whose subtree held one, in post-order.  A categorical
+    compiles a candidate the first time it is chosen.
     """
     if isinstance(node, HyperValue):
         point = next(points)
         if not selector(point):
-            return node.clone()
-        checks.append(None)
-        decision = next(decisions)
+            return None
+        if isinstance(point, FloatPoint):
+            return lambda decisions, checks: Primitive(float(next(decisions)))
         if not isinstance(node, Categorical):
-            return Primitive(float(decision) if isinstance(point, FloatPoint) else decision)
-        parts = [_build(node.candidates[choice.index], iter(point.subspaces[choice.index]),
-                        iter(choice.children), selector, checks) for choice in decision]
-        return parts[0] if node.k == 1 else Sequence(parts)
-    if isinstance(node, Sequence):
-        return Sequence([_build(child, points, decisions, selector, checks) for child in node])
-    if isinstance(node, Mapping):
-        return Mapping({key: _build(child, points, decisions, selector, checks)
-                        for key, child in node.items()})
-    if isinstance(node, ObjectNode):
-        fields = {}
-        for name, child in node.bound_fields().items():
-            mark = len(checks)
-            fields[name] = _build(child, points, decisions, selector, checks)
-            if len(checks) > mark:
-                checks.append((fields[name], node.type_def.param(name)))
-        return ObjectNode(node.type_def, fields)
-    return node.clone()
+            return lambda decisions, checks: Primitive(next(decisions))
+        candidates, subspaces, single = node.candidates, point.subspaces, node.k == 1
+        compiled = {}
+
+        def build_choice(decisions, checks):
+            parts = []
+            for choice in next(decisions):
+                index = choice.index
+                if index not in compiled:
+                    compiled[index] = _compile(candidates[index], iter(subspaces[index]), selector)
+                build = compiled[index]
+                parts.append(candidates[index]._copy() if build is None
+                             else build(iter(choice.children), checks))
+            return parts[0] if single else Sequence(parts)
+        return build_choice
+
+    items, keys = [], []
+    for key, child in node._items():
+        build = _compile(child, points, selector)
+        spec = node.type_def.param(key).spec if build and isinstance(node, ObjectNode) else None
+        items.append((child._parent[1], child, build, spec))
+        keys.append(key)
+    if all(build is None for _, _, build, _ in items):
+        return None
+    kind, type_def = type(node), getattr(node, "type_def", None)
+
+    def build_node(decisions, checks):
+        fresh = kind.__new__(kind)
+        fresh._parent = None
+        children = []
+        for segment, child, build, spec in items:
+            if build is None:
+                new = child._copy()
+            else:
+                new = build(decisions, checks)
+                if spec is not None:
+                    checks.append((new, spec))
+            new._parent = (fresh, segment)
+            children.append(new)
+        if kind is Sequence:
+            fresh._children = children
+        elif kind is Mapping:
+            fresh._entries = dict(zip(keys, children))
+        else:
+            fresh.type_def, fresh._fields = type_def, dict(zip(keys, children))
+        return fresh
+    return build_node
 
 
 # ---------------------------------------------------------------------------

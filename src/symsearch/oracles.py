@@ -32,6 +32,8 @@ from .decisions import (
     DNA,
     CategoricalPoint,
     DecisionSpec,
+    FloatPoint,
+    IntPoint,
     abstract_search_space,
     decode_dna,
     encode_dna,
@@ -49,6 +51,7 @@ from .errors import (
 )
 from .hyper import oneof
 from .prng import SplitMix64
+from .serialization import _field, _finite
 from .values import Sequence, SymbolicValue
 
 OP_HINT = "op"
@@ -148,7 +151,7 @@ class TableOracle:
                 doc = json.load(handle)
             rewards = {str(k): float(v) for k, v in doc["rewards"].items()}
             spec = spec_from_json_obj(doc["spec"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
         for key, reward in rewards.items():
@@ -187,22 +190,26 @@ def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
 
 
 def spec_from_json_obj(doc: dict) -> DecisionSpec:
-    """Parse the JSON rendering produced by ``spec_to_json_obj``."""
-    from .decisions import FloatPoint, IntPoint
-
+    """Parse the JSON rendering produced by ``spec_to_json_obj``.  Counts
+    and int bounds must be JSON integers, flags booleans and float bounds
+    finite numbers; anything else raises MalformedDocument."""
     def parse_point(obj):
         kind = obj["kind"]
+        label = f"{kind} point {obj.get('id')!r}"
+        integer = lambda key: _field(obj, key, int, "an integer", label=label)
+        flag = lambda key: _field(obj, key, bool, "true or false", label=label)
         if kind == "categorical":
             return CategoricalPoint(
-                id=obj["id"], k=int(obj["k"]), n=int(obj["n"]),
-                distinct=bool(obj["distinct"]), sorted=bool(obj["sorted"]),
+                id=obj["id"], k=integer("k"), n=integer("n"),
+                distinct=flag("distinct"), sorted=flag("sorted"),
                 subspaces=[[parse_point(p) for p in sub] for sub in obj["subspaces"]],
                 hints=obj.get("hints"),
             )
         if kind == "int":
-            return IntPoint(obj["id"], int(obj["min"]), int(obj["max"]), obj.get("hints"))
+            return IntPoint(obj["id"], integer("min"), integer("max"), obj.get("hints"))
         if kind == "float":
-            return FloatPoint(obj["id"], float(obj["min"]), float(obj["max"]), obj.get("hints"))
+            return FloatPoint(obj["id"], _finite(obj, "min", label), _finite(obj, "max", label),
+                              obj.get("hints"))
         raise MalformedDocument(f"unknown decision kind {kind!r}")
 
     return DecisionSpec([parse_point(p) for p in doc["points"]])

@@ -120,8 +120,23 @@ def _object_from_json(doc, registry):
     return new_object(type_def, **fields)
 
 
+# The keys each hyper kind's document may hold besides "_hyper" and "hints".
+_HYPER_KEYS = {
+    "oneof": {"candidates"},
+    "manyof": {"k", "distinct", "sorted", "candidates"},
+    "permutate": {"candidates"},
+    "intv": {"min", "max"},
+    "floatv": {"min", "max"},
+}
+
+
 def _hyper_from_json(doc, registry):
     kind = doc.get("_hyper")
+    if not isinstance(kind, str) or kind not in _HYPER_KEYS:
+        raise MalformedDocument(f"unknown hyper kind {kind!r}")
+    for key in doc:
+        if key not in _HYPER_KEYS[kind] and key not in ("_hyper", "hints"):
+            raise MalformedDocument(f"{kind} has no key {key!r}")
     hints = doc.get("hints")
     if hints is not None and not isinstance(hints, str):
         raise MalformedDocument(f"hints must be text or null, got {hints!r}")
@@ -141,23 +156,22 @@ def _hyper_from_json(doc, registry):
         if kind == "intv":
             return IntRange(_field(doc, "min", int, "an integer"),
                             _field(doc, "max", int, "an integer"), hints=hints)
-        if kind == "floatv":
-            return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
+        return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
     except KeyError as exc:
         raise MalformedDocument(f"hyper document missing key {exc}") from None
-    raise MalformedDocument(f"unknown hyper kind {kind!r}")
 
 
-def _field(doc, key, kind, wanted, default=None):
+def _field(doc, key, kind, wanted, default=None, label=None):
     """``doc[key]``, which must be of `kind` (a bool is no int); a missing
-    key gives `default`, or KeyError when there is none."""
+    key gives `default`, or KeyError when there is none.  An error names
+    `label`, by default the document's hyper kind."""
     value = doc[key] if default is None else doc.get(key, default)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise MalformedDocument(f"{doc['_hyper']} {key} must be {wanted}, got {value!r}")
+        raise MalformedDocument(f"{label or doc['_hyper']} {key} must be {wanted}, got {value!r}")
     return value
 
 
-def _finite(doc, key) -> float:
+def _finite(doc, key, label=None) -> float:
     """``doc[key]`` as a finite float; JSON parses 1e400 as infinity."""
     value = doc[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -167,4 +181,5 @@ def _finite(doc, key) -> float:
             value = math.inf
         if math.isfinite(value):
             return value
-    raise MalformedDocument(f"{doc['_hyper']} {key} must be a finite number, got {value!r}")
+    raise MalformedDocument(f"{label or doc['_hyper']} {key} must be a finite number, "
+                            f"got {value!r}")

@@ -715,7 +715,7 @@ def _validate_directive(x, path, directive):
 def _rebind_transform(x: SymbolicValue, fn) -> SymbolicValue:
     changed: list[str] = []
     result = _transform(x, "", None, fn, changed)
-    if result._parent is not None:
+    if result is x or result._parent is not None:
         result = result.clone()
     paths = [KeyPath.parse(text) for text in changed]
     _validate_changed_fields(result, paths)

@@ -183,6 +183,26 @@ def test_search_table_non_canonical_key_fails_at_load(tmp_path):
     assert not (tmp_path / "run.jsonl").exists()
 
 
+@pytest.mark.parametrize("fields", [
+    {"k": 1.5},
+    {"distinct": "no"},
+    {"kind": "int", "min": 1.5, "max": 3},
+    {"kind": "float", "min": 0.0, "max": 10 ** 400},
+])
+def test_search_table_with_malformed_spec_is_runtime_error(tmp_path, fields):
+    table_path = tmp_path / "table.json"
+    run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+            "--out", str(table_path))
+    doc = json.loads(table_path.read_text())
+    doc["spec"]["points"][0].update(fields)
+    table_path.write_text(json.dumps(doc))
+    result = search_table(tmp_path, table_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def write_table(tmp_path, key, reward):
     table_path = tmp_path / "table.json"
     run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
@@ -300,6 +320,8 @@ def test_search_bad_budget_and_size_flags_are_usage_errors(tmp_path, flags, mess
     '{"_hyper":"oneof","candidates":5}',
     '{"_hyper":"floatv","min":0,"max":"x"}',
     '{"_hyper":"floatv","min":0,"max":1e400}',
+    '{"_hyper":"intv","min":1,"max":3,"step":2}',
+    '{"_hyper":"oneof","candidates":[1,2],"k":2}',
 ])
 def test_malformed_hyper_document_is_runtime_error(tmp_path, document):
     space_file = tmp_path / "space.json"

@@ -438,6 +438,14 @@ def test_joint_encodes_each_trial_once_and_never_validates(monkeypatch, bench):
     assert len(encoded) == 12
 
 
+def test_joint_over_a_space_builds_each_child_once(monkeypatch, bench):
+    space, spec, oracle, reward = bench
+    built = count_calls(monkeypatch, "materialize_prepared", materialize_module)
+    report = run_joint(space, RegularizedEvolution(4, 2, seed=0), reward, 12, seed=0)
+    assert len(built) == len(report.records) == 12
+    assert all(ss.is_deterministic(child) for child in built)
+
+
 def test_merged_flows_encode_at_most_twice_per_trial(monkeypatch, bench):
     space, spec, oracle, reward = bench
     pivot = materialize(space, minimal_dna(spec))

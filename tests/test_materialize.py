@@ -7,6 +7,7 @@ import random
 import pytest
 
 import symsearch as ss
+from conftest import Slot
 from symsearch.decisions import (
     DNA,
     CategoricalPoint,
@@ -20,7 +21,13 @@ from symsearch.decisions import (
 from symsearch import schema
 from symsearch.errors import ConstraintViolation, NonconformingDNA
 from symsearch.hyper import intv, manyof, oneof
-from symsearch.materialize import infer_dna, materialize, materialize_partial
+from symsearch.materialize import (
+    infer_dna,
+    materialize,
+    materialize_partial,
+    materialize_partial_prepared,
+    materialize_prepared,
+)
 from symsearch.values import ObjectNode
 
 
@@ -95,6 +102,35 @@ def test_substituted_fields_are_checked_without_construction_checks():
     with pytest.raises(ConstraintViolation) as caught:
         materialize(space, DNA([50]))
     assert caught.value.path == "[0].size"
+
+
+def node_ids(tree) -> set:
+    return {id(node) for _, node in ss.walk(tree)}
+
+
+def test_prepared_builds_follow_the_space_not_an_equal_spec():
+    """Two spaces with equal specs and different constants, built in turn
+    with one shared spec object: each child comes from its own space, and
+    no two children of one space share a node."""
+    spaces = {1: oneof([Slot(value=1), Slot(value=2)]), 3: oneof([Slot(value=3), Slot(value=4)])}
+    spec = abstract_search_space(spaces[1])
+    assert spec == abstract_search_space(spaces[3])
+    select = lambda point: True
+    children = {1: [], 3: []}
+    for partial in (False, True, False):
+        for _ in range(2):
+            for base, space in spaces.items():
+                for index in (0, 1):
+                    dna = DNA([[Choice(index)]])
+                    child = (materialize_partial_prepared(space, spec, spec, dna, select) if partial
+                             else materialize_prepared(space, spec, dna))
+                    assert ss.equal(child, Slot(value=base + index))
+                    children[base].append(child)
+    for built in children.values():
+        seen = set()
+        for child in built:
+            assert not seen & node_ids(child)
+            seen |= node_ids(child)
 
 
 # -- partial materialization -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -164,6 +165,28 @@ def test_table_load_rejects_nan_and_positive_infinity(tmp_path, reward):
         assert TableOracle.load(path).lookup("1|0|1") == -math.inf
         return
     with pytest.raises(MalformedDocument, match=r"'1\|0\|1'"):
+        TableOracle.load(path)
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"k": 1.0}, "k"),
+    ({"k": True}, "k"),
+    ({"k": "1"}, "k"),
+    ({"n": 2.5}, "n"),
+    ({"distinct": "no"}, "distinct"),
+    ({"sorted": 0}, "sorted"),
+    ({"kind": "int", "min": 1.5, "max": 3}, "min"),
+    ({"kind": "int", "min": 1, "max": True}, "max"),
+    ({"kind": "float", "min": 0.0, "max": math.inf}, "max"),
+    ({"kind": "float", "min": math.nan, "max": 1.0}, "min"),
+    ({"kind": "float", "min": 0.0, "max": 10 ** 400}, "max"),
+])
+def test_table_load_rejects_malformed_spec_fields(tmp_path, fields, key):
+    doc = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3)).to_json_obj()
+    doc["spec"]["points"][0].update(fields)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))  # non-finite values as bare tokens
+    with pytest.raises(MalformedDocument, match=rf"point '\[0\]\[0\]' {key} must be"):
         TableOracle.load(path)
 
 

@@ -65,7 +65,7 @@ def assert_fresh_tree(tree, space):
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(with_hints=True, with_types=True),
+@given(space=seeded_spaces(with_hints=True, with_types=True),
        rng=st.randoms(use_true_random=False),
        selector=st.sampled_from(sorted(SELECTORS)))
 def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
@@ -145,7 +145,6 @@ def test_query_sees_the_walk(space):
 @given(space=spaces(with_types=True))
 def test_transform_equals_set_edits_and_copies(space):
     leaves = int_leaves(space)
-    assume(leaves)
     before = ss.serialize(space)
     bumped = ss.rebind(space, bump_ints)
     assert ss.equal(bumped, ss.rebind(space, {path: value + 1 for path, value in leaves.items()}))

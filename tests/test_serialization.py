@@ -88,6 +88,18 @@ def test_malformed_documents(types):
         ss.deserialize('{"key with space":1}', types.registry)
 
 
+@pytest.mark.parametrize("document, key", [
+    ('{"_hyper":"intv","min":1,"max":3,"step":2}', "step"),
+    ('{"_hyper":"floatv","min":0.0,"max":1.0,"k":1}', "k"),
+    ('{"_hyper":"oneof","candidates":[1,2],"k":2}', "k"),
+    ('{"_hyper":"permutate","candidates":[1,2],"sorted":true}', "sorted"),
+    ('{"_hyper":"manyof","k":1,"candidates":[1,2],"min":0}', "min"),
+])
+def test_unknown_hyper_keys_are_named(document, key):
+    with pytest.raises(MalformedDocument, match=f"has no key '{key}'"):
+        ss.deserialize(document)
+
+
 def test_reserved_keys_rejected_in_construction():
     with pytest.raises(ReservedKey):
         ss.Mapping({"_type": 1})

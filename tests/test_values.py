@@ -215,6 +215,17 @@ def test_rebind_identity_transform(trainer):
     assert ss.equal(ss.rebind(trainer, lambda path, value, parent: value), trainer)
 
 
+def test_rebind_always_returns_a_fresh_root():
+    tree = ss.to_symbolic({"a": [1, 2]})
+    for edits in (lambda path, value, parent: value, lambda path, value, parent: None, {}):
+        result = ss.rebind(tree, edits)
+        assert result is not tree and ss.equal(result, tree)
+        assert ss.parent_of(result) is None
+        assert not {id(node) for _, node in ss.walk(result)} & {id(node) for _, node in ss.walk(tree)}
+    inner = ss.rebind(tree["a"], lambda path, value, parent: value)
+    assert inner is not tree["a"] and ss.parent_of(inner) is None
+
+
 def test_transform_is_post_order_and_skips_replacements(types):
     seen = []
 
