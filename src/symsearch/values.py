@@ -375,9 +375,6 @@ class ObjectNode(SymbolicValue):
             return False
         return all(equal(v, other._fields[k]) for k, v in self._fields.items())
 
-    def bound_fields(self) -> dict:
-        return dict(self._fields)
-
     def is_bound(self, name: str) -> bool:
         return name in self._fields
 
