@@ -3,16 +3,22 @@ spaces."""
 
 from __future__ import annotations
 
+import copy
 import random
 import zlib
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
 from conftest import HOLDERS, SpaceGenerator
 from symsearch.algorithms import mutate
 from symsearch.decisions import (
+    DNA,
     CategoricalPoint,
+    Choice,
+    FloatPoint,
+    IntPoint,
     abstract_search_space,
     condition_spec,
     decode_dna,
@@ -24,6 +30,7 @@ from symsearch.decisions import (
     random_dna,
     split_dna,
 )
+from symsearch.errors import NonconformingDNA
 from symsearch.hyper import floatv
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.values import Primitive
@@ -107,6 +114,88 @@ def test_encode_decode_round_trip(space, rng, with_float):
     for candidate in (dna, mutate(dna, spec, rng, exclude_current=True),
                       mutate(dna, spec, rng, exclude_current=False)):
         assert decode_dna(encode_dna(candidate, spec), spec) == candidate
+
+
+def corruptions(points, decisions, enclosing):
+    """Every way to break one decision of a conforming DNA, pre-order, as
+    (kind, edit, point id, start of the reason); edit() changes the DNA in
+    place.  A wrong count of decisions is blamed on the enclosing
+    categorical, or on "<root>" outside any (or under one whose id is "")."""
+    counted = (enclosing or "<root>", f"expected {len(points)} decisions, got ")
+    yield "count", (lambda: decisions.append(0)), *counted
+    if decisions:
+        yield "count", decisions.pop, *counted
+    for i, (point, decision) in enumerate(zip(points, decisions)):
+        def put(value, i=i):
+            return lambda: decisions.__setitem__(i, value)
+
+        def outside(value, point=point):
+            return put(value), point.id, f"{value} outside [{point.min}, {point.max}]"
+
+        if isinstance(point, IntPoint):
+            yield "int", put(True), point.id, "expected an int, got True"
+            yield "int", put(float(point.min)), point.id, "expected an int, got "
+            yield "int", *outside(point.min - 1)
+            yield "int", *outside(point.max + 1)
+            continue
+        if isinstance(point, FloatPoint):
+            yield "float", put("x"), point.id, "expected a float, got 'x'"
+            yield "float", *outside(point.max + 1.0)
+            yield "float", *outside(point.min - 1.0)
+            continue
+        listed = (point.id, f"expected a list of {point.k} choices, got ")
+        yield "list", put(tuple(decision)), *listed
+        yield "list", put(decision + [decision[0]]), *listed
+        yield "list", put(decision[:-1]), *listed
+        for slot, choice in enumerate(decision):
+            def reindex(index, choice=choice):
+                return lambda: setattr(choice, "index", index)
+
+            def unchoose(decision=decision, slot=slot):
+                decision[slot] = decision[slot].index
+
+            yield "choice", unchoose, point.id, "expected a choice, got "
+            for index in (True, -1, point.n):
+                yield "index", reindex(index), point.id, f"index {index!r} outside [0, {point.n})"
+        rule = f"(distinct={point.distinct}, sorted={point.sorted})"
+        if point.distinct and point.k > 1:
+            first = decision[0].index
+            yield ("distinct", reindex(first, decision[1]), point.id,
+                   f"index {first} may not follow [{first}] {rule}")
+        if point.sorted and point.k > 1:
+            def descend(choices=decision[:2], n=point.n):
+                choices[0].index, choices[1].index = n - 1, n - 2
+            yield ("sorted", descend, point.id,
+                   f"index {point.n - 2} may not follow [{point.n - 1}] {rule}")
+        # A categorical's own checks run before its children's: a broken
+        # last choice is reported although the first one lost its children.
+        if point.subspaces[decision[0].index]:
+            def both(first=decision[0], last=decision[-1], n=point.n):
+                first.children = []
+                last.index = n
+            yield "order", both, point.id, f"index {point.n} outside [0, {point.n})"
+        for choice in decision:
+            yield from corruptions(point.subspaces[choice.index], choice.children, point.id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       with_float=st.booleans(), pick=st.integers(0, 2 ** 16))
+def test_encode_names_the_point_of_a_corrupted_decision(space, seed, with_float, pick):
+    """Each kind of corruption the DNA admits is drawn equally often."""
+    if with_float:
+        space = ss.Sequence([space, floatv(0.0, 1.0)])
+    spec = abstract_search_space(space)
+    dna = copy.deepcopy(random_dna(spec, random.Random(seed)))
+    cases = list(corruptions(spec.points, dna.decisions, ""))
+    kinds = sorted({case[0] for case in cases})
+    group = [case for case in cases if case[0] == kinds[pick % len(kinds)]]
+    _, edit, point_id, reason = group[pick // len(kinds) % len(group)]
+    edit()
+    with pytest.raises(NonconformingDNA) as caught:
+        encode_dna(dna, spec)
+    assert caught.value.point_id == point_id
+    assert caught.value.reason.startswith(reason)
 
 
 @settings(max_examples=200, deadline=None)
