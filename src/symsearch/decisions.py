@@ -153,7 +153,10 @@ def _filter_points(points, selector):
 def encode_dna(dna: DNA, spec: DecisionSpec) -> str:
     """Flatten decisions pre-order into the canonical ``|``-joined text,
     checking each decision as its token is emitted; raises NonconformingDNA
-    unless `dna` conforms to `spec`."""
+    at the first nonconforming point.  A categorical decision must be a list
+    of k choices, each in turn a Choice whose int index in [0, n) may follow
+    the earlier ones under distinct/sorted; only then are the choices'
+    children checked, and a wrong number of them fails at the categorical."""
     tokens: list[str] = []
     _encode_points(spec.points, dna.decisions, tokens, "")
     return "|".join(tokens)
@@ -170,10 +173,29 @@ def _encode_points(points, decisions, tokens, context):
                                f"expected {len(points)} decisions, got {decisions!r}")
     for point, decision in zip(points, decisions):
         if isinstance(point, CategoricalPoint):
-            _check_choices(point, decision)
+            if not isinstance(decision, list) or len(decision) != point.k:
+                raise NonconformingDNA(point.id, f"expected a list of {point.k} choices, "
+                                                 f"got {decision!r}")
+            slot = 0
             for choice in decision:
-                tokens.append(str(choice.index))
-                _encode_points(point.subspaces[choice.index], choice.children, tokens, point.id)
+                if not isinstance(choice, Choice):
+                    raise NonconformingDNA(point.id, f"expected a choice, got {choice!r}")
+                index = choice.index
+                if (type(index) is not int and (not isinstance(index, int) or isinstance(index, bool))
+                        or not 0 <= index < point.n):
+                    raise NonconformingDNA(point.id, f"index {index!r} outside [0, {point.n})")
+                if slot and not _may_follow(index, prefix := [c.index for c in decision[:slot]],
+                                            point.distinct, point.sorted):
+                    raise NonconformingDNA(point.id, f"index {index} may not follow {prefix} "
+                                                     f"(distinct={point.distinct}, "
+                                                     f"sorted={point.sorted})")
+                slot += 1
+            for choice in decision:
+                index = choice.index
+                tokens.append(str(index))
+                subspace, children = point.subspaces[index], choice.children
+                if subspace or type(children) is not list or children:  # else nothing to check
+                    _encode_points(subspace, children, tokens, point.id)
             continue
         if isinstance(point, IntPoint):
             if not isinstance(decision, int) or isinstance(decision, bool):
@@ -183,23 +205,6 @@ def _encode_points(points, decisions, tokens, context):
         if not point.min <= decision <= point.max:
             raise NonconformingDNA(point.id, f"{decision} outside [{point.min}, {point.max}]")
         tokens.append(str(decision) if isinstance(point, IntPoint) else repr(float(decision)))
-
-
-def _check_choices(point: CategoricalPoint, decision) -> None:
-    """A categorical decision's own constraints, before any of its children."""
-    if not isinstance(decision, list) or len(decision) != point.k:
-        raise NonconformingDNA(point.id, f"expected a list of {point.k} choices, got {decision!r}")
-    prefix: list[int] = []
-    for choice in decision:
-        if not isinstance(choice, Choice):
-            raise NonconformingDNA(point.id, f"expected a choice, got {choice!r}")
-        index = choice.index
-        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < point.n:
-            raise NonconformingDNA(point.id, f"index {index!r} outside [0, {point.n})")
-        if not _may_follow(index, prefix, point.distinct, point.sorted):
-            raise NonconformingDNA(point.id, f"index {index} may not follow {prefix} "
-                                             f"(distinct={point.distinct}, sorted={point.sorted})")
-        prefix.append(index)
 
 
 def decode_dna(text: str, spec: DecisionSpec) -> DNA:

@@ -190,25 +190,31 @@ def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
 
 
 def spec_from_json_obj(doc: dict) -> DecisionSpec:
-    """Parse the JSON rendering produced by ``spec_to_json_obj``.  Counts
-    and int bounds must be JSON integers, flags booleans and float bounds
-    finite numbers; anything else raises MalformedDocument."""
+    """Parse the JSON rendering produced by ``spec_to_json_obj``.  Ids must
+    be text, counts and int bounds JSON integers, flags booleans and float
+    bounds finite numbers, and a categorical's ``n`` must count its
+    subspaces; anything else raises MalformedDocument."""
     def parse_point(obj):
         kind = obj["kind"]
         label = f"{kind} point {obj.get('id')!r}"
+        point_id = _field(obj, "id", str, "text", label=label)
         integer = lambda key: _field(obj, key, int, "an integer", label=label)
         flag = lambda key: _field(obj, key, bool, "true or false", label=label)
         if kind == "categorical":
-            return CategoricalPoint(
-                id=obj["id"], k=integer("k"), n=integer("n"),
+            point = CategoricalPoint(
+                id=point_id, k=integer("k"), n=integer("n"),
                 distinct=flag("distinct"), sorted=flag("sorted"),
                 subspaces=[[parse_point(p) for p in sub] for sub in obj["subspaces"]],
                 hints=obj.get("hints"),
             )
+            if point.n != len(point.subspaces):
+                raise MalformedDocument(f"{label} n must equal its number of subspaces, "
+                                        f"{len(point.subspaces)}, got {point.n}")
+            return point
         if kind == "int":
-            return IntPoint(obj["id"], integer("min"), integer("max"), obj.get("hints"))
+            return IntPoint(point_id, integer("min"), integer("max"), obj.get("hints"))
         if kind == "float":
-            return FloatPoint(obj["id"], _finite(obj, "min", label), _finite(obj, "max", label),
+            return FloatPoint(point_id, _finite(obj, "min", label), _finite(obj, "max", label),
                               obj.get("hints"))
         raise MalformedDocument(f"unknown decision kind {kind!r}")
 

@@ -190,6 +190,19 @@ def test_table_load_rejects_malformed_spec_fields(tmp_path, fields, key):
         TableOracle.load(path)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 3}, r"point '\[0\]\[0\]' n must equal its number of subspaces, 2, got 3"),
+    ({"id": 7}, r"point 7 id must be text, got 7"),
+])
+def test_table_load_rejects_a_wrong_count_or_a_non_text_id(tmp_path, fields, message):
+    doc = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3)).to_json_obj()
+    doc["spec"]["points"][0].update(fields)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match=rf"bad table file .*: categorical {message}"):
+        TableOracle.load(path)
+
+
 def test_table_unknown_key():
     space = build_nasbench_space(2, 2)
     spec = abstract_search_space(space)
