@@ -28,10 +28,11 @@ from symsearch.decisions import (
     random_dna,
     split_dna,
 )
-from symsearch.errors import NonconformingDNA
-from symsearch.hyper import floatv
+from symsearch.errors import ConstraintViolation, NonconformingDNA
+from symsearch.hyper import Categorical, floatv
 from symsearch.materialize import infer_dna, materialize, materialize_partial
-from symsearch.values import Primitive
+from symsearch.paths import KeyPath, ListIndex, MapKey
+from symsearch.values import ObjectNode, Primitive
 
 SELECTORS = {
     "hint a": lambda p: p.hints == "a",
@@ -268,6 +269,82 @@ def test_serialize_and_infer_dna_round_trip(space, rng):
         assert ss.deserialize(ss.serialize(tree), HOLDERS) == tree
     assert encode_dna(infer_dna(space, child), spec) == encode_dna(dna, spec)
     assert materialize(space, infer_dna(space, child)) == child
+
+
+def plain(tree):
+    """``tree.to_plain()`` carried into objects and categoricals, so that a
+    plan can reach below them: each becomes (tag, {key: plain child})."""
+    if isinstance(tree, ObjectNode):
+        return tree.type_name, {key: plain(child) for key, child in tree._items()}
+    if isinstance(tree, Categorical):
+        tag = (tree.k, tree.distinct, tree.sorted, tree.hints)
+        return tag, {"candidates": plain(tree.candidates)}
+    if isinstance(tree, ss.Sequence):
+        return [plain(child) for child in tree]
+    if isinstance(tree, ss.Mapping):
+        return {key: plain(child) for key, child in tree.items()}
+    return tree.to_plain()
+
+
+def planned(value, plan, here=()):
+    """The plain `value` at segments `here` with the edits of `plan` at and
+    below it applied: a Set replaces the whole subtree (edits under it are
+    lost), and list directives address the original indices."""
+    directive = plan.get(here)
+    if isinstance(directive, ss.Set):
+        return plain(ss.to_symbolic(directive.value))
+    if isinstance(value, tuple):
+        tag, fields = value
+        return tag, planned(fields, plan, here)
+    if isinstance(value, dict):
+        return {key: planned(child, plan, here + (MapKey(key),)) for key, child in value.items()
+                if not isinstance(plan.get(here + (MapKey(key),)), ss.Delete)}
+    if isinstance(value, list):
+        edited = []
+        for i in range(len(value) + 1):
+            path = here + (ListIndex(i),)
+            if isinstance(plan.get(path), ss.Insert):
+                edited.append(plain(ss.to_symbolic(plan[path].value)))
+            if i < len(value) and not isinstance(plan.get(path), ss.Delete):
+                edited.append(planned(value[i], plan, path))
+        return edited
+    return value
+
+
+def random_plan(space, rng) -> dict:
+    """1-4 Set/Insert/Delete edits, keyed by segments, on the children of
+    the sequences and mappings of `space`.  Values are fresh ints, pairs and
+    mappings, or a subtree already in `space`."""
+    nodes = [(path.segments, node) for path, node in ss.walk(space)]
+    held = [(path + (segment,), kind) for path, node in nodes
+            if isinstance(node, (ss.Sequence, ss.Mapping))
+            for segment, _ in node.child_items() for kind in (ss.Set, ss.DELETE)]
+    held += [(path + (ListIndex(i),), ss.Insert) for path, node in nodes
+             if isinstance(node, ss.Sequence) for i in range(len(node) + 1)]
+    plan = {}
+    for _ in range(rng.randint(1, 4) if held else 0):
+        path, kind = rng.choice(held)
+        if path in plan:
+            continue
+        value = rng.choice([lambda: -rng.randrange(100), lambda: [rng.randrange(100)] * 2,
+                            lambda: {"k0": rng.randrange(100)}, lambda: rng.choice(nodes)[1]])()
+        plan[path] = kind if kind is ss.DELETE else kind(value)
+    return plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_types=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_rebind_edits_equal_the_plan_on_plain_values(space, seed):
+    plan = random_plan(space, random.Random(seed))
+    assume(plan)
+    before = ss.serialize(space)
+    try:
+        result = ss.rebind(space, {KeyPath(path).render(): d for path, d in plan.items()})
+    except ConstraintViolation:
+        return
+    assert plain(result) == planned(plain(space), plan)
+    assert ss.serialize(space) == before
+    assert_fresh_tree(result, space)
 
 
 def loop(trials: int, seed: int = 0) -> ss.SearchLoop:
