@@ -158,7 +158,7 @@ def encode_dna(dna: DNA, spec: DecisionSpec) -> str:
     the earlier ones under distinct/sorted; only then are the choices'
     children checked, and a wrong number of them fails at the categorical."""
     tokens: list[str] = []
-    _encode_points(spec.points, dna.decisions, tokens, "")
+    _encode_points(spec.points, dna.decisions, tokens, None)
     return "|".join(tokens)
 
 
@@ -168,8 +168,10 @@ def validate_dna(dna: DNA, spec: DecisionSpec) -> None:
 
 
 def _encode_points(points, decisions, tokens, context):
+    """`context` is the id of the categorical whose choice holds `decisions`,
+    or None for the top level, which a wrong count names "<root>"."""
     if not isinstance(decisions, list) or len(decisions) != len(points):
-        raise NonconformingDNA(context or "<root>",
+        raise NonconformingDNA("<root>" if context is None else context,
                                f"expected {len(points)} decisions, got {decisions!r}")
     for point, decision in zip(points, decisions):
         if isinstance(point, CategoricalPoint):

@@ -18,7 +18,6 @@ from .values import (
     Primitive,
     Sequence,
     SymbolicValue,
-    _copy_children,
     equal,
     to_symbolic,
     walk,
@@ -73,14 +72,6 @@ class Categorical(HyperValue):
             return self._candidates
         return super().get_child(segment)
 
-    def _replace_child(self, old, new):
-        if old is not self._candidates:
-            return super()._replace_child(old, new)
-        node = self._adopt(MapKey("candidates"), new)
-        old._parent = None
-        self._candidates = node
-        return node
-
     def _copy(self, replaced=None):
         fresh = Categorical.__new__(Categorical)
         fresh._parent = None
@@ -88,7 +79,12 @@ class Categorical(HyperValue):
         fresh.distinct = self.distinct
         fresh.sorted = self.sorted
         fresh.hints = self.hints
-        [fresh._candidates] = _copy_children(fresh, self._items(), replaced)
+        candidates = self._candidates
+        new = candidates._copy() if replaced is None else replaced["candidates"]
+        if new._parent is not None:
+            new = new._copy()
+        new._parent = (fresh, candidates._parent[1])
+        fresh._candidates = new
         return fresh
 
     def _equals_same_kind(self, other):

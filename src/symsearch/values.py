@@ -14,10 +14,12 @@ key; ``clone`` is the case with none.  A copy re-runs no check, since its
 source already passed them.
 
 Manipulation goes through :func:`rebind`, which never mutates its input; it
-returns an edited copy.  A transform copies each node of the result once:
-an ancestor of a change is rebuilt from its new children plus one clone of
-each unchanged sibling.  Inquiry is served by :func:`get`, :func:`query`,
-:func:`parent_of` and :func:`path_of`.
+returns an edited copy.  Its two forms, a mapping of path edits and a
+transform, run one rebuild that copies each node of the result once: an
+ancestor of a change is rebuilt from its new children plus one clone of each
+unchanged sibling.  The rebuild notes the fields to re-check and the hooks
+to fire on its way, so no path is walked again.  Inquiry is served by
+:func:`get`, :func:`query`, :func:`parent_of` and :func:`path_of`.
 
 Paths are rendered as text only where text is needed.  :func:`query` and the
 transform carry the parent's text down and append one segment per child;
@@ -94,9 +96,6 @@ class SymbolicValue:
         node._parent = (self, segment)
         return node
 
-    def _replace_child(self, old: "SymbolicValue", new) -> "SymbolicValue":
-        raise IllegalDirective(f"{self._variant_name()} children cannot be replaced")
-
     # -- value semantics -------------------------------------------------
 
     def clone(self) -> "SymbolicValue":
@@ -104,8 +103,9 @@ class SymbolicValue:
 
     def _copy(self, replaced: dict | None = None) -> "SymbolicValue":
         """A fresh copy of this node, taking each child from `replaced` (by
-        key) when present there and cloning it otherwise.  The source already
-        passed every check, so nothing is re-checked."""
+        key) when present there, cloned only if it already has a parent, and
+        cloning it otherwise.  The source already passed every check, so
+        nothing is re-checked."""
         raise NotImplementedError
 
     def _equals_same_kind(self, other) -> bool:
@@ -193,34 +193,16 @@ class Sequence(SymbolicValue):
             return self._children[segment.index]
         raise PathNotFound(f"no element {segment!r}")
 
-    def _replace_child(self, old, new):
-        i = _index_by_identity(self._children, old)
-        node = self._adopt(ListIndex(i), new)
-        old._parent = None
-        self._children[i] = node
-        return node
-
-    def _insert_before(self, anchor: "SymbolicValue | None", value):
-        i = len(self._children) if anchor is None else _index_by_identity(self._children, anchor)
-        node = self._adopt(ListIndex(i), value)
-        self._children.insert(i, node)
-        self._reindex()
-        return node
-
-    def _remove(self, child):
-        i = _index_by_identity(self._children, child)
-        self._children[i]._parent = None
-        del self._children[i]
-        self._reindex()
-
-    def _reindex(self):
-        for i, c in enumerate(self._children):
-            c._parent = (self, ListIndex(i))
-
     def _copy(self, replaced=None):
         fresh = Sequence.__new__(Sequence)
         fresh._parent = None
-        fresh._children = _copy_children(fresh, self._items(), replaced)
+        fresh._children = children = []
+        for i, child in enumerate(self._children):
+            new = child._copy() if replaced is None or i not in replaced else replaced[i]
+            if new._parent is not None:
+                new = new._copy()
+            new._parent = (fresh, child._parent[1])
+            children.append(new)
         return fresh
 
     def _equals_same_kind(self, other):
@@ -271,22 +253,16 @@ class Mapping(SymbolicValue):
             return self._entries[segment.key]
         raise PathNotFound(f"no key {segment!r}")
 
-    def _replace_child(self, old, new):
-        key = _key_by_identity(self._entries, old)
-        node = self._adopt(MapKey(key), new)
-        old._parent = None
-        self._entries[key] = node
-        return node
-
-    def _remove(self, child):
-        key = _key_by_identity(self._entries, child)
-        self._entries[key]._parent = None
-        del self._entries[key]
-
     def _copy(self, replaced=None):
         fresh = Mapping.__new__(Mapping)
         fresh._parent = None
-        fresh._entries = dict(zip(self._entries, _copy_children(fresh, self._items(), replaced)))
+        fresh._entries = entries = {}
+        for key, child in self._entries.items():
+            new = child._copy() if replaced is None or key not in replaced else replaced[key]
+            if new._parent is not None:
+                new = new._copy()
+            new._parent = (fresh, child._parent[1])
+            entries[key] = new
         return fresh
 
     def _equals_same_kind(self, other):
@@ -346,14 +322,6 @@ class ObjectNode(SymbolicValue):
             return self._fields[segment.key]
         raise PathNotFound(f"no bound field {segment!r}")
 
-    def _replace_child(self, old, new):
-        name = _key_by_identity(self._fields, old)
-        node = self._adopt(MapKey(name), new)
-        old._parent = None
-        self._fields[name] = node
-        self._reorder()
-        return node
-
     def _reorder(self):
         ordered = {}
         for param in self.type_def.params:
@@ -365,7 +333,13 @@ class ObjectNode(SymbolicValue):
         fresh = ObjectNode.__new__(ObjectNode)
         fresh._parent = None
         fresh.type_def = self.type_def
-        fresh._fields = dict(zip(self._fields, _copy_children(fresh, self._items(), replaced)))
+        fresh._fields = fields = {}
+        for name, child in self._fields.items():
+            new = child._copy() if replaced is None or name not in replaced else replaced[name]
+            if new._parent is not None:
+                new = new._copy()
+            new._parent = (fresh, child._parent[1])
+            fields[name] = new
         return fresh
 
     def _equals_same_kind(self, other):
@@ -446,37 +420,6 @@ class HyperValue(SymbolicValue):
         """Raise ConstraintViolation unless every possible materialization of
         this node would satisfy `spec`."""
         raise NotImplementedError
-
-
-def _copy_children(fresh, items, replaced) -> list:
-    """Copies of `items`' children attached to `fresh` under the same
-    segments: a child whose key is in `replaced` becomes that node (cloned
-    if it already has a parent), every other child a clone."""
-    copies = []
-    for key, child in items:
-        if replaced is None or key not in replaced:
-            new = child._copy()
-        else:
-            new = replaced[key]
-            if new._parent is not None:
-                new = new._copy()
-        new._parent = (fresh, child._parent[1])
-        copies.append(new)
-    return copies
-
-
-def _index_by_identity(children: list, node) -> int:
-    for i, c in enumerate(children):
-        if c is node:
-            return i
-    raise PathNotFound("node is no longer attached to this parent")
-
-
-def _key_by_identity(entries: dict, node) -> str:
-    for k, v in entries.items():
-        if v is node:
-            return k
-    raise PathNotFound("node is no longer attached to this parent")
 
 
 # ---------------------------------------------------------------------------
@@ -607,82 +550,85 @@ class Delete:
 DELETE = Delete()
 
 
-def _as_directive(value):
-    if isinstance(value, (Set, Insert, Delete)):
-        return value
-    return Set(value)
-
-
 def rebind(x: SymbolicValue, edits) -> SymbolicValue:
     """Return an edited copy of `x`.
 
-    With a mapping of ``{path: directive-or-value}``, every path is validated
-    against the original tree before anything is applied, and list directives
-    sharing a parent are applied so indices always refer to the original
-    children.  With a callable, the transform is applied to every node in
-    depth-first post-order and receives the node's rendered path, built by
-    appending one segment to its parent's; returning a value equal to the
-    input (or None) means "no change", and replacement subtrees are not
-    re-visited.  Each node of the result is copied once: a node whose
-    subtree changed is rebuilt from its replaced children and a clone of
-    each other child.  A returned value is attached as it is, or cloned
-    once when it already sits in a tree.
+    With a mapping of ``{path: directive-or-value}``, every path is checked
+    against `x` before anything is applied, and every path addresses `x`
+    itself: Sets and list directives in one sequence use its original
+    indices.  Edits below a path that a Set or Delete of the same mapping
+    replaces are dropped: they change, check and fire nothing.  A Set equal
+    to the node it replaces is no change, and Set and Insert values are
+    attached as clones.  With a callable, the transform is applied to every
+    node in depth-first post-order and receives the node's rendered path;
+    returning a value equal to the input (or None) means "no change".  A
+    returned value is attached as it is, or cloned once when it already
+    sits in a tree; it is not re-visited, and what changed below the node it
+    replaces is dropped.
 
-    Changed fields are re-validated against their specs, then each affected
-    object's recompute hook fires exactly once, bottom-up.
+    Both forms run one rebuild that copies each node of the result once and
+    notes on its way the nearest object field enclosing each change and each
+    object with a recompute hook above one.  Each noted field is then
+    re-checked against its spec; when several fail, the one reported covers
+    the first change in post-order for a transform, and for a mapping in the
+    order Inserts, Deletes, then Sets deepest first, each in mapping order.
+    Last, each hook fires once, bottom-up: deepest first, then by path.
     """
+    found = []
     if callable(edits) and not isinstance(edits, dict):
-        return _rebind_transform(x, edits)
-    return _rebind_edits(x, edits)
+        result = _transform(x, "", None, edits, found)
+    else:
+        result = _apply(_plan(x, edits), found)
+    if result is x or result._parent is not None:
+        result = result.clone()
+    checks = [entry for entry in found if entry is not None and entry[0] == "check"]
+    for _, _, value, spec in sorted(checks, key=lambda entry: entry[1]):
+        _check_lazily(spec, value)
+    hooked = [entry[1] for entry in found if entry is not None and entry[0] == "hook"]
+    for obj in sorted(hooked, key=_hook_order):
+        obj.type_def.recompute_hook(obj)
+    return result
 
 
-def _rebind_edits(x: SymbolicValue, edits: dict) -> SymbolicValue:
-    plan = [(as_path(path), _as_directive(d)) for path, d in edits.items()]
+class _Edit:
+    """One node of a compiled edit plan: the original node it addresses
+    (None for an Insert after a sequence's last element), its directive and
+    that directive's rank for re-checks, and the plan below it by child key
+    (a list index or map key)."""
+
+    __slots__ = ("node", "directive", "order", "below")
+
+    def __init__(self, node):
+        self.node = node
+        self.directive = self.order = None
+        self.below = {}
+
+
+def _plan(x: SymbolicValue, edits: dict) -> _Edit:
+    """`edits` checked against `x` and compiled into a trie of `_Edit`s."""
+    plan = [(as_path(path), d if isinstance(d, (Set, Insert, Delete)) else Set(d))
+            for path, d in edits.items()]
     for path, directive in plan:
         _validate_directive(x, path, directive)
-
-    work = x.clone()
-    root_box = [work]
-    changed: list[KeyPath] = []
-
-    inserts, deletes, sets = [], [], []
-    for path, directive in plan:
-        if isinstance(directive, Insert):
-            parent = get(work, path.parent)
-            index = path.last.index
-            anchor = parent._children[index] if index < len(parent) else None
-            inserts.append((parent, anchor, directive.value, path))
-        elif isinstance(directive, Delete):
-            parent = get(work, path.parent)
-            deletes.append((parent, get(work, path), path))
+    top = _Edit(x)
+    for index, (path, directive) in enumerate(plan):
+        edit = top
+        for segment in path.segments:
+            key = segment.index if isinstance(segment, ListIndex) else segment.key
+            sub = edit.below.get(key)
+            if sub is None:
+                try:
+                    child = edit.node.get_child(segment)
+                except PathNotFound:
+                    child = None  # an Insert after the last element
+                sub = edit.below[key] = _Edit(child)
+            edit = sub
+        if isinstance(directive, Set):
+            edit.order = (2, -len(path.segments), index)
         else:
-            sets.append((path, get(work, path), directive.value))
-
-    for parent, anchor, value, path in inserts:
-        parent._insert_before(anchor, clone(value))
-        changed.append(path.parent)
-    for parent, node, path in deletes:
-        parent._remove(node)
-        changed.append(path.parent)
-    # Deeper sets first, so an outer replacement deterministically supersedes
-    # edits inside the subtree it replaces.
-    for path, old, value in sorted(sets, key=lambda item: -len(item[0].segments)):
-        new = to_symbolic(value)
-        if equal(old, new):
-            continue
-        if path.is_root:
-            root_box[0] = new.clone() if new._parent is not None else new
-        else:
-            if old._parent is None:
-                continue  # subtree already replaced by an outer set
-            parent = old._parent[0]
-            parent._replace_child(old, clone(new))
-        changed.append(path)
-
-    result = root_box[0]
-    _validate_changed_fields(result, changed)
-    _fire_hooks(result, changed)
-    return result
+            edit.order = (0 if isinstance(directive, Insert) else 1, 0, index)
+        edit.directive = directive
+    return top
 
 
 def _validate_directive(x, path, directive):
@@ -709,90 +655,117 @@ def _validate_directive(x, path, directive):
         raise IllegalDirective(f"delete requires a sequence or mapping parent at {path.parent.render()!r}")
 
 
-def _rebind_transform(x: SymbolicValue, fn) -> SymbolicValue:
-    changed: list[str] = []
-    result = _transform(x, "", None, fn, changed)
-    if result is x or result._parent is not None:
-        result = result.clone()
-    paths = [KeyPath.parse(text) for text in changed]
-    _validate_changed_fields(result, paths)
-    _fire_hooks(result, paths)
-    return result
+# The rebuild shared by both forms of rebind.  Each change appends
+# ("change", order) to a `found` list.  A rebuilt object turns the changes
+# found below each of its replaced fields into one ("check", order, new
+# field value, spec), the order being that of the first, and appends
+# ("hook", copy) when it has a recompute hook; claimed changes become None.
+# A caller takes ``mark = len(found)`` before it descends into each child,
+# so the entries found below a child start at its mark.
+
+def _apply(edit: _Edit, found: list) -> SymbolicValue:
+    """The node `edit` addresses after the edits at and below it: the node
+    itself when nothing changed, else one fresh copy."""
+    node, directive = edit.node, edit.directive
+    if isinstance(directive, Set):
+        new = to_symbolic(directive.value)
+        if equal(node, new):
+            return node
+        found.append(("change", edit.order))
+        return new.clone()
+    replaced = marks = None
+    spliced = False
+    for key, sub in edit.below.items():
+        if isinstance(sub.directive, (Insert, Delete)):
+            spliced = True
+            found.append(("change", sub.order))
+            if isinstance(sub.directive, Delete) or not sub.below:
+                continue
+        mark = len(found)
+        new = _apply(sub, found)
+        if new is not sub.node:
+            if replaced is None:
+                replaced, marks = {}, []
+            replaced[key] = new
+            marks.append(mark)
+    if spliced:
+        return _spliced(node, edit.below, replaced or {})
+    return node if replaced is None else _rebuilt(node, replaced, marks, found)
 
 
-def _transform(node, text, parent, fn, changed):
+def _spliced(node, below: dict, replaced: dict) -> SymbolicValue:
+    """A copy of the sequence or mapping `node` with the Inserts and Deletes
+    of `below` applied at its original positions and its `replaced`
+    children in place."""
+    if isinstance(node, Mapping):
+        return Mapping([(key, replaced[key] if key in replaced else child._copy())
+                        for key, child in node._entries.items()
+                        if key not in below or not isinstance(below[key].directive, Delete)])
+    old, children = node._children, []
+    for i in range(len(old) + 1):
+        directive = below[i].directive if i in below else None
+        if isinstance(directive, Insert):
+            children.append(to_symbolic(directive.value).clone())
+        if i < len(old) and not isinstance(directive, Delete):
+            children.append(replaced[i] if i in replaced else old[i]._copy())
+    fresh = Sequence.__new__(Sequence)
+    fresh._parent, fresh._children = None, children
+    for i, child in enumerate(children):
+        child._parent = (fresh, old[i]._parent[1] if i < len(old) else ListIndex(i))
+    return fresh
+
+
+def _transform(node, text, parent, fn, found) -> SymbolicValue:
     """`node` after the transform: the node itself when nothing under it
     changed, else one copy built from its replaced children and clones of
-    the rest.  Appends the rendered path of each changed node to `changed`."""
-    replaced = None
+    the rest, or the value `fn` returned for it."""
+    replaced = marks = None
     for key, child in node._items():
-        new_child = _transform(child, _child_text(text, key), node, fn, changed)
+        mark = len(found)
+        new_child = _transform(child, _child_text(text, key), node, fn, found)
         if new_child is not child:
             if replaced is None:
-                replaced = {}
+                replaced, marks = {}, []
             replaced[key] = new_child
-    current = node if replaced is None else node._copy(replaced)
+            marks.append(mark)
+    current = node if replaced is None else _rebuilt(node, replaced, marks, found)
     returned = fn(text, current, parent)
     if returned is None or returned is current:
         return current
     new = to_symbolic(returned)
     if equal(new, current):
         return current
-    changed.append(text)
+    if replaced is not None:
+        del found[marks[0]:]  # found in the copy that `new` replaces
+    found.append(("change", len(found)))
     return new
 
 
-def _validate_changed_fields(root, changed):
-    seen = set()
-    for path in changed:
-        field = _enclosing_object_field(root, path)
-        if field is None:
-            continue
-        obj, param = field
-        key = (id(obj), param.name)
-        if key in seen:
-            continue
-        seen.add(key)
-        if param.name in obj._fields:
-            _check_lazily(param.spec, obj._fields[param.name])
+def _rebuilt(node, replaced: dict, marks: list, found: list) -> SymbolicValue:
+    """``node._copy(replaced)``.  For an object, the changes found below
+    each replaced field (from its mark on) become one re-check of the new
+    field value, and its recompute hook is noted."""
+    fresh = node._copy(replaced)
+    if isinstance(node, ObjectNode):
+        end = len(found)
+        for name, start in zip(reversed(replaced), reversed(marks)):
+            first = None
+            for i in range(start, end):
+                entry = found[i]
+                if entry is not None and entry[0] == "change":
+                    first = entry[1] if first is None else min(first, entry[1])
+                    found[i] = None
+            if first is not None:
+                found.append(("check", first, fresh._fields[name], node.type_def.param(name).spec))
+            end = start
+        if node.type_def.recompute_hook is not None:
+            found.append(("hook", fresh))
+    return fresh
 
 
-def _enclosing_object_field(root, path):
-    """Nearest (object, param) whose field subtree contains `path`, or None."""
-    node = root
-    best = None
-    for segment in path.segments:
-        if isinstance(node, ObjectNode) and isinstance(segment, MapKey):
-            param = node.type_def.param(segment.key)
-            if param is not None:
-                best = (node, param)
-        try:
-            node = node.get_child(segment)
-        except PathNotFound:
-            break  # the edit deleted this branch; nothing further encloses it
-    return best
-
-
-def _fire_hooks(root, changed):
-    affected = {}
-    for path in changed:
-        node = root
-        depth = 0
-        chain = [(node, depth)]
-        for segment in path.segments:
-            try:
-                node = node.get_child(segment)
-            except PathNotFound:
-                break
-            depth += 1
-            chain.append((node, depth))
-        # The edited position itself does not recompute; its ancestors do.
-        for ancestor, d in chain[:-1]:
-            if isinstance(ancestor, ObjectNode) and ancestor.type_def.recompute_hook is not None:
-                affected[id(ancestor)] = (ancestor, d)
-    ordered = sorted(affected.values(), key=lambda item: (-item[1], path_of(item[0]).render()))
-    for obj, _ in ordered:
-        obj.type_def.recompute_hook(obj)
+def _hook_order(obj: ObjectNode) -> tuple:
+    path = path_of(obj)
+    return -len(path.segments), path.render()
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,17 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 import symsearch as ss
 from symsearch import schema
 from symsearch.hyper import IntRange, floatv, intv, manyof, oneof
 from symsearch.values import Mapping, Primitive, Sequence
+
+# A failing property prints the blob that reproduces it, so that a run with
+# no example database (a fresh CI checkout) still says how to replay it.
+settings.register_profile("symsearch", print_blob=True)
+settings.load_profile("symsearch")
 
 # Constrained holders for generated hyper values (see SpaceGenerator.typed):
 # every categorical candidate the generator makes is a two-element sequence.

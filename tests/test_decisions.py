@@ -138,6 +138,16 @@ def test_encode_names_the_failing_point(cond_space):
         assert caught.value.point_id == point_id
 
 
+def test_a_wrong_child_count_under_the_root_categorical_names_it():
+    """The root categorical's id is "", and only a wrong top-level count
+    is blamed on "<root>"."""
+    spec = abstract_search_space(oneof([ss.Sequence([0, intv(0, 3)]), 1]))
+    for dna, point_id in ((DNA([[Choice(0, [])]]), ""), (DNA([]), "<root>")):
+        with pytest.raises(NonconformingDNA) as caught:
+            encode_dna(dna, spec)
+        assert caught.value.point_id == point_id
+
+
 @pytest.mark.parametrize("distinct", [True, False])
 @pytest.mark.parametrize("is_sorted", [True, False])
 def test_encode_accepts_exactly_the_enumerated_tuples(distinct, is_sorted):

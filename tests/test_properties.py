@@ -42,16 +42,10 @@ SELECTORS = {
 }
 
 
-def spaces(**options):
-    """SpaceGenerator as a strategy: hypothesis makes (and shrinks) its draws."""
-    return st.randoms(use_true_random=False).map(
-        lambda rng: SpaceGenerator(rng, **options).space())
-
-
 def seeded_spaces(**options):
     """SpaceGenerator seeded with a drawn integer.  Its trees are as varied
-    as the generator makes them, while the hypothesis-made randoms of
-    `spaces` mostly give trees with one decision point or none."""
+    as the generator makes them, while hypothesis-made randoms mostly give
+    trees with one decision point or none."""
     return st.integers(0, 2 ** 32 - 1).map(
         lambda seed: SpaceGenerator(random.Random(seed), **options).space())
 
@@ -129,9 +123,9 @@ def test_encode_decode_round_trip(space, seed, with_float):
 def corruptions(points, decisions, enclosing):
     """Every way to break one decision of a conforming DNA, pre-order, as
     (kind, edit, point id, start of the reason); edit() changes the DNA in
-    place.  A wrong count of decisions is blamed on the enclosing
-    categorical, or on "<root>" outside any (or under one whose id is "")."""
-    counted = (enclosing or "<root>", f"expected {len(points)} decisions, got ")
+    place.  A wrong count of decisions is blamed on `enclosing`: the
+    categorical whose choice holds them, or "<root>" outside any."""
+    counted = (enclosing, f"expected {len(points)} decisions, got ")
     yield "count", (lambda: decisions.append(0)), *counted
     if decisions:
         yield "count", decisions.pop, *counted
@@ -197,7 +191,7 @@ def test_encode_names_the_point_of_a_corrupted_decision(space, seed, with_float,
         space = ss.Sequence([space, floatv(0.0, 1.0)])
     spec = abstract_search_space(space)
     dna = random_dna(spec, random.Random(seed))
-    cases = list(corruptions(spec.points, dna.decisions, ""))
+    cases = list(corruptions(spec.points, dna.decisions, "<root>"))
     kinds = sorted({case[0] for case in cases})
     group = [case for case in cases if case[0] == kinds[pick % len(kinds)]]
     _, edit, point_id, reason = group[pick // len(kinds) % len(group)]
@@ -209,7 +203,7 @@ def test_encode_names_the_point_of_a_corrupted_decision(space, seed, with_float,
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces())
+@given(space=seeded_spaces())
 def test_space_size_equals_enumeration_count(space):
     size = ss.space_size(space)
     assume(size <= 500)
@@ -229,7 +223,7 @@ def bump_ints(path, value, parent):
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(with_types=True))
+@given(space=seeded_spaces(with_types=True))
 def test_query_sees_the_walk(space):
     walked = list(ss.walk(space))
     found = ss.query(space, ".*")
@@ -241,7 +235,7 @@ def test_query_sees_the_walk(space):
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(with_types=True))
+@given(space=seeded_spaces(with_types=True))
 def test_transform_equals_set_edits_and_copies(space):
     leaves = int_leaves(space)
     before = ss.serialize(space)
@@ -252,7 +246,7 @@ def test_transform_equals_set_edits_and_copies(space):
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(with_types=True))
+@given(space=seeded_spaces(with_types=True))
 def test_clone_is_equal_and_fresh(space):
     copy = ss.clone(space)
     assert ss.equal(copy, space)
@@ -260,7 +254,7 @@ def test_clone_is_equal_and_fresh(space):
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(with_types=True), rng=st.randoms(use_true_random=False))
+@given(space=seeded_spaces(with_types=True), rng=st.randoms(use_true_random=False))
 def test_serialize_and_infer_dna_round_trip(space, rng):
     spec = abstract_search_space(space)
     dna = random_dna(spec, rng)
@@ -313,16 +307,17 @@ def planned(value, plan, here=()):
 
 def random_plan(space, rng) -> dict:
     """1-4 Set/Insert/Delete edits, keyed by segments, on the children of
-    the sequences and mappings of `space`.  Values are fresh ints, pairs and
-    mappings, or a subtree already in `space`."""
+    the sequences and mappings of `space`, or a Set of its root.  Values are
+    fresh ints, pairs and mappings, or a subtree already in `space`."""
     nodes = [(path.segments, node) for path, node in ss.walk(space)]
     held = [(path + (segment,), kind) for path, node in nodes
             if isinstance(node, (ss.Sequence, ss.Mapping))
             for segment, _ in node.child_items() for kind in (ss.Set, ss.DELETE)]
     held += [(path + (ListIndex(i),), ss.Insert) for path, node in nodes
              if isinstance(node, ss.Sequence) for i in range(len(node) + 1)]
+    held += [((), ss.Set)]
     plan = {}
-    for _ in range(rng.randint(1, 4) if held else 0):
+    for _ in range(rng.randint(1, 4)):
         path, kind = rng.choice(held)
         if path in plan:
             continue
@@ -335,13 +330,14 @@ def random_plan(space, rng) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(space=seeded_spaces(with_types=True), seed=st.integers(0, 2 ** 32 - 1))
 def test_rebind_edits_equal_the_plan_on_plain_values(space, seed):
+    """A plan either fails a field's check or gives a valid tree."""
     plan = random_plan(space, random.Random(seed))
-    assume(plan)
     before = ss.serialize(space)
     try:
         result = ss.rebind(space, {KeyPath(path).render(): d for path, d in plan.items()})
     except ConstraintViolation:
         return
+    ss.validate_tree(result)
     assert plain(result) == planned(plain(space), plan)
     assert ss.serialize(space) == before
     assert_fresh_tree(result, space)

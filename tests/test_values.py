@@ -327,6 +327,62 @@ def test_identity_rebind_fires_no_hooks():
     assert counts == {"Block": 0, "Net": 0}
 
 
+def test_superseded_edits_fire_no_hooks():
+    """Edits below a path that a Set or Delete of the same plan replaces
+    are dropped: they change, check and fire nothing."""
+    Block, Net, counts = make_counting_types()
+    net = Net(blocks=[Block(width=1), Block(width=2)])
+    result = ss.rebind(net, {"blocks[0].width": 5, "blocks[0]": Block(width=9)})
+    assert result == Net(blocks=[Block(width=9), Block(width=2)])
+    assert counts == {"Block": 0, "Net": 1}
+    result = ss.rebind(net, {"blocks[0].width": -1, "blocks[0]": Block(width=9)})
+    assert result == Net(blocks=[Block(width=9), Block(width=2)])
+    assert counts == {"Block": 0, "Net": 2}
+    result = ss.rebind(net, {"blocks[0]": ss.DELETE, "blocks[0].width": -1})
+    assert result == Net(blocks=[Block(width=2)])
+    assert counts == {"Block": 0, "Net": 3}
+
+
+def make_hooked_blocks(n: int):
+    """N(bs=[B(w=0), ..., B(w=n-1)]) with B.w >= 0, and the list of
+    (rendered path, w) that B's recompute hook is called with."""
+    reg = ss.TypeRegistry()
+    fired = []
+    B = reg.register(ss.TypeDef(
+        "B", [ss.Param("w", schema.Int(min=0))],
+        recompute_hook=lambda node: fired.append((ss.path_of(node).render(), node["w"].value))))
+    N = reg.register(ss.TypeDef("N", [ss.Param("bs", schema.ListOf(schema.ObjectOf("B")))]))
+    return B, N(bs=[B(w=w) for w in range(n)]), fired
+
+
+@pytest.mark.parametrize("edits", [
+    {"bs[0]": "insert", "bs[1].w": -1},
+    {"bs[0]": ss.DELETE, "bs[2].w": -1},
+    {"bs[1]": ss.DELETE, "bs[2].w": -1, "bs[0].w": 4},
+])
+def test_a_set_beside_list_directives_is_checked_where_it_lands(edits):
+    B, n, _ = make_hooked_blocks(3)
+    edits = {path: ss.Insert(B(w=50)) if d == "insert" else d for path, d in edits.items()}
+    with pytest.raises(ConstraintViolation):
+        ss.rebind(n, edits)
+
+
+def test_hooks_fire_on_the_edited_elements_beside_an_insert():
+    B, n, fired = make_hooked_blocks(11)
+    result = ss.rebind(n, {"bs[0]": ss.Insert(B(w=50)), "bs[9].w": 7, "bs[2].w": 8})
+    assert [node["w"].value for node in result["bs"]] == [50, 0, 1, 8, 3, 4, 5, 6, 7, 8, 7, 10]
+    assert fired == [("bs[10]", 7), ("bs[3]", 8)]  # deepest first, then by path text
+
+
+def test_a_root_set_attaches_a_clone():
+    x = ss.to_symbolic({"a": [1, 2], "b": 3})
+    value = ss.to_symbolic({"c": 4})
+    for edits in ({"": value}, {"": value, "a[0]": ss.DELETE}):
+        result = ss.rebind(x, edits)
+        assert result == value and result is not value
+        assert ss.parent_of(value) is None
+
+
 def test_hook_sees_post_edit_subtree():
     seen = {}
     reg = ss.TypeRegistry()
