@@ -65,7 +65,7 @@ from .oracles import (
     dump_table,
     eval_oracle,
 )
-from .paths import KeyPath, ListIndex, MapKey
+from .paths import KeyPath
 from .schema import (
     ANY_OBJECT,
     Param,
@@ -114,7 +114,7 @@ __all__ = [
     "manyof", "oneof", "permutate", "space_size",
     "infer_dna", "materialize", "materialize_partial",
     "SyntheticNASOracle", "TableOracle", "build_nasbench_space", "dump_table", "eval_oracle",
-    "KeyPath", "ListIndex", "MapKey",
+    "KeyPath",
     "ANY_OBJECT", "Param", "TypeDef", "TypeHandle", "TypeRegistry", "new_object",
     "deserialize", "serialize",
     "DELETE", "Delete", "HyperValue", "Insert", "Mapping", "ObjectNode", "Primitive",

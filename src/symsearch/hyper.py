@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadRange, ConstraintViolation, EmptyCandidates, KTooLarge
-from .paths import MapKey
+from .errors import BadRange, ConstraintViolation, EmptyCandidates, IllegalDirective, KTooLarge
 from .values import (
     HyperValue,
     Primitive,
@@ -40,12 +39,9 @@ class Categorical(HyperValue):
                  sorted: bool = False, hints: str | None = None):
         super().__init__()
         candidates = list(candidates)
-        if not candidates:
-            raise EmptyCandidates("categorical needs at least one candidate")
+        _check_candidates(k, distinct, candidates)
         if k < 1:
             raise BadRange(f"k must be >= 1, got {k}")
-        if distinct and k > len(candidates):
-            raise KTooLarge(f"cannot choose {k} distinct of {len(candidates)} candidates")
         if k == 1:
             # Uniqueness and order constraints are vacuous for a single
             # choice; normalizing keeps equality and serialization canonical.
@@ -54,7 +50,7 @@ class Categorical(HyperValue):
         self.distinct = distinct
         self.sorted = sorted
         self.hints = hints
-        self._candidates = self._adopt(MapKey("candidates"), Sequence(candidates))
+        self._candidates = self._adopt("candidates", Sequence(candidates))
 
     @property
     def candidates(self) -> Sequence:
@@ -64,13 +60,13 @@ class Categorical(HyperValue):
     def num_candidates(self) -> int:
         return len(self._candidates)
 
-    def _items(self):
+    def child_items(self):
         return (("candidates", self._candidates),)
 
-    def get_child(self, segment):
-        if isinstance(segment, MapKey) and segment.key == "candidates":
+    def get_child(self, key):
+        if key == "candidates":
             return self._candidates
-        return super().get_child(segment)
+        return super().get_child(key)
 
     def _copy(self, replaced=None):
         fresh = Categorical.__new__(Categorical)
@@ -79,11 +75,12 @@ class Categorical(HyperValue):
         fresh.distinct = self.distinct
         fresh.sorted = self.sorted
         fresh.hints = self.hints
-        candidates = self._candidates
-        new = candidates._copy() if replaced is None else replaced["candidates"]
+        new = self._candidates._copy() if replaced is None else replaced["candidates"]
+        if replaced is not None:
+            _check_candidates(self.k, self.distinct, new)
         if new._parent is not None:
             new = new._copy()
-        new._parent = (fresh, candidates._parent[1])
+        new._parent = (fresh, "candidates")
         fresh._candidates = new
         return fresh
 
@@ -114,6 +111,18 @@ class Categorical(HyperValue):
     def __repr__(self):
         flags = f", k={self.k}, distinct={self.distinct}, sorted={self.sorted}"
         return f"Categorical({list(self._candidates)!r}{flags})"
+
+
+def _check_candidates(k: int, distinct: bool, candidates) -> None:
+    """The rules a categorical's candidates keep, checked when it is built
+    and when an edit replaces them: a sequence (a list while building), not
+    empty, and at least `k` of them when `distinct`."""
+    if not isinstance(candidates, (list, Sequence)):
+        raise IllegalDirective(f"categorical candidates must be a sequence, got {candidates!r}")
+    if not candidates:
+        raise EmptyCandidates("categorical needs at least one candidate")
+    if distinct and k > len(candidates):
+        raise KTooLarge(f"cannot choose {k} distinct of {len(candidates)} candidates")
 
 
 class IntRange(HyperValue):

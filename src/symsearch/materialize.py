@@ -37,7 +37,6 @@ from .errors import NonconformingDNA
 from .hyper import Categorical, FloatRange, IntRange
 from .values import (
     HyperValue,
-    Mapping,
     ObjectNode,
     Primitive,
     Sequence,
@@ -152,36 +151,22 @@ def _compile(node, points, selector):
             return parts[0] if single else Sequence(parts)
         return build_choice
 
-    items, keys = [], []
-    for key, child in node._items():
+    builds = []
+    for key, child in node.child_items():
         build = _compile(child, points, selector)
-        spec = node.type_def.param(key).spec if build and isinstance(node, ObjectNode) else None
-        items.append((child._parent[1], child, build, spec))
-        keys.append(key)
-    if all(build is None for _, _, build, _ in items):
+        if build is not None:
+            spec = node.type_def.param(key).spec if isinstance(node, ObjectNode) else None
+            builds.append((key, build, spec))
+    if not builds:
         return None
-    kind, type_def = type(node), getattr(node, "type_def", None)
 
     def build_node(decisions, checks):
-        fresh = kind.__new__(kind)
-        fresh._parent = None
-        children = []
-        for segment, child, build, spec in items:
-            if build is None:
-                new = child._copy()
-            else:
-                new = build(decisions, checks)
-                if spec is not None:
-                    checks.append((new, spec))
-            new._parent = (fresh, segment)
-            children.append(new)
-        if kind is Sequence:
-            fresh._children = children
-        elif kind is Mapping:
-            fresh._entries = dict(zip(keys, children))
-        else:
-            fresh.type_def, fresh._fields = type_def, dict(zip(keys, children))
-        return fresh
+        replaced = {}
+        for key, build, spec in builds:
+            replaced[key] = new = build(decisions, checks)
+            if spec is not None:
+                checks.append((new, spec))
+        return node._copy(replaced)
     return build_node
 
 
@@ -228,8 +213,8 @@ def _match_tree(space_node, prog_node):
         return [] if equal(space_node, prog_node) else None
     if isinstance(space_node, ObjectNode) and space_node.type_name != prog_node.type_name:
         return None
-    space_items = space_node.child_items()
-    prog_items = prog_node.child_items()
+    space_items = list(space_node.child_items())
+    prog_items = list(prog_node.child_items())
     if len(space_items) != len(prog_items):
         return None
     decisions = []

@@ -1,17 +1,20 @@
 """Path addressing for symbolic trees.
 
-A path is a sequence of segments leading from the tree root to a node.  Two
-segment kinds exist: a map key (mapping keys, object field names, the
-``candidates`` edge of a categorical hyper value) and a list index.  The text
-form is fixed: the root renders as the empty string, a map key renders bare
-for the first segment and ``.key`` afterwards, and a list index renders as
-``[i]``; e.g. ``model.children[0].filters``.
+A path is a sequence of segments leading from the tree root to a node.  A
+segment is the key under which the child sits in its parent: an ``int`` for
+a list index, and text for a mapping key, an object field name or the
+``candidates`` edge of a categorical hyper value.  The text form is fixed:
+the root renders as the empty string, a text key renders bare for the first
+segment and ``.key`` afterwards, and a list index renders as ``[i]``; so
+``KeyPath(("model", "children", 0, "filters"))`` renders as
+``model.children[0].filters``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import PathSyntaxError
 
@@ -24,17 +27,12 @@ def is_identifier(text: str) -> bool:
     return bool(IDENT_RE.fullmatch(text))
 
 
-@dataclass(frozen=True)
-class MapKey:
-    key: str
-
-
-@dataclass(frozen=True)
-class ListIndex:
-    index: int
-
-
-Segment = "MapKey | ListIndex"
+def join_segment(text: str, key: int | str) -> str:
+    """Rendered path of the child at `key` of the node whose rendered path
+    is `text`: the one-segment rule of the grammar."""
+    if type(key) is int:
+        return f"{text}[{key}]"
+    return f"{text}.{key}" if text else key
 
 
 @dataclass(frozen=True)
@@ -44,13 +42,7 @@ class KeyPath:
     segments: tuple = ()
 
     def render(self) -> str:
-        parts = []
-        for i, seg in enumerate(self.segments):
-            if isinstance(seg, MapKey):
-                parts.append(seg.key if i == 0 else f".{seg.key}")
-            else:
-                parts.append(f"[{seg.index}]")
-        return "".join(parts)
+        return reduce(join_segment, self.segments, "")
 
     @classmethod
     def parse(cls, text: str) -> "KeyPath":
@@ -68,13 +60,13 @@ class KeyPath:
                     raise PathSyntaxError(f"path cannot start with '.': {text!r}")
                 if text[pos] != "." and segments:
                     raise PathSyntaxError(f"missing '.' before key at offset {pos} in {text!r}")
-                segments.append(MapKey(m.group(1)))
+                segments.append(m.group(1))
             else:
-                segments.append(ListIndex(int(m.group(2))))
+                segments.append(int(m.group(2)))
             pos = m.end()
         return cls(tuple(segments))
 
-    def child(self, segment) -> "KeyPath":
+    def child(self, segment: int | str) -> "KeyPath":
         return KeyPath(self.segments + (segment,))
 
     @property

@@ -40,8 +40,8 @@ def to_json_obj(node: SymbolicValue):
         return {k: to_json_obj(v) for k, v in node.items()}
     if isinstance(node, ObjectNode):
         doc = {"_type": node.type_name}
-        for segment, child in node.child_items():
-            doc[segment.key] = to_json_obj(child)
+        for key, child in node.child_items():
+            doc[key] = to_json_obj(child)
         return doc
     if isinstance(node, Categorical):
         doc = {"_hyper": _categorical_form(node)}

@@ -11,7 +11,8 @@ independent deep copy.  A node belongs to at most one parent: attaching a
 value that already sits in a tree clones it first.  Every kind copies
 itself through one routine, ``_copy``, which takes replacement children by
 key; ``clone`` is the case with none.  A copy re-runs no check, since its
-source already passed them.
+source already passed them; only replaced categorical candidates are held
+to the constructor's rules.
 
 Manipulation goes through :func:`rebind`, which never mutates its input; it
 returns an edited copy.  Its two forms, a mapping of path edits and a
@@ -21,10 +22,12 @@ unchanged sibling.  The rebuild notes the fields to re-check and the hooks
 to fire on its way, so no path is walked again.  Inquiry is served by
 :func:`get`, :func:`query`, :func:`parent_of` and :func:`path_of`.
 
-Paths are rendered as text only where text is needed.  :func:`query` and the
-transform carry the parent's text down and append one segment per child;
-:func:`walk` yields :class:`KeyPath` values; :func:`validate_tree` and the
-re-check after a rebind render a path only for the error they raise.
+Paths are rendered as text only where text is needed.  A child's key is its
+path segment.  :func:`query` and the transform carry the parent's text down
+and append each child's key by the one-segment rule of
+:mod:`symsearch.paths`; :func:`walk` yields :class:`KeyPath` values;
+:func:`validate_tree` and the re-check after a rebind render a path only for
+the error they raise.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     PathNotFound,
     ReservedKey,
 )
-from .paths import KeyPath, ListIndex, MapKey, as_path, is_identifier
+from .paths import KeyPath, as_path, is_identifier, join_segment
 
 RESERVED_KEYS = ("_type", "_hyper")
 
@@ -72,28 +75,24 @@ class SymbolicValue:
     __slots__ = ("_parent",)
 
     def __init__(self):
-        self._parent = None  # (parent node, segment) or None
+        self._parent = None  # (parent node, key) or None
 
     # -- tree structure -------------------------------------------------
 
-    def _items(self) -> Iterable[tuple[int | str, "SymbolicValue"]]:
+    def child_items(self) -> Iterable[tuple[int | str, "SymbolicValue"]]:
         """(key, child) pairs in canonical order; a key is a list index or
-        map key text."""
+        map key text, which is also the child's path segment."""
         return ()
 
-    def child_items(self) -> list[tuple[object, "SymbolicValue"]]:
-        """(segment, child) pairs in canonical order."""
-        return [(child._parent[1], child) for _, child in self._items()]
+    def get_child(self, key) -> "SymbolicValue":
+        raise PathNotFound(f"{type(self).__name__} has no child {key!r}")
 
-    def get_child(self, segment) -> "SymbolicValue":
-        raise PathNotFound(f"{self._variant_name()} has no child {segment!r}")
-
-    def _adopt(self, segment, child) -> "SymbolicValue":
-        """Attach `child` under `segment`, cloning it if it already has a parent."""
+    def _adopt(self, key, child) -> "SymbolicValue":
+        """Attach `child` under `key`, cloning it if it already has a parent."""
         node = to_symbolic(child)
         if node._parent is not None:
             node = node.clone()
-        node._parent = (self, segment)
+        node._parent = (self, key)
         return node
 
     # -- value semantics -------------------------------------------------
@@ -105,7 +104,8 @@ class SymbolicValue:
         """A fresh copy of this node, taking each child from `replaced` (by
         key) when present there, cloned only if it already has a parent, and
         cloning it otherwise.  The source already passed every check, so
-        nothing is re-checked."""
+        nothing is re-checked but the rules a categorical keeps for replaced
+        candidates."""
         raise NotImplementedError
 
     def _equals_same_kind(self, other) -> bool:
@@ -130,9 +130,6 @@ class SymbolicValue:
         """Plain-Python view: primitives unwrap, containers convert, objects
         and hyper values stay symbolic."""
         return self
-
-    def _variant_name(self) -> str:
-        return type(self).__name__
 
     @property
     def is_hyper(self) -> bool:
@@ -181,17 +178,15 @@ class Sequence(SymbolicValue):
 
     def __init__(self, children: Iterable = ()):
         super().__init__()
-        self._children = []
-        for child in children:
-            self._children.append(self._adopt(ListIndex(len(self._children)), child))
+        self._children = [self._adopt(i, child) for i, child in enumerate(children)]
 
-    def _items(self):
+    def child_items(self):
         return enumerate(self._children)
 
-    def get_child(self, segment):
-        if isinstance(segment, ListIndex) and 0 <= segment.index < len(self._children):
-            return self._children[segment.index]
-        raise PathNotFound(f"no element {segment!r}")
+    def get_child(self, key):
+        if type(key) is int and 0 <= key < len(self._children):
+            return self._children[key]
+        raise PathNotFound(f"no element {key!r}")
 
     def _copy(self, replaced=None):
         fresh = Sequence.__new__(Sequence)
@@ -201,7 +196,7 @@ class Sequence(SymbolicValue):
             new = child._copy() if replaced is None or i not in replaced else replaced[i]
             if new._parent is not None:
                 new = new._copy()
-            new._parent = (fresh, child._parent[1])
+            new._parent = (fresh, i)
             children.append(new)
         return fresh
 
@@ -243,15 +238,15 @@ class Mapping(SymbolicValue):
                 raise ValueError(f"mapping keys must be identifier text, got {key!r}")
             if key in self._entries:
                 raise ValueError(f"duplicate mapping key {key!r}")
-            self._entries[key] = self._adopt(MapKey(key), value)
+            self._entries[key] = self._adopt(key, value)
 
-    def _items(self):
+    def child_items(self):
         return self._entries.items()
 
-    def get_child(self, segment):
-        if isinstance(segment, MapKey) and segment.key in self._entries:
-            return self._entries[segment.key]
-        raise PathNotFound(f"no key {segment!r}")
+    def get_child(self, key):
+        if key in self._entries:
+            return self._entries[key]
+        raise PathNotFound(f"no key {key!r}")
 
     def _copy(self, replaced=None):
         fresh = Mapping.__new__(Mapping)
@@ -261,7 +256,7 @@ class Mapping(SymbolicValue):
             new = child._copy() if replaced is None or key not in replaced else replaced[key]
             if new._parent is not None:
                 new = new._copy()
-            new._parent = (fresh, child._parent[1])
+            new._parent = (fresh, key)
             entries[key] = new
         return fresh
 
@@ -308,26 +303,19 @@ class ObjectNode(SymbolicValue):
         self._fields = {}
         for param in type_def.params:
             if param.name in fields:
-                self._fields[param.name] = self._adopt(MapKey(param.name), fields[param.name])
+                self._fields[param.name] = self._adopt(param.name, fields[param.name])
 
     @property
     def type_name(self) -> str:
         return self.type_def.type_name
 
-    def _items(self):
+    def child_items(self):
         return self._fields.items()
 
-    def get_child(self, segment):
-        if isinstance(segment, MapKey) and segment.key in self._fields:
-            return self._fields[segment.key]
-        raise PathNotFound(f"no bound field {segment!r}")
-
-    def _reorder(self):
-        ordered = {}
-        for param in self.type_def.params:
-            if param.name in self._fields:
-                ordered[param.name] = self._fields[param.name]
-        self._fields = ordered
+    def get_child(self, key):
+        if key in self._fields:
+            return self._fields[key]
+        raise PathNotFound(f"no bound field {key!r}")
 
     def _copy(self, replaced=None):
         fresh = ObjectNode.__new__(ObjectNode)
@@ -338,7 +326,7 @@ class ObjectNode(SymbolicValue):
             new = child._copy() if replaced is None or name not in replaced else replaced[name]
             if new._parent is not None:
                 new = new._copy()
-            new._parent = (fresh, child._parent[1])
+            new._parent = (fresh, name)
             fields[name] = new
         return fresh
 
@@ -358,18 +346,17 @@ class ObjectNode(SymbolicValue):
         Binding an already-bound field is a conflict; change bound fields
         through rebind instead.
         """
-        result = self.clone()
+        bound = dict(self._fields)
         for name, value in fields.items():
             param = self.type_def.param(name)
             if param is None:
                 raise TypeError(f"{self.type_name} has no field {name!r}")
-            if name in result._fields:
+            if name in bound:
                 raise BindingConflict(f"{self.type_name}.{name} is already bound")
             node = to_symbolic(value)
             param.spec.check(node, name)
-            result._fields[name] = result._adopt(MapKey(name), node)
-        result._reorder()
-        return result
+            bound[name] = node
+        return ObjectNode(self.type_def, bound)
 
     def __call__(self, override_args: bool = False, **kwargs):
         """Invoke a functor.  Call-time arguments bind for this invocation
@@ -479,15 +466,6 @@ def _path_within(top, node) -> KeyPath:
     return KeyPath(tuple(reversed(segments)))
 
 
-def _child_text(text: str, key) -> str:
-    """Rendered path of the child at `key` (a list index or map key) of the
-    node whose rendered path is `text`: one segment appended, in the fixed
-    grammar of :meth:`KeyPath.render`."""
-    if type(key) is int:
-        return f"{text}[{key}]"
-    return f"{text}.{key}" if text else key
-
-
 def walk(x: SymbolicValue, root: KeyPath = KeyPath()) -> Iterator[tuple[KeyPath, SymbolicValue]]:
     """Depth-first pre-order traversal yielding (path, node), root included."""
     stack = [(root, x)]
@@ -521,7 +499,7 @@ def query(x: SymbolicValue, selector) -> dict:
         text, node, parent = stack.pop()
         if match(text, node, parent):
             found[text] = node
-        stack.extend(reversed([(_child_text(text, key), child, node) for key, child in node._items()]))
+        stack.extend(reversed([(join_segment(text, key), child, node) for key, child in node.child_items()]))
     return found
 
 
@@ -613,12 +591,11 @@ def _plan(x: SymbolicValue, edits: dict) -> _Edit:
     top = _Edit(x)
     for index, (path, directive) in enumerate(plan):
         edit = top
-        for segment in path.segments:
-            key = segment.index if isinstance(segment, ListIndex) else segment.key
+        for key in path.segments:
             sub = edit.below.get(key)
             if sub is None:
                 try:
-                    child = edit.node.get_child(segment)
+                    child = edit.node.get_child(key)
                 except PathNotFound:
                     child = None  # an Insert after the last element
                 sub = edit.below[key] = _Edit(child)
@@ -638,16 +615,16 @@ def _validate_directive(x, path, directive):
     if path.is_root:
         raise IllegalDirective("insert/delete cannot target the root")
     parent = get(x, path.parent)
-    segment = path.last
+    key = path.last
     if isinstance(directive, Insert):
-        if not isinstance(parent, Sequence) or not isinstance(segment, ListIndex):
+        if not isinstance(parent, Sequence) or type(key) is not int:
             raise IllegalDirective(f"insert requires a sequence parent at {path.parent.render()!r}")
-        if not 0 <= segment.index <= len(parent):
-            raise IllegalDirective(f"insert index {segment.index} out of range 0..{len(parent)}")
+        if not 0 <= key <= len(parent):
+            raise IllegalDirective(f"insert index {key} out of range 0..{len(parent)}")
         return
     # Delete
     if isinstance(parent, Sequence):
-        if not isinstance(segment, ListIndex) or not 0 <= segment.index < len(parent):
+        if type(key) is not int or not 0 <= key < len(parent):
             raise IllegalDirective(f"delete index out of range at {path.render()!r}")
     elif isinstance(parent, Mapping):
         get(x, path)
@@ -708,11 +685,7 @@ def _spliced(node, below: dict, replaced: dict) -> SymbolicValue:
             children.append(to_symbolic(directive.value).clone())
         if i < len(old) and not isinstance(directive, Delete):
             children.append(replaced[i] if i in replaced else old[i]._copy())
-    fresh = Sequence.__new__(Sequence)
-    fresh._parent, fresh._children = None, children
-    for i, child in enumerate(children):
-        child._parent = (fresh, old[i]._parent[1] if i < len(old) else ListIndex(i))
-    return fresh
+    return Sequence(children)
 
 
 def _transform(node, text, parent, fn, found) -> SymbolicValue:
@@ -720,9 +693,9 @@ def _transform(node, text, parent, fn, found) -> SymbolicValue:
     changed, else one copy built from its replaced children and clones of
     the rest, or the value `fn` returned for it."""
     replaced = marks = None
-    for key, child in node._items():
+    for key, child in node.child_items():
         mark = len(found)
-        new_child = _transform(child, _child_text(text, key), node, fn, found)
+        new_child = _transform(child, join_segment(text, key), node, fn, found)
         if new_child is not child:
             if replaced is None:
                 replaced, marks = {}, []
@@ -787,7 +760,7 @@ def validate_tree(root: SymbolicValue) -> None:
                         f"{node.type_name} at {_path_within(root, node).render()!r} "
                         f"is missing field {param.name!r}"
                     )
-        stack.extend(reversed([child for _, child in node._items()]))
+        stack.extend(reversed([child for _, child in node.child_items()]))
 
 
 def _check_lazily(spec, value: SymbolicValue, top=None) -> None:
@@ -795,6 +768,8 @@ def _check_lazily(spec, value: SymbolicValue, top=None) -> None:
     root when None) only when the check fails."""
     try:
         spec.check(value)
+        return
     except ConstraintViolation:
-        spec.check(value, _path_within(top, value).render())
-        raise
+        pass
+    # Outside the handler, so the path-less failure is not chained as context.
+    spec.check(value, _path_within(top, value).render())

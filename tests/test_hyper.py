@@ -8,7 +8,7 @@ import pytest
 
 import symsearch as ss
 from symsearch.decisions import abstract_search_space, enumerate_dnas
-from symsearch.errors import BadRange, EmptyCandidates, KTooLarge
+from symsearch.errors import BadRange, EmptyCandidates, IllegalDirective, KTooLarge
 from symsearch.hyper import INFINITE, floatv, intv, manyof, oneof, permutate
 
 
@@ -102,3 +102,19 @@ def test_hyperify_program_via_rebind(types):
         oneof([8, 16, 32]) if path.endswith("filters") else value))
     assert ss.space_size(space) == 9
     assert ss.space_size(model) == 1  # the original stays concrete
+
+
+@pytest.mark.parametrize("space, edits, error", [
+    ({"a": oneof([1, 2])}, {"a.candidates": 5}, IllegalDirective),
+    ({"a": oneof([1, 2])}, lambda path, value, parent: 5 if path == "a.candidates" else value,
+     IllegalDirective),
+    ({"a": oneof([1, 2])}, {"a.candidates": []}, EmptyCandidates),
+    ({"a": oneof([1])}, {"a.candidates[0]": ss.DELETE}, EmptyCandidates),
+    ({"a": manyof(2, [1, 2])}, {"a.candidates[0]": ss.DELETE}, KTooLarge),
+])
+def test_rebind_keeps_the_constructor_rules_of_candidates(space, edits, error):
+    space = ss.to_symbolic(space)
+    before = ss.serialize(space)
+    with pytest.raises(error):
+        ss.rebind(space, edits)
+    assert ss.serialize(space) == before

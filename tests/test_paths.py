@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import symsearch as ss
 from symsearch.errors import PathSyntaxError
-from symsearch.paths import KeyPath, ListIndex, MapKey
+from symsearch.paths import KeyPath
 
 
 def test_root_renders_empty():
@@ -12,7 +13,7 @@ def test_root_renders_empty():
 
 
 def test_rendering_grammar():
-    path = KeyPath((MapKey("model"), MapKey("children"), ListIndex(0), MapKey("filters")))
+    path = KeyPath(("model", "children", 0, "filters"))
     assert path.render() == "model.children[0].filters"
 
 
@@ -32,7 +33,7 @@ def test_parse_is_inverse_of_render():
 
 
 def test_render_is_inverse_of_parse():
-    path = KeyPath((ListIndex(2), MapKey("k"), ListIndex(0)))
+    path = KeyPath((2, "k", 0))
     assert KeyPath.parse(path.render()) == path
 
 
@@ -44,6 +45,11 @@ def test_bad_syntax_rejected(bad):
 
 def test_child_and_parent():
     path = KeyPath.parse("a[1]")
-    assert path.child(MapKey("b")).render() == "a[1].b"
+    assert path.child("b").render() == "a[1].b"
     assert path.parent.render() == "a"
-    assert path.last == ListIndex(1)
+    assert path.last == 1
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(ss, name) for name in ss.__all__)
+    assert not hasattr(ss, "MapKey") and not hasattr(ss, "ListIndex")

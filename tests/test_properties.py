@@ -28,10 +28,10 @@ from symsearch.decisions import (
     random_dna,
     split_dna,
 )
-from symsearch.errors import ConstraintViolation, NonconformingDNA
+from symsearch.errors import ConstraintViolation, EmptyCandidates, KTooLarge, NonconformingDNA
 from symsearch.hyper import Categorical, floatv
 from symsearch.materialize import infer_dna, materialize, materialize_partial
-from symsearch.paths import KeyPath, ListIndex, MapKey
+from symsearch.paths import KeyPath
 from symsearch.values import ObjectNode, Primitive
 
 SELECTORS = {
@@ -229,6 +229,10 @@ def test_query_sees_the_walk(space):
     found = ss.query(space, ".*")
     assert list(found) == [path.render() for path, _ in walked]
     assert all(found[path.render()] is node for path, node in walked)
+    for path, node in walked:
+        assert ss.get(space, path.render()) is node
+        assert KeyPath.parse(path.render()) == path
+        assert ss.path_of(node) == path
     seen = []
     ss.query(space, lambda path, value, parent: seen.append((path, value, parent)))
     assert seen == [(path.render(), node, ss.parent_of(node)) for path, node in walked]
@@ -269,7 +273,7 @@ def plain(tree):
     """``tree.to_plain()`` carried into objects and categoricals, so that a
     plan can reach below them: each becomes (tag, {key: plain child})."""
     if isinstance(tree, ObjectNode):
-        return tree.type_name, {key: plain(child) for key, child in tree._items()}
+        return tree.type_name, {key: plain(child) for key, child in tree.child_items()}
     if isinstance(tree, Categorical):
         tag = (tree.k, tree.distinct, tree.sorted, tree.hints)
         return tag, {"candidates": plain(tree.candidates)}
@@ -291,18 +295,32 @@ def planned(value, plan, here=()):
         tag, fields = value
         return tag, planned(fields, plan, here)
     if isinstance(value, dict):
-        return {key: planned(child, plan, here + (MapKey(key),)) for key, child in value.items()
-                if not isinstance(plan.get(here + (MapKey(key),)), ss.Delete)}
+        return {key: planned(child, plan, here + (key,)) for key, child in value.items()
+                if not isinstance(plan.get(here + (key,)), ss.Delete)}
     if isinstance(value, list):
         edited = []
         for i in range(len(value) + 1):
-            path = here + (ListIndex(i),)
+            path = here + (i,)
             if isinstance(plan.get(path), ss.Insert):
                 edited.append(plain(ss.to_symbolic(plan[path].value)))
             if i < len(value) and not isinstance(plan.get(path), ss.Delete):
                 edited.append(planned(value[i], plan, path))
         return edited
     return value
+
+
+def broken_categorical(value) -> bool:
+    """Whether the plain `value` holds a categorical left with no
+    candidates, or with fewer than its k when distinct."""
+    if isinstance(value, tuple):
+        tag, fields = value
+        if isinstance(tag, tuple):
+            (k, distinct, _, _), candidates = tag, fields["candidates"]
+            if not candidates or distinct and k > len(candidates):
+                return True
+        return broken_categorical(fields)
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return any(broken_categorical(child) for child in children)
 
 
 def random_plan(space, rng) -> dict:
@@ -313,7 +331,7 @@ def random_plan(space, rng) -> dict:
     held = [(path + (segment,), kind) for path, node in nodes
             if isinstance(node, (ss.Sequence, ss.Mapping))
             for segment, _ in node.child_items() for kind in (ss.Set, ss.DELETE)]
-    held += [(path + (ListIndex(i),), ss.Insert) for path, node in nodes
+    held += [(path + (i,), ss.Insert) for path, node in nodes
              if isinstance(node, ss.Sequence) for i in range(len(node) + 1)]
     held += [((), ss.Set)]
     plan = {}
@@ -330,11 +348,16 @@ def random_plan(space, rng) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(space=seeded_spaces(with_types=True), seed=st.integers(0, 2 ** 32 - 1))
 def test_rebind_edits_equal_the_plan_on_plain_values(space, seed):
-    """A plan either fails a field's check or gives a valid tree."""
+    """A plan either fails a field's check, is refused for leaving a
+    categorical without enough candidates, or gives a valid tree."""
     plan = random_plan(space, random.Random(seed))
     before = ss.serialize(space)
     try:
         result = ss.rebind(space, {KeyPath(path).render(): d for path, d in plan.items()})
+    except (EmptyCandidates, KTooLarge):
+        assert broken_categorical(planned(plain(space), plan))
+        assert ss.serialize(space) == before
+        return
     except ConstraintViolation:
         return
     ss.validate_tree(result)

@@ -19,7 +19,7 @@ from symsearch.hyper import floatv, intv, manyof, oneof
 def test_register_and_construct(types):
     conv = types.Conv(filters=8, kernel_size=(3, 3))
     assert conv.type_name == "Conv"
-    assert list(name.key for name, _ in conv.child_items()) == ["filters", "kernel_size"]
+    assert list(name for name, _ in conv.child_items()) == ["filters", "kernel_size"]
 
 
 def test_duplicate_type_name(types):

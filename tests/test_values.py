@@ -184,8 +184,11 @@ def test_rebind_illegal_directives(trainer):
 
 
 def test_rebind_revalidates_changed_fields(trainer):
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation) as excinfo:
         ss.rebind(trainer, {"model.children[0].filters": 0})
+    # The one error raised names the field; no path-less copy is chained.
+    assert excinfo.value.path == "model.children[0].filters"
+    assert excinfo.value.__context__ is None
     # failed rebind leaves the input intact
     assert ss.get(trainer, "model.children[0].filters") == 8
 
