@@ -14,7 +14,8 @@ from hypothesis import settings
 
 import symsearch as ss
 from symsearch import schema
-from symsearch.hyper import IntRange, floatv, intv, manyof, oneof
+from symsearch.errors import ConstraintViolation
+from symsearch.hyper import Categorical, IntRange, floatv, intv, manyof, oneof
 from symsearch.values import Mapping, Primitive, Sequence
 
 # A failing property prints the blob that reproduces it, so that a run with
@@ -24,13 +25,51 @@ settings.load_profile("symsearch")
 
 # Constrained holders for generated hyper values (see SpaceGenerator.typed):
 # every categorical candidate the generator makes is a two-element sequence.
+# Together their fields hold hyper values under every ValueSpec kind; the
+# bounds of Capped, Level, Crate and Named reject some of the values drawn.
 _PAIR = schema.ListOf(schema.Any(), min_len=2, max_len=2)
 HOLDERS = ss.TypeRegistry()
 Slot = HOLDERS.register(ss.TypeDef("Slot", [ss.Param("value", schema.Int(min=0))]))
+Capped = HOLDERS.register(ss.TypeDef("Capped", [ss.Param("value", schema.Int(min=0, max=21))]))
+Level = HOLDERS.register(ss.TypeDef("Level", [
+    ss.Param("value", schema.Float(min=5.0, max=62.5, nullable=True)),
+]))
 Pick = HOLDERS.register(ss.TypeDef("Pick", [ss.Param("choice", _PAIR)]))
 Group = HOLDERS.register(ss.TypeDef("Group", [
     ss.Param("items", schema.ListOf(_PAIR, min_len=1, max_len=3)),
 ]))
+Table = HOLDERS.register(ss.TypeDef("Table", [ss.Param("entries", schema.MapOf(_PAIR))]))
+Cell = HOLDERS.register(ss.TypeDef("Cell", [ss.Param("pair", _PAIR)]))
+Boxed = HOLDERS.register(ss.TypeDef("Boxed", [ss.Param("cell", schema.ObjectOf("Cell"))]))
+Crate = HOLDERS.register(ss.TypeDef("Crate", [
+    ss.Param("cells", schema.ListOf(schema.ObjectOf("Cell"), min_len=2, max_len=2)),
+]))
+Named = HOLDERS.register(ss.TypeDef("Named", [
+    ss.Param("choice", _PAIR),
+    ss.Param("name", schema.Text(pattern=r"n\d*[0-6]")),
+    ss.Param("mode", schema.Enum(["x", "y"], nullable=True)),
+]))
+
+
+def _in_cells(hyper):
+    """`hyper` with each candidate pair wrapped in a Cell."""
+    return Categorical(hyper.k, [Cell(pair=c) for c in hyper.candidates],
+                       distinct=hyper.distinct, sorted=hyper.sorted, hints=hyper.hints)
+
+
+def _named(hyper):
+    """A Named holding `hyper` with a name drawn alongside it: one text per
+    candidate, from its tag, and a mode that may be null."""
+    names = oneof([f"n{c[0].value}" for c in hyper.candidates])
+    return Named(choice=hyper, name=names, mode=oneof(["x", None]))
+
+
+# Holders by the kind of hyper value they take; the first takes every value
+# the generator draws of its kind.
+INT_HOLDERS = (lambda h: Slot(value=h), lambda h: Capped(value=h), lambda h: Level(value=h))
+ONE_HOLDERS = (lambda h: Pick(choice=h), lambda h: Group(items=[h]),
+               lambda h: Table(entries={"k0": h}), lambda h: Boxed(cell=_in_cells(h)), _named)
+MANY_HOLDERS = (lambda h: Group(items=h), lambda h: Crate(cells=_in_cells(h)))
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -106,7 +145,10 @@ class SpaceGenerator:
     programs (every categorical candidate carries a unique tag).
 
     With ``with_types`` every hyper value sits in a field of a typed object
-    whose spec constrains it; the random draws are the same either way.
+    whose spec constrains it.  The holder is drawn from a second Random, seeded
+    from the first one's state, so the random draws are the same either way;
+    a holder whose spec rejects the value gives way to the first holder of
+    its kind.
     """
 
     def __init__(self, rng: random.Random, with_hints: bool = False, max_depth: int = 3,
@@ -115,6 +157,7 @@ class SpaceGenerator:
         self.with_hints = with_hints
         self.max_depth = max_depth
         self.with_types = with_types
+        self._holders = random.Random(str(rng.getstate()))
         self._tags = itertools.count()
 
     def tag(self) -> int:
@@ -152,8 +195,13 @@ class SpaceGenerator:
         if not self.with_types:
             return hyper
         if isinstance(hyper, IntRange):
-            return Slot(value=hyper)
-        return Pick(choice=hyper) if hyper.k == 1 else Group(items=hyper)
+            holders = INT_HOLDERS
+        else:
+            holders = ONE_HOLDERS if hyper.k == 1 else MANY_HOLDERS
+        try:
+            return self._holders.choice(holders)(hyper)
+        except ConstraintViolation:
+            return holders[0](hyper)
 
     def candidate(self, depth: int):
         return Sequence([Primitive(self.tag()), self.space(depth + 1)])

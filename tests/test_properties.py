@@ -86,6 +86,16 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
 
 
 @settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_types=True))
+def test_accepted_hyper_values_materialize_into_valid_children(space):
+    """Every child of a space whose objects accepted their hyper values is
+    valid: acceptance is the only check a child needs."""
+    assume(ss.space_size(space) <= 300)
+    for dna in enumerate_dnas(abstract_search_space(space)):
+        ss.validate_tree(materialize(space, dna))
+
+
+@settings(max_examples=200, deadline=None)
 @given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
        selector=st.sampled_from(sorted(SELECTORS)))
 def test_merge_inverts_split(space, seed, selector):
