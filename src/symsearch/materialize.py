@@ -11,11 +11,10 @@ sub-space and its complement.  Inputs are never mutated.
 
 Full and partial materialization compile the space once into a builder and
 run it for every DNA.  The last compiled space is cached by identity (with
-its selector), so a search loop compiles once.  A full materialization
-re-checks only the object fields whose subtree held a substituted hyper
-value, on every call.  Every other field is a copy of one that was
-validated when the space was built, and a spec accepts a hyper value only
-when every materialization of it would be accepted.
+its selector), so a search loop compiles once.  Materialization checks
+nothing: every object in the space checked its fields when it was built or
+rebound, and a spec accepts a hyper value only when every materialization
+of it would be accepted, so every child is valid.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .values import (
     Primitive,
     Sequence,
     SymbolicValue,
-    _check_lazily,
     clone,
     equal,
     to_symbolic,
@@ -68,13 +66,8 @@ def materialize_prepared(space: SymbolicValue, spec: DecisionSpec, dna: DNA) -> 
     """Like :func:`materialize` with the extraction reused across calls;
     `spec` must be ``abstract_search_space(space)`` and `dna` must already
     conform to it.  The space is compiled into a builder on the first call
-    and the builder is reused while the same space object comes back; the
-    substituted fields are re-checked on every call."""
-    checks = []
-    result = _run_plan(space, spec, _SELECT_ALL, dna, checks)
-    for value, field_spec in checks:
-        _check_lazily(field_spec, value)
-    return result
+    and the builder is reused while the same space object comes back."""
+    return _run_plan(space, spec, _SELECT_ALL, dna)
 
 
 def materialize_partial(space, dna_subset: DNA, selector: Selector) -> SymbolicValue:
@@ -99,8 +92,8 @@ def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
                                  selector: Selector) -> SymbolicValue:
     """Loop-friendly variant of :func:`materialize_partial`; `spec` and
     `fspec` must be the extraction and its selector-filtered view, and
-    `dna_subset` must conform to `fspec`.  No field is re-checked."""
-    return _run_plan(space, spec, selector, dna_subset, [])
+    `dna_subset` must conform to `fspec`."""
+    return _run_plan(space, spec, selector, dna_subset)
 
 
 # The last (space, selector, builder) compiled.  A hit needs the very same
@@ -109,13 +102,13 @@ def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
 _plan = (None, None, None)
 
 
-def _run_plan(space, spec, selector, dna, checks):
+def _run_plan(space, spec, selector, dna):
     global _plan
     cached_space, cached_selector, build = _plan
     if cached_space is not space or cached_selector is not selector:
         build = _compile(space, iter(spec.points), selector)
         _plan = (space, selector, build)
-    return space._copy() if build is None else build(iter(dna.decisions), checks)
+    return space._copy() if build is None else build(iter(dna.decisions))
 
 
 def _compile(node, points, selector):
@@ -123,23 +116,22 @@ def _compile(node, points, selector):
     substituted, or None when none is selected and ``_copy()`` will do.
 
     Hyper values meet `points` (their level of the spec) in pre-order.
-    ``build(decisions, checks)`` takes the selected decisions in order from
-    the `decisions` iterator and appends ``(new value, spec)`` for each
-    object field whose subtree held one, in post-order.  A categorical
-    compiles a candidate the first time it is chosen.
+    ``build(decisions)`` takes the selected decisions in order from the
+    `decisions` iterator.  A categorical compiles a candidate the first time
+    it is chosen.
     """
     if isinstance(node, HyperValue):
         point = next(points)
         if not selector(point):
             return None
         if isinstance(point, FloatPoint):
-            return lambda decisions, checks: Primitive(float(next(decisions)))
+            return lambda decisions: Primitive(float(next(decisions)))
         if not isinstance(node, Categorical):
-            return lambda decisions, checks: Primitive(next(decisions))
+            return lambda decisions: Primitive(next(decisions))
         candidates, subspaces, single = node.candidates, point.subspaces, node.k == 1
         compiled = {}
 
-        def build_choice(decisions, checks):
+        def build_choice(decisions):
             parts = []
             for choice in next(decisions):
                 index = choice.index
@@ -147,7 +139,7 @@ def _compile(node, points, selector):
                     compiled[index] = _compile(candidates[index], iter(subspaces[index]), selector)
                 build = compiled[index]
                 parts.append(candidates[index]._copy() if build is None
-                             else build(iter(choice.children), checks))
+                             else build(iter(choice.children)))
             return parts[0] if single else Sequence(parts)
         return build_choice
 
@@ -155,19 +147,10 @@ def _compile(node, points, selector):
     for key, child in node.child_items():
         build = _compile(child, points, selector)
         if build is not None:
-            spec = node.type_def.param(key).spec if isinstance(node, ObjectNode) else None
-            builds.append((key, build, spec))
+            builds.append((key, build))
     if not builds:
         return None
-
-    def build_node(decisions, checks):
-        replaced = {}
-        for key, build, spec in builds:
-            replaced[key] = new = build(decisions, checks)
-            if spec is not None:
-                checks.append((new, spec))
-        return node._copy(replaced)
-    return build_node
+    return lambda decisions: node._copy({key: build(decisions) for key, build in builds})
 
 
 # ---------------------------------------------------------------------------

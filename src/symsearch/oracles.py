@@ -149,8 +149,11 @@ class TableOracle:
         try:
             with open(Path(path), "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-            rewards = {str(k): float(v) for k, v in doc["rewards"].items()}
-            spec = spec_from_json_obj(doc["spec"])
+            if not isinstance(doc, dict):
+                raise MalformedDocument(f"a table must be a JSON object, got {type(doc).__name__}")
+            rewards = {str(k): float(v)
+                       for k, v in _field(doc, "rewards", dict, "an object", label="table").items()}
+            spec = spec_from_json_obj(_field(doc, "spec", dict, "an object", label="table"))
         except (OSError, ValueError, KeyError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
@@ -192,10 +195,16 @@ def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
 def spec_from_json_obj(doc: dict) -> DecisionSpec:
     """Parse the JSON rendering produced by ``spec_to_json_obj``.  Ids must
     be text, counts and int bounds JSON integers, flags booleans and float
-    bounds finite numbers, and a categorical's ``n`` must count its
-    subspaces; anything else raises MalformedDocument."""
+    bounds finite numbers, ``points`` and each subspace lists of point
+    objects, and a categorical's ``n`` must count its subspaces; anything
+    else raises MalformedDocument."""
+    def parse_points(points, where):
+        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+            raise MalformedDocument(f"{where} must be a list of point objects, got {points!r}")
+        return [parse_point(p) for p in points]
+
     def parse_point(obj):
-        kind = obj["kind"]
+        kind = _field(obj, "kind", str, "text", label="point")
         label = f"{kind} point {obj.get('id')!r}"
         point_id = _field(obj, "id", str, "text", label=label)
         integer = lambda key: _field(obj, key, int, "an integer", label=label)
@@ -204,7 +213,8 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
             point = CategoricalPoint(
                 id=point_id, k=integer("k"), n=integer("n"),
                 distinct=flag("distinct"), sorted=flag("sorted"),
-                subspaces=[[parse_point(p) for p in sub] for sub in obj["subspaces"]],
+                subspaces=[parse_points(sub, f"{label} subspaces[{i}]") for i, sub
+                           in enumerate(_field(obj, "subspaces", list, "a list", label=label))],
                 hints=obj.get("hints"),
             )
             if point.n != len(point.subspaces):
@@ -218,4 +228,4 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
                               obj.get("hints"))
         raise MalformedDocument(f"unknown decision kind {kind!r}")
 
-    return DecisionSpec([parse_point(p) for p in doc["points"]])
+    return DecisionSpec(parse_points(doc.get("points"), "spec points"))

@@ -20,7 +20,8 @@ from .errors import PathSyntaxError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_TOKEN_RE = re.compile(r"\.?([A-Za-z_][A-Za-z0-9_]*)|\[(\d+)\]")
+# An index is written one way only: ASCII digits with no leading zero.
+_TOKEN_RE = re.compile(r"\.?([A-Za-z_][A-Za-z0-9_]*)|\[(0|[1-9][0-9]*)\]")
 
 
 def is_identifier(text: str) -> bool:

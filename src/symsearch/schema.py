@@ -1,10 +1,11 @@
 """Field constraints and the type registry.
 
 A ValueSpec constrains one field of a registered type: its kind plus an
-optional range.  Specs are checked when an object is constructed and again on
-every rebind that touches the field.  A spec accepts a hyper value only when
-every possible materialization of that node would be accepted, so search
-spaces can never materialize into an invalid program.
+optional range.  Specs are checked in two places only: when an object is
+constructed, however it is constructed, and on every rebind that touches the
+field.  A spec accepts a hyper value only when every possible
+materialization of that node would be accepted, so search spaces can never
+materialize into an invalid program, and materialization checks nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import (
     ConstraintViolation,
     DuplicateTypeName,
     InvalidSpec,
-    MissingRequiredField,
     UnknownType,
 )
 from .paths import is_identifier
@@ -339,9 +339,4 @@ def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
     for param in type_def.params:
         if param.name not in fields and param.has_default:
             fields[param.name] = param.default.clone()
-    for param in type_def.params:
-        if param.name in fields:
-            param.spec.check(fields[param.name], param.name)
-        elif not type_def.callable:
-            raise MissingRequiredField(f"{type_def.type_name} requires field {param.name!r}")
     return ObjectNode(type_def, fields)

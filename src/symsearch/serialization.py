@@ -163,11 +163,12 @@ def _hyper_from_json(doc, registry):
 
 def _field(doc, key, kind, wanted, default=None, label=None):
     """``doc[key]``, which must be of `kind` (a bool is no int); a missing
-    key gives `default`, or KeyError when there is none.  An error names
+    key gives `default`, and is an error when there is none.  An error names
     `label`, by default the document's hyper kind."""
-    value = doc[key] if default is None else doc.get(key, default)
+    value = doc.get(key, default)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise MalformedDocument(f"{label or doc['_hyper']} {key} must be {wanted}, got {value!r}")
+        got = f"got {value!r}" if key in doc else "it is missing"
+        raise MalformedDocument(f"{label or doc['_hyper']} {key} must be {wanted}, {got}")
     return value
 
 

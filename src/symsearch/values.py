@@ -292,7 +292,10 @@ class ObjectNode(SymbolicValue):
     each constrained by the type's per-field spec.
 
     Fields of functor (callable) types may be left unbound; all other types
-    require every field bound after defaults are applied.
+    require every field bound after defaults are applied.  Construction is
+    where both rules are checked: each field against its spec and each
+    missing field against the rule, in param declaration order, before any
+    field is adopted.
     """
 
     __slots__ = ("type_def", "_fields")
@@ -300,10 +303,14 @@ class ObjectNode(SymbolicValue):
     def __init__(self, type_def, fields: dict):
         super().__init__()
         self.type_def = type_def
-        self._fields = {}
+        nodes = {}
         for param in type_def.params:
             if param.name in fields:
-                self._fields[param.name] = self._adopt(param.name, fields[param.name])
+                nodes[param.name] = node = to_symbolic(fields[param.name])
+                param.spec.check(node, param.name)
+            elif not type_def.callable:
+                raise MissingRequiredField(f"{type_def.type_name} requires field {param.name!r}")
+        self._fields = {name: self._adopt(name, node) for name, node in nodes.items()}
 
     @property
     def type_name(self) -> str:
@@ -353,9 +360,7 @@ class ObjectNode(SymbolicValue):
                 raise TypeError(f"{self.type_name} has no field {name!r}")
             if name in bound:
                 raise BindingConflict(f"{self.type_name}.{name} is already bound")
-            node = to_symbolic(value)
-            param.spec.check(node, name)
-            bound[name] = node
+            bound[name] = value
         return ObjectNode(self.type_def, bound)
 
     def __call__(self, override_args: bool = False, **kwargs):

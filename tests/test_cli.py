@@ -195,10 +195,14 @@ def nasbench_table_text(tmp_path_factory):
     {"k": 1.5},
     {"distinct": "no"},
     {"kind": "float", "min": 0.0, "max": 10 ** 400},
+    {"subspaces": [{}, {}]},
+    {"subspaces": [{"a": 1}, {"a": 1}]},
+    {"rewards": []},
 ])
 def test_search_table_with_malformed_spec_is_runtime_error(tmp_path, nasbench_table_text, fields):
+    """`fields` replace those of the first point, or of the table for `rewards`."""
     doc = json.loads(nasbench_table_text)
-    doc["spec"]["points"][0].update(fields)
+    (doc if "rewards" in fields else doc["spec"]["points"][0]).update(fields)
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(doc))
     result = search_table(tmp_path, table_path)

@@ -93,15 +93,18 @@ def test_results_are_deterministic_valid_and_distinct(make_generator):
         assert len(seen) == ss.space_size(space)
 
 
-def test_substituted_fields_are_checked_without_construction_checks():
-    """An object built directly, skipping new_object's checks, holds a range
-    its spec does not accept; the substituted value is still checked."""
-    box = ss.TypeDef("Box", [ss.Param("size", schema.Int(max=10))])
-    space = ss.Sequence([ObjectNode(box, {"size": intv(0, 100)})])
-    assert materialize(space, DNA([5]))[0]["size"] == 5
+def test_an_object_refuses_a_hyper_value_when_it_is_built():
+    """An object built directly, not through new_object, still checks its
+    fields, so no space can hold a range its spec does not accept; a refused
+    object adopts none of its fields."""
+    box = ss.TypeDef("Box", [ss.Param("label", schema.Text()), ss.Param("size", schema.Int(max=10))])
+    label = ss.to_symbolic("a")
     with pytest.raises(ConstraintViolation) as caught:
-        materialize(space, DNA([50]))
-    assert caught.value.path == "[0].size"
+        ObjectNode(box, {"label": label, "size": intv(0, 100)})
+    assert caught.value.path == "size"
+    assert label._parent is None
+    space = ss.Sequence([ObjectNode(box, {"label": label, "size": intv(0, 10)})])
+    assert materialize(space, DNA([5]))[0]["size"] == 5
 
 
 def node_ids(tree) -> set:

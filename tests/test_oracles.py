@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -200,6 +201,23 @@ def test_table_load_rejects_a_wrong_count_or_a_non_text_id(tmp_path, fields, mes
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedDocument, match=rf"bad table file .*: categorical {message}"):
+        TableOracle.load(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(rewards=[]), "table rewards must be an object, got []"),
+    (lambda doc: doc.pop("rewards"), "table rewards must be an object, it is missing"),
+    (lambda doc: doc.pop("spec"), "table spec must be an object, it is missing"),
+    (lambda doc: doc["spec"].update(points={}), "spec points must be a list of point objects, got {}"),
+    (lambda doc: doc["spec"]["points"][0].update(subspaces=[{}, {}]),
+     "categorical point '[0][0]' subspaces[0] must be a list of point objects, got {}"),
+])
+def test_table_load_names_the_key_and_the_type_of_a_bad_shape(tmp_path, edit, message):
+    doc = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3)).to_json_obj()
+    edit(doc)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match=rf"bad table file .*: {re.escape(message)}$"):
         TableOracle.load(path)
 
 

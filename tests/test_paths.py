@@ -37,10 +37,18 @@ def test_render_is_inverse_of_parse():
     assert KeyPath.parse(path.render()) == path
 
 
-@pytest.mark.parametrize("bad", [".a", "a..b", "a.", "[1", "[-1]", "a[b]", "[1]x", "a b", "1a"])
+@pytest.mark.parametrize("bad", [".a", "a..b", "a.", "[1", "[-1]", "a[b]", "[1]x", "a b", "1a",
+                                 "[01]", "a[00]", "[\u0661]"])
 def test_bad_syntax_rejected(bad):
     with pytest.raises(PathSyntaxError):
         KeyPath.parse(bad)
+
+
+def test_an_index_has_one_spelling():
+    """Without it, "a[01]" would address the element "a[1]" deletes, and
+    the rebuild would drop the Delete silently."""
+    with pytest.raises(PathSyntaxError):
+        ss.rebind(ss.to_symbolic({"a": [1, 2, 3]}), {"a[1]": ss.DELETE, "a[01]": ss.Insert(9)})
 
 
 def test_child_and_parent():

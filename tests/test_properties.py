@@ -90,7 +90,7 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
 def test_accepted_hyper_values_materialize_into_valid_children(space):
     """Every child of a space whose objects accepted their hyper values is
     valid: acceptance is the only check a child needs."""
-    assume(ss.space_size(space) <= 300)
+    assume(ss.space_size(space) <= 100)
     for dna in enumerate_dnas(abstract_search_space(space)):
         ss.validate_tree(materialize(space, dna))
 

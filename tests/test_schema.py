@@ -51,6 +51,8 @@ def test_range_floor_violation(types):
 def test_float_min_violation(types):
     with pytest.raises(ConstraintViolation):
         types.CosineDecay(learning_rate=-1, steps=100)
+    with pytest.raises(ConstraintViolation):  # before the later missing field
+        types.CosineDecay(learning_rate=-1)
 
 
 def test_missing_required_field(types):

@@ -437,6 +437,9 @@ def test_functor_call_override(types, trainer):
 def test_functor_bind_conflicts(types, trainer):
     with pytest.raises(BindingConflict):
         trainer.bind(augment_policy=types.random_augment(magnitude=3))
+    with pytest.raises(ConstraintViolation) as caught:
+        types.random_augment().bind(magnitude=-1)
+    assert caught.value.path == "magnitude"
 
 
 def test_functor_impl_gets_plain_views(types):
