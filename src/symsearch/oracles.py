@@ -154,7 +154,7 @@ class TableOracle:
             rewards = {str(k): float(v)
                        for k, v in _field(doc, "rewards", dict, "an object", label="table").items()}
             spec = spec_from_json_obj(_field(doc, "spec", dict, "an object", label="table"))
-        except (OSError, ValueError, KeyError, TypeError, MalformedDocument) as exc:
+        except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
         for key, reward in rewards.items():

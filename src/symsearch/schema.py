@@ -326,16 +326,14 @@ def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
         raise TypeError(
             f"{type_def.type_name} takes at most {len(type_def.params)} positional arguments"
         )
-    fields: dict[str, SymbolicValue] = {}
-    for param, value in zip(type_def.params, args):
-        fields[param.name] = to_symbolic(value)
+    fields = {param.name: value for param, value in zip(type_def.params, args)}
     for name, value in kwargs.items():
         param = type_def.param(name)
         if param is None:
             raise TypeError(f"{type_def.type_name} has no field {name!r}")
         if name in fields:
             raise TypeError(f"{type_def.type_name} got duplicate value for {name!r}")
-        fields[name] = to_symbolic(value)
+        fields[name] = value
     for param in type_def.params:
         if param.name not in fields and param.has_default:
             fields[param.name] = param.default.clone()

@@ -140,25 +140,22 @@ def _hyper_from_json(doc, registry):
     hints = doc.get("hints")
     if hints is not None and not isinstance(hints, str):
         raise MalformedDocument(f"hints must be text or null, got {hints!r}")
-    try:
-        if kind in ("oneof", "manyof", "permutate"):
-            candidates = _field(doc, "candidates", list, "a list")
-            candidates = [from_json_obj(c, registry) for c in candidates]
-            if kind == "oneof":
-                return Categorical(1, candidates, hints=hints)
-            if kind == "permutate":
-                return Categorical(len(candidates), candidates, distinct=True,
-                                   sorted=False, hints=hints)
-            return Categorical(_field(doc, "k", int, "an integer"), candidates,
-                               distinct=_field(doc, "distinct", bool, "true or false", True),
-                               sorted=_field(doc, "sorted", bool, "true or false", False),
-                               hints=hints)
-        if kind == "intv":
-            return IntRange(_field(doc, "min", int, "an integer"),
-                            _field(doc, "max", int, "an integer"), hints=hints)
-        return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
-    except KeyError as exc:
-        raise MalformedDocument(f"hyper document missing key {exc}") from None
+    if kind in ("oneof", "manyof", "permutate"):
+        candidates = _field(doc, "candidates", list, "a list")
+        candidates = [from_json_obj(c, registry) for c in candidates]
+        if kind == "oneof":
+            return Categorical(1, candidates, hints=hints)
+        if kind == "permutate":
+            return Categorical(len(candidates), candidates, distinct=True,
+                               sorted=False, hints=hints)
+        return Categorical(_field(doc, "k", int, "an integer"), candidates,
+                           distinct=_field(doc, "distinct", bool, "true or false", True),
+                           sorted=_field(doc, "sorted", bool, "true or false", False),
+                           hints=hints)
+    if kind == "intv":
+        return IntRange(_field(doc, "min", int, "an integer"),
+                        _field(doc, "max", int, "an integer"), hints=hints)
+    return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
 
 
 def _field(doc, key, kind, wanted, default=None, label=None):
@@ -173,8 +170,9 @@ def _field(doc, key, kind, wanted, default=None, label=None):
 
 
 def _finite(doc, key, label=None) -> float:
-    """``doc[key]`` as a finite float; JSON parses 1e400 as infinity."""
-    value = doc[key]
+    """``doc[key]`` as a finite float; JSON parses 1e400 as infinity.  A
+    missing key is an error, as in :func:`_field`."""
+    value = doc.get(key)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             value = float(value)
@@ -182,5 +180,5 @@ def _finite(doc, key, label=None) -> float:
             value = math.inf
         if math.isfinite(value):
             return value
-    raise MalformedDocument(f"{label or doc['_hyper']} {key} must be a finite number, "
-                            f"got {value!r}")
+    got = f"got {value!r}" if key in doc else "it is missing"
+    raise MalformedDocument(f"{label or doc['_hyper']} {key} must be a finite number, {got}")

@@ -211,7 +211,7 @@ def test_table_load_rejects_a_wrong_count_or_a_non_text_id(tmp_path, fields, mes
     (lambda doc: doc["spec"].update(points={}), "spec points must be a list of point objects, got {}"),
     (lambda doc: doc["spec"]["points"][0].update(subspaces=[{}, {}]),
      "categorical point '[0][0]' subspaces[0] must be a list of point objects, got {}"),
-])
+], ids=["rewards-list", "no-rewards", "no-spec", "points-object", "subspace-object"])
 def test_table_load_names_the_key_and_the_type_of_a_bad_shape(tmp_path, edit, message):
     doc = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3)).to_json_obj()
     edit(doc)

@@ -100,6 +100,16 @@ def test_unknown_hyper_keys_are_named(document, key):
         ss.deserialize(document)
 
 
+@pytest.mark.parametrize("document, message", [
+    ('{"_hyper":"oneof"}', "oneof candidates must be a list, it is missing"),
+    ('{"_hyper":"manyof","candidates":[1,2]}', "manyof k must be an integer, it is missing"),
+    ('{"_hyper":"floatv","min":0.0}', "floatv max must be a finite number, it is missing"),
+])
+def test_missing_hyper_keys_are_named_with_their_type(document, message):
+    with pytest.raises(MalformedDocument, match=f"^{message}$"):
+        ss.deserialize(document)
+
+
 def test_reserved_keys_rejected_in_construction():
     with pytest.raises(ReservedKey):
         ss.Mapping({"_type": 1})
