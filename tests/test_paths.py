@@ -45,8 +45,8 @@ def test_bad_syntax_rejected(bad):
 
 
 def test_an_index_has_one_spelling():
-    """Without it, "a[01]" would address the element "a[1]" deletes, and
-    the rebuild would drop the Delete silently."""
+    """A leading zero is refused: "a[01]" would otherwise address the
+    element that "a[1]" deletes, and the plan would drop the Delete."""
     with pytest.raises(PathSyntaxError):
         ss.rebind(ss.to_symbolic({"a": [1, 2, 3]}), {"a[1]": ss.DELETE, "a[01]": ss.Insert(9)})
 
