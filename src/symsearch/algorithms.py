@@ -155,41 +155,45 @@ def mutate(dna: DNA, spec: DecisionSpec, rng: Random, exclude_current: bool = Tr
     candidate are sampled fresh; slots keeping their candidate keep their
     child decisions.
     """
-    sites = []
-    _active_sites(spec.points, dna.decisions, (), sites)
-    if not sites:
+    total = _count_active(spec.points, dna.decisions)
+    if not total:
         return dna
-    point, decision, location = sites[rng.randrange(len(sites))]
-    new_decision = _resample(point, decision, rng, exclude_current)
-    if new_decision is decision:
-        return dna
-    return DNA(_replace_at(spec.points, dna.decisions, location, new_decision))
+    _, decisions = _mutated(spec.points, dna.decisions, rng.randrange(total), rng, exclude_current)
+    return dna if decisions is None else DNA(decisions)
 
 
-def _active_sites(points, decisions, location, out):
-    """Collect (point, decision, location) for every decision active in this
-    DNA; location is a tuple of (point index, choice slot) hops."""
+def _count_active(points, decisions) -> int:
+    """The number of decisions active in this DNA."""
+    total = len(points)
+    for point, decision in zip(points, decisions):
+        if isinstance(point, CategoricalPoint):
+            for choice in decision:
+                if subspace := point.subspaces[choice.index]:
+                    total += _count_active(subspace, choice.children)
+    return total
+
+
+def _mutated(points, decisions, site, rng: Random, exclude: bool):
+    """Walk `decisions` in pre-order to their `site`-th active decision and
+    resample it.  Returns ``(site less the decisions walked, None)`` when the
+    site lies beyond them, else ``(-1, rebuilt)``: `rebuilt` copies only the
+    lists on the path to the site, or is None if the resample kept it."""
     for i, (point, decision) in enumerate(zip(points, decisions)):
-        out.append((point, decision, location + ((i, None),)))
+        if not site:
+            new = _resample(point, decision, rng, exclude)
+            return -1, None if new is decision else [*decisions[:i], new, *decisions[i + 1:]]
+        site -= 1
         if isinstance(point, CategoricalPoint):
             for slot, choice in enumerate(decision):
-                _active_sites(point.subspaces[choice.index], choice.children,
-                              location + ((i, slot),), out)
-
-
-def _replace_at(points, decisions, location, new_decision):
-    (index, slot), rest = location[0], location[1:]
-    decisions = list(decisions)
-    if not rest:
-        decisions[index] = new_decision
-        return decisions
-    point = points[index]
-    choices = list(decisions[index])
-    choice = choices[slot]
-    children = _replace_at(point.subspaces[choice.index], choice.children, rest, new_decision)
-    choices[slot] = Choice(choice.index, children)
-    decisions[index] = choices
-    return decisions
+                if subspace := point.subspaces[choice.index]:
+                    site, children = _mutated(subspace, choice.children, site, rng, exclude)
+                    if site < 0:
+                        if children is None:
+                            return -1, None
+                        new = list(decision)
+                        new[slot] = Choice(choice.index, children)
+                        return -1, [*decisions[:i], new, *decisions[i + 1:]]
+    return site, None
 
 
 def _resample(point, decision, rng: Random, exclude_current: bool):
@@ -216,10 +220,6 @@ def _resample(point, decision, rng: Random, exclude_current: bool):
         indices = random_tuple(point, rng)
         if not exclude_current or indices != current:
             break
-    rebuilt = []
-    for slot, index in enumerate(indices):
-        if slot < len(decision) and decision[slot].index == index:
-            rebuilt.append(decision[slot])
-        else:
-            rebuilt.append(Choice(index, random_decisions(point.subspaces[index], rng)))
-    return rebuilt
+    return [decision[slot] if slot < len(decision) and decision[slot].index == index
+            else Choice(index, random_decisions(point.subspaces[index], rng))
+            for slot, index in enumerate(indices)]

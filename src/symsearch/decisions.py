@@ -206,7 +206,25 @@ def _encode_points(points, decisions, tokens, context):
             raise NonconformingDNA(point.id, f"expected a float, got {decision!r}")
         if not point.min <= decision <= point.max:
             raise NonconformingDNA(point.id, f"{decision} outside [{point.min}, {point.max}]")
-        tokens.append(str(decision) if isinstance(point, IntPoint) else repr(float(decision)))
+        tokens.append(_token(point, decision))
+
+
+def _token(point, value) -> str:
+    """The canonical text of an int or float decision."""
+    return str(value) if isinstance(point, IntPoint) else repr(float(value))
+
+
+def _emit(point, decision, tokens):
+    """Append the canonical tokens of a decision already checked against
+    `point`, without checking it again."""
+    if isinstance(point, CategoricalPoint):
+        for choice in decision:
+            tokens.append(str(choice.index))
+            if choice.children:
+                for child_point, child in zip(point.subspaces[choice.index], choice.children):
+                    _emit(child_point, child, tokens)
+    else:
+        tokens.append(_token(point, decision))
 
 
 def decode_dna(text: str, spec: DecisionSpec) -> DNA:
@@ -274,9 +292,8 @@ def _enum_points(points) -> Iterator[list]:
 
 def _enum_decision(point) -> Iterator:
     if isinstance(point, IntPoint):
-        yield from range(point.min, point.max + 1)
-        return
-    yield from _enum_choices(point, [])
+        return iter(range(point.min, point.max + 1))
+    return _enum_choices(point, [])
 
 
 def _enum_choices(point, prefix) -> Iterator[list]:
@@ -325,8 +342,8 @@ def random_decisions(points, rng: Random) -> list:
         elif isinstance(point, FloatPoint):
             out.append(rng.uniform(point.min, point.max))
         else:
-            indices = random_tuple(point, rng)
-            out.append([Choice(i, random_decisions(point.subspaces[i], rng)) for i in indices])
+            out.append([Choice(i, random_decisions(sub, rng) if (sub := point.subspaces[i]) else [])
+                        for i in random_tuple(point, rng)])
     return out
 
 
@@ -420,12 +437,16 @@ def _condition_points(points, decisions, selector, out):
             next(decisions)
 
 
-def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA) -> DNA:
-    """Inverse of :func:`split_dna`."""
+def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA,
+              tokens: list | None = None) -> DNA:
+    """Inverse of :func:`split_dna`, sharing the decisions it need not rebuild.
+    It appends the merged DNA's canonical tokens to `tokens`, which join with
+    ``|`` into its :func:`encode_dna` text when both halves conform."""
     sel_iter = iter(selected.decisions)
     comp_iter = iter(complement.decisions)
     try:
-        decisions = _merge_points(spec.points, selector, sel_iter, comp_iter)
+        decisions = _merge_points(spec.points, selector, sel_iter, comp_iter,
+                                  [] if tokens is None else tokens)
         _expect_exhausted(sel_iter, "selected")
         _expect_exhausted(comp_iter, "complement")
     except StopIteration:
@@ -433,22 +454,28 @@ def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement:
     return DNA(decisions)
 
 
-def _merge_points(points, selector, sel_iter, comp_iter):
+def _merge_points(points, selector, sel_iter, comp_iter, tokens):
     out = []
     for point in points:
         if not selector(point):
             out.append(next(comp_iter))
+            _emit(point, out[-1], tokens)
             continue
         decision = next(sel_iter)
         if isinstance(point, CategoricalPoint):
             rebuilt = []
             for choice in decision:
-                child_sel = iter(choice.children)
-                children = _merge_points(point.subspaces[choice.index], selector, child_sel, comp_iter)
-                _expect_exhausted(child_sel, "selected")
-                rebuilt.append(Choice(choice.index, children))
+                tokens.append(str(choice.index))
+                subspace = point.subspaces[choice.index]
+                if subspace or choice.children != []:  # else nothing to merge: keep it
+                    child_sel = iter(choice.children)
+                    choice = Choice(choice.index, _merge_points(subspace, selector, child_sel,
+                                                                comp_iter, tokens))
+                    _expect_exhausted(child_sel, "selected")
+                rebuilt.append(choice)
             out.append(rebuilt)
         else:
+            tokens.append(_token(point, decision))
             out.append(decision)
     return out
 

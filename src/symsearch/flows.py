@@ -88,6 +88,10 @@ def _json_reward(reward: float | None) -> float | None:
     return None if reward == -math.inf else reward
 
 
+# One compact encoder for every log line; json.dumps would build one per call.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 @dataclass
 class FlowReport:
     flow: str
@@ -127,8 +131,7 @@ class FlowReport:
     def write_jsonl(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
             for record in self.records:
-                handle.write(json.dumps(record.to_json_obj(), separators=(",", ":"),
-                                        allow_nan=False))
+                handle.write(_LINE_ENCODER.encode(record.to_json_obj()))
                 handle.write("\n")
 
     def write_summary(self, path) -> None:
@@ -204,25 +207,27 @@ def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | Non
 
 def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardFn,
                 timing: bool, build: Callable[[DNA], SymbolicValue] | None = None,
-                spec: DecisionSpec | None = None, merge: Callable[[DNA], DNA] | None = None,
+                merge: Callable[[DNA, list], DNA] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
     """The trial step of every flow, eager included.
 
     For each feedback handle: map the loop DNA to the full-space DNA with
-    ``merge`` and encode it over ``spec`` (without ``merge`` the proposal's
-    DNA and text serve as they are), build its child if there is a
-    ``build``, call the oracle (timed alone), feed the reward back and
-    append a TrialRecord with the running best.  A reward that is not a
-    number, NaN or +inf raises InvalidReward; -inf is the legal "infeasible"
-    reward.  Trials are numbered ``offset + i``, or as inner trials ``i`` of
-    ``outer_index``.  Returns the (loop DNA, reward) pairs.
+    ``merge(dna, tokens)``, which appends that DNA's canonical tokens to
+    `tokens` (without ``merge`` the proposal's DNA and text serve as they
+    are), build its child if there is a ``build``, call the oracle (timed
+    alone), feed the reward back and append a TrialRecord with the running
+    best.  A reward that is not a number, NaN or +inf raises InvalidReward;
+    -inf is the legal "infeasible" reward.  Trials are numbered ``offset +
+    i``, or as inner trials ``i`` of ``outer_index``.  Returns the (loop DNA,
+    reward) pairs.
     """
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
     results = []
     for index, feedback in enumerate(handles):
-        full = feedback.dna if merge is None else merge(feedback.dna)
-        text = feedback.dna_text if merge is None else encode_dna(full, spec)
+        tokens = []
+        full = feedback.dna if merge is None else merge(feedback.dna, tokens)
+        text = feedback.dna_text if merge is None else "|".join(tokens)
         child = None if build is None else build(full)
         start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
@@ -333,8 +338,8 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)
     results = _run_trials(
-        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, timing, build, spec,
-        merge=lambda dna: merge_dna(spec, selector, dna, pivot_complement))
+        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, timing, build,
+        lambda dna, tokens: merge_dna(spec, selector, dna, pivot_complement, tokens))
     if not results:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
     best_selected = max(results, key=lambda result: result[1])[0]
@@ -343,8 +348,8 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     if rest.is_empty:
         return report  # the selection covered everything
     _run_trials(
-        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, timing, build, spec,
-        merge=partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
+        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, timing, build,
+        partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
     return report
 
 
@@ -381,7 +386,7 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
         merge = partial(merge_dna, spec, selector, outer_feedback.dna)
         results = _run_trials(
             report, _loop(inner_algorithm, sub_spec, inner.trials), oracle, timing, build,
-            spec, merge, outer_index=outer_index)
+            merge, outer_index=outer_index)
         aggregate = aggregator([reward for _, reward in results])
         outer_feedback(aggregate)
         attempts.append((aggregate, -outer_index, sub_spec, merge, inner_algorithm))
@@ -390,7 +395,7 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
         return report
     _, _, sub_spec, merge, algorithm = max(attempts, key=lambda attempt: attempt[:2])
     _run_trials(report, _proposals(algorithm, sub_spec, phase2_trials, strict=True), oracle,
-                timing, build, spec, merge, offset=outer.trials)
+                timing, build, merge, offset=outer.trials)
     return report
 
 

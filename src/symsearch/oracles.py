@@ -77,7 +77,11 @@ def edge_pairs(nodes: int) -> list[tuple[int, int]]:
 
 
 class SyntheticNASOracle:
-    """Deterministic synthetic benchmark over the builtin space."""
+    """Deterministic synthetic benchmark over the builtin space.
+
+    ``reward_from_dna`` checks the shape of a spec once per spec object: it
+    remembers, by identity, the last spec it found to be the builtin space,
+    and then checks only each DNA's length."""
 
     def __init__(self, nodes: int, ops: int, seed: int):
         if nodes < 2 or ops < 2:
@@ -89,6 +93,7 @@ class SyntheticNASOracle:
         self.w = [[gen.next_unit() for _ in range(ops)] for _ in range(nodes)]
         self.v = [gen.next_unit() for _ in range(num_edges(nodes))]
         self._pairs = edge_pairs(nodes)
+        self._spec = None  # the last spec found to be the builtin space, held, never an id
 
     def reward(self, op_ids: list[int], edges: list[int]) -> float:
         node_sum = 0.0
@@ -102,23 +107,19 @@ class SyntheticNASOracle:
         return 0.5 * node_sum / self.nodes + 0.5 * edge_sum / len(self._pairs)
 
     def reward_from_dna(self, dna: DNA, spec: DecisionSpec) -> float:
-        op_ids, edges = split_ops_edges(dna, spec, self.nodes, self.ops)
-        return self.reward(op_ids, edges)
-
-
-def split_ops_edges(dna: DNA, spec: DecisionSpec, nodes: int, ops: int) -> tuple[list[int], list[int]]:
-    """Read node operations and edge bits out of a builtin-space DNA."""
-    expected = nodes + num_edges(nodes)
-    if len(spec.points) != expected or len(dna.decisions) != expected:
-        raise UnsupportedSpace(
-            f"expected the builtin space with {nodes} nodes ({expected} points)")
-    for index, point in enumerate(spec.points):
-        want = ops if index < nodes else 2
-        if not isinstance(point, CategoricalPoint) or point.k != 1 or point.n != want:
-            raise UnsupportedSpace(f"point {point.id!r} does not match the builtin space")
-    op_ids = [dna.decisions[i][0].index for i in range(nodes)]
-    edges = [dna.decisions[nodes + e][0].index for e in range(num_edges(nodes))]
-    return op_ids, edges
+        nodes, decisions = self.nodes, dna.decisions
+        expected = nodes + len(self._pairs)
+        if len(decisions) != expected or spec is not self._spec and len(spec.points) != expected:
+            raise UnsupportedSpace(
+                f"expected the builtin space with {nodes} nodes ({expected} points)")
+        if spec is not self._spec:
+            for index, point in enumerate(spec.points):
+                want = self.ops if index < nodes else 2
+                if not isinstance(point, CategoricalPoint) or point.k != 1 or point.n != want:
+                    raise UnsupportedSpace(f"point {point.id!r} does not match the builtin space")
+            self._spec = spec
+        return self.reward([decision[0].index for decision in decisions[:nodes]],
+                           [decision[0].index for decision in decisions[nodes:]])
 
 
 class TableOracle:
@@ -151,17 +152,13 @@ class TableOracle:
                 doc = json.load(handle)
             if not isinstance(doc, dict):
                 raise MalformedDocument(f"a table must be a JSON object, got {type(doc).__name__}")
-            rewards = {str(k): float(v)
+            rewards = {str(k): _reward(k, v)
                        for k, v in _field(doc, "rewards", dict, "an object", label="table").items()}
             spec = spec_from_json_obj(_field(doc, "spec", dict, "an object", label="table"))
         except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
-        for key, reward in rewards.items():
-            if reward != reward or reward == math.inf:
-                raise MalformedDocument(f"bad table file {path}: reward {reward!r} for key "
-                                        f"{key!r} is NaN or +inf; -inf is the only "
-                                        "non-finite reward")
+        for key in rewards:
             try:
                 decode_dna(key, spec)
             except (ParseError, NonconformingDNA) as exc:
@@ -170,15 +167,28 @@ class TableOracle:
         return table
 
 
+def _reward(key: str, value) -> float:
+    """A table reward: a JSON number that fits a float, and not NaN or +inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedDocument(f"reward for key {key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise MalformedDocument(f"reward for key {key!r} is an integer too large for a "
+                                "float") from None
+    if value != value or value == math.inf:
+        raise MalformedDocument(f"reward {value!r} for key {key!r} is NaN or +inf; -inf is "
+                                "the only non-finite reward")
+    return value
+
+
 def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
     """Tabulate a synthetic oracle over every DNA of a finite space."""
     spec = abstract_search_space(space)
     if spec.is_continuous:
         raise ContinuousSpaceForTable("cannot tabulate a continuous space")
-    rewards = {}
-    for dna in enumerate_dnas(spec):
-        rewards[encode_dna(dna, spec)] = oracle.reward_from_dna(dna, spec)
-    return TableOracle(spec, rewards)
+    return TableOracle(spec, {encode_dna(dna, spec): oracle.reward_from_dna(dna, spec)
+                              for dna in enumerate_dnas(spec)})
 
 
 def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:

@@ -118,22 +118,12 @@ class SymbolicValue:
             return NotImplemented
         return equal(self, node)
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     __hash__ = None  # structural equality makes nodes unhashable
 
     def to_plain(self):
         """Plain-Python view: primitives unwrap, containers convert, objects
         and hyper values stay symbolic."""
         return self
-
-    @property
-    def is_hyper(self) -> bool:
-        return isinstance(self, HyperValue)
 
 
 class Primitive(SymbolicValue):

@@ -243,6 +243,19 @@ def test_search_positive_infinite_reward_is_runtime_error(tmp_path):
     assert_bad_reward_error(search_table(tmp_path, write_table(tmp_path, "0|1|0", float("inf"))))
 
 
+@pytest.mark.parametrize("reward", [True, "0.5", 10 ** 400])
+def test_search_reward_that_is_not_a_json_number_is_runtime_error(tmp_path, nasbench_table_text,
+                                                                    reward):
+    doc = json.loads(nasbench_table_text)
+    doc["rewards"]["0|1|0"] = reward
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(doc))
+    result = search_table(tmp_path, table_path)
+    assert_bad_reward_error(result)
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def test_search_infeasible_reward_is_logged_as_null(tmp_path):
     result = search_table(tmp_path, write_table(tmp_path, "0|0|0", float("-inf")))
     assert result.returncode == 0, result.stderr

@@ -348,6 +348,20 @@ def test_split_merge_roundtrip(make_generator):
             assert merge_dna(spec, selector, selected, complement) == dna
 
 
+@pytest.mark.parametrize("selected, complement, reason", [
+    ([[Choice(0, [5])]], [1], "extra selected decisions"),  # a child under an empty subspace
+    ([[Choice(1, [])], 0], [1], "extra selected decisions"),
+    ([[Choice(1, [])]], [1, 2], "extra complement decisions"),
+    ([[Choice(1, [])]], [], "do not match the partition"),
+    ([], [1], "do not match the partition"),
+])
+def test_merge_refuses_halves_that_do_not_fit_the_partition(selected, complement, reason):
+    spec = abstract_search_space(ss.Sequence([oneof([1, 2]), intv(0, 3)]))
+    with pytest.raises(NonconformingDNA, match=reason):
+        merge_dna(spec, lambda p: isinstance(p, CategoricalPoint), DNA(selected),
+                  DNA(complement))
+
+
 def test_isomorphic_ignores_ids():
     a = abstract_search_space(ss.Mapping({"x": oneof([1, 2]), "y": intv(0, 3)}))
     b = abstract_search_space(ss.Sequence([oneof([5, 6]), intv(0, 3)]))

@@ -446,18 +446,18 @@ def test_joint_over_a_space_builds_each_child_once(monkeypatch, bench):
     assert all(ss.is_deterministic(child) for child in built)
 
 
-def test_merged_flows_encode_at_most_twice_per_trial(monkeypatch, bench):
+def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
     space, spec, oracle, reward = bench
     pivot = materialize(space, minimal_dna(spec))
     random_loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
     encoded = count_calls(monkeypatch, "encode_dna")
     validated = count_calls(monkeypatch, "validate_dna")
     separate = run_separate(space, op_selector, pivot, random_loop(5), random_loop(4), reward)
-    assert len(encoded) == 2 * separate.oracle_calls
+    assert len(encoded) == separate.oracle_calls
     del encoded[:]
     hybrid = run_hybrid(space, op_selector, random_loop(3), random_loop(4), 5, reward)
     assert hybrid.oracle_calls == 3 * 4 + 5
-    assert len(encoded) == 2 * hybrid.oracle_calls + 3  # plus each outer proposal
+    assert len(encoded) == hybrid.oracle_calls + 3  # plus each outer proposal
     assert validated == []
 
 
@@ -477,13 +477,18 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     built = count_calls(monkeypatch, "materialize_prepared", materialize_module)
     partial = count_calls(monkeypatch, "materialize_partial_prepared", materialize_module)
     extracted = count_calls(monkeypatch, "abstract_search_space")
+    encoded = count_calls(monkeypatch, "encode_dna")
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
                          "--oracle", "synthetic", "--algo", "regevo", "--population", "4",
                          "--tournament", "2", *CLI_FLOWS[flow]]) == 0
-    assert json.loads(printed.getvalue())["oracle_calls"] > 0
+    oracle_calls = json.loads(printed.getvalue())["oracle_calls"]
+    assert oracle_calls > 0
     assert built == [] and partial == []
     assert len(extracted) == 1
+    outer_proposals = 3 if flow in ("factorized", "hybrid") else 0
+    pivot_check = 1 if flow == "separate" else 0  # the default pivot DNA is checked once
+    assert len(encoded) == oracle_calls + outer_proposals + pivot_check
 
 
 def test_separate_over_a_spec_needs_a_dna_pivot(bench):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import symsearch as ss
-from symsearch.decisions import abstract_search_space, decode_dna, enumerate_dnas, encode_dna
+from symsearch.decisions import DNA, abstract_search_space, decode_dna, enumerate_dnas, encode_dna
 from symsearch.errors import (
     BadDimensions,
     ContinuousSpaceForTable,
@@ -124,11 +124,18 @@ def test_rewards_in_unit_interval():
 
 
 def test_synthetic_rejects_foreign_space():
+    """Also after it has accepted the builtin spec, whose shape it checks
+    once: another spec of the same length is checked afresh, and a DNA of
+    the wrong length is refused under the accepted spec."""
     oracle = SyntheticNASOracle(3, 3, seed=0)
-    space = ss.oneof([1, 2])
-    spec = abstract_search_space(space)
+    builtin = abstract_search_space(build_nasbench_space(3, 3))
+    eval_oracle(oracle, next(enumerate_dnas(builtin)), builtin)
+    fewer_ops = abstract_search_space(build_nasbench_space(3, 2))
+    for spec in (abstract_search_space(ss.oneof([1, 2])), fewer_ops):
+        with pytest.raises(UnsupportedSpace):
+            eval_oracle(oracle, next(enumerate_dnas(spec)), spec)
     with pytest.raises(UnsupportedSpace):
-        eval_oracle(oracle, next(enumerate_dnas(spec)), spec)
+        eval_oracle(oracle, DNA(next(enumerate_dnas(builtin)).decisions[:-1]), builtin)
 
 
 # -- table oracle -------------------------------------------------------------------
@@ -166,6 +173,20 @@ def test_table_load_rejects_nan_and_positive_infinity(tmp_path, reward):
         assert TableOracle.load(path).lookup("1|0|1") == -math.inf
         return
     with pytest.raises(MalformedDocument, match=r"'1\|0\|1'"):
+        TableOracle.load(path)
+
+
+@pytest.mark.parametrize("reward, reason", [
+    (True, "must be a number, got True"),
+    ("0.5", "must be a number, got '0.5'"),
+    (10 ** 400, "is an integer too large for a float"),
+])
+def test_table_load_rejects_a_reward_that_is_not_a_json_number(tmp_path, reward, reason):
+    table = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3))
+    table.rewards["1|0|1"] = reward
+    path = tmp_path / "table.json"
+    table.save(path)
+    with pytest.raises(MalformedDocument, match=rf"reward for key '1\|0\|1' {re.escape(reason)}$"):
         TableOracle.load(path)
 
 

@@ -11,13 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
 from conftest import HOLDERS, SpaceGenerator
-from symsearch.algorithms import mutate
+from symsearch.algorithms import _resample, mutate
 from symsearch.decisions import (
+    DNA,
     CategoricalPoint,
+    Choice,
     FloatPoint,
     IntPoint,
     abstract_search_space,
     condition_spec,
+    count_tuples,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -29,7 +32,7 @@ from symsearch.decisions import (
     split_dna,
 )
 from symsearch.errors import ConstraintViolation, EmptyCandidates, KTooLarge, NonconformingDNA
-from symsearch.hyper import Categorical, floatv
+from symsearch.hyper import Categorical, floatv, oneof
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
 from symsearch.values import ObjectNode, Primitive
@@ -103,6 +106,94 @@ def test_merge_inverts_split(space, seed, selector):
     select = SELECTORS[selector]
     dna = random_dna(spec, random.Random(seed))
     assert merge_dna(spec, select, *split_dna(spec, dna, select)) == dna
+
+
+def with_floats(space):
+    """`space` followed by a float point and a float nested in a candidate,
+    hinted so that every selector leaves a float on each side of its
+    partition."""
+    return ss.Sequence([space, floatv(0.0, 1.0, hints="a"),
+                        oneof([floatv(0.0, 2.0, hints="b"), 1], hints="a")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       selector=st.sampled_from(sorted(SELECTORS)), with_float=st.booleans(),
+       integral=st.booleans())
+def test_merge_writes_the_text_of_the_merged_dna(space, seed, selector, with_float, integral):
+    """With `integral`, the top-level float decision is an int, which a
+    float token still spells as a float."""
+    spec = abstract_search_space(with_floats(space) if with_float else space)
+    select = SELECTORS[selector]
+    dna = random_dna(spec, random.Random(seed))
+    if with_float and integral:
+        dna.decisions[-2] = round(dna.decisions[-2])
+    tokens = []
+    merged = merge_dna(spec, select, *split_dna(spec, dna, select), tokens)
+    assert "|".join(tokens) == encode_dna(merged, spec)
+
+
+def reference_mutate(dna, spec, rng, exclude_current):
+    """Single-point mutation through a list of every active site, as
+    ``mutate`` was first written; returns the mutated DNA and the chosen
+    point."""
+    def active_sites(points, decisions, location, out):
+        for i, (point, decision) in enumerate(zip(points, decisions)):
+            out.append((point, decision, location + ((i, None),)))
+            if isinstance(point, CategoricalPoint):
+                for slot, choice in enumerate(decision):
+                    active_sites(point.subspaces[choice.index], choice.children,
+                                 location + ((i, slot),), out)
+
+    def replace_at(points, decisions, location, new_decision):
+        (index, slot), rest = location[0], location[1:]
+        decisions = list(decisions)
+        if not rest:
+            decisions[index] = new_decision
+            return decisions
+        choices = list(decisions[index])
+        choice = choices[slot]
+        children = replace_at(points[index].subspaces[choice.index], choice.children, rest,
+                              new_decision)
+        choices[slot] = Choice(choice.index, children)
+        decisions[index] = choices
+        return decisions
+
+    sites = []
+    active_sites(spec.points, dna.decisions, (), sites)
+    if not sites:
+        return dna, None
+    point, decision, location = sites[rng.randrange(len(sites))]
+    new_decision = _resample(point, decision, rng, exclude_current)
+    if new_decision is decision:
+        return dna, point
+    return DNA(replace_at(spec.points, dna.decisions, location, new_decision)), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       with_float=st.booleans(), exclude_current=st.booleans())
+def test_mutate_conforms_moves_and_matches_the_site_list_reference(space, seed, with_float,
+                                                                    exclude_current):
+    """Every output encodes against the spec.  With `exclude_current` it
+    differs from its input unless the chosen point has one feasible value.
+    It is the reference's DNA, and it leaves the rng in the same state."""
+    spec = abstract_search_space(with_floats(space) if with_float else space)
+    rng = random.Random(seed)
+    dna = random_dna(spec, rng)
+    reference_rng = random.Random()
+    reference_rng.setstate(rng.getstate())
+    mutated = mutate(dna, spec, rng, exclude_current)
+    expected, point = reference_mutate(dna, spec, reference_rng, exclude_current)
+    assert mutated == expected and (mutated is dna) == (expected is dna)
+    assert rng.getstate() == reference_rng.getstate()
+    encode_dna(mutated, spec)
+    if exclude_current and point is not None:
+        if isinstance(point, CategoricalPoint):
+            single = count_tuples(point) == 1
+        else:
+            single = point.min == point.max
+        assert (mutated == dna) == single
 
 
 @settings(max_examples=200, deadline=None)
