@@ -20,6 +20,8 @@ from .decisions import (
     DecisionSpec,
     FloatPoint,
     IntPoint,
+    _emit,
+    _encode_points,
     count_tuples,
     encode_dna,
     enumerate_dnas,
@@ -33,10 +35,11 @@ from .errors import ExhaustedSpace, UnknownProposal, UnsupportedSpace
 class SearchAlgorithm:
     """Base class implementing the setup/propose/feedback bookkeeping.
 
-    The search loops call the ``_propose`` and ``_feedback`` hooks directly:
-    they encode (and so check) each proposal once and feed it through a
-    single-use handle.  ``propose`` and ``feedback`` are the checked manual
-    interface."""
+    The search loops call the ``_proposal`` and ``_feedback`` hooks directly:
+    ``_proposal`` gives a DNA and its text checked against ``self.spec`` (by
+    default, the encoding of what ``_propose`` returns), and both reach
+    ``_feedback`` through a single-use handle.  ``propose`` and ``feedback``
+    are the checked manual interface."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
@@ -58,9 +61,13 @@ class SearchAlgorithm:
     def propose(self) -> DNA:
         if self.spec is None:
             raise UnsupportedSpace("setup() must run before propose()")
-        dna = self._propose()
-        self._outstanding[encode_dna(dna, self.spec)] += 1
+        dna, text = self._proposal()
+        self._outstanding[text] += 1
         return dna
+
+    def _proposal(self) -> tuple[DNA, str]:
+        dna = self._propose()
+        return dna, encode_dna(dna, self.spec)
 
     def _propose(self) -> DNA:
         raise NotImplementedError
@@ -106,11 +113,11 @@ class Exhaustive(SearchAlgorithm):
 class RegularizedEvolution(SearchAlgorithm):
     """Evolution with an aging population.
 
-    The population is a FIFO queue of (DNA, reward) capped at
-    ``population_size``; the oldest member is evicted first.  Until the
+    The population is a FIFO queue of (sequence, DNA, reward, text) capped
+    at ``population_size``; the oldest member is evicted first.  Until the
     population has warmed up, proposals are uniform random.  Afterwards a
     tournament of ``tournament_size`` members picks the parent (ties go to
-    the earliest inserted) and a single decision point is mutated.
+    the earliest inserted) and a single decision point of it is mutated.
     """
 
     def __init__(self, population_size: int = 25, tournament_size: int = 5,
@@ -129,23 +136,27 @@ class RegularizedEvolution(SearchAlgorithm):
         self._feedback_count = 0
         self._insert_seq = 0
 
-    def _propose(self) -> DNA:
+    def _proposal(self) -> tuple[DNA, str]:
         if self._feedback_count < self.population_size:
-            return random_dna(self.spec, self.rng)
+            dna = random_dna(self.spec, self.rng)
+            return dna, encode_dna(dna, self.spec)
         contenders = self.rng.sample(list(self.population), self.tournament_size)
-        parent = max(contenders, key=lambda entry: (entry[2], -entry[0]))
-        return mutate(parent[1], self.spec, self.rng,
-                      exclude_current=not self.resample_includes_current)
+        _, parent, _, text = max(contenders, key=lambda entry: (entry[2], -entry[0]))
+        tokens = text.split("|")
+        child = mutate(parent, self.spec, self.rng,
+                       exclude_current=not self.resample_includes_current, tokens=tokens)
+        return child, text if child is parent else "|".join(tokens)
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
-        self.population.append((self._insert_seq, dna, reward))
+        self.population.append((self._insert_seq, dna, reward, text))
         self._insert_seq += 1
         self._feedback_count += 1
         while len(self.population) > self.population_size:
             self.population.popleft()
 
 
-def mutate(dna: DNA, spec: DecisionSpec, rng: Random, exclude_current: bool = True) -> DNA:
+def mutate(dna: DNA, spec: DecisionSpec, rng: Random, exclude_current: bool = True,
+           tokens: list | None = None) -> DNA:
     """Single-point mutation: resample one decision point chosen uniformly
     among the points active under the DNA's conditional path.
 
@@ -153,12 +164,16 @@ def mutate(dna: DNA, spec: DecisionSpec, rng: Random, exclude_current: bool = Tr
     whose feasible set is a singleton leaves the DNA unchanged.  When a
     categorical slot switches candidates, the child decisions for the new
     candidate are sampled fresh; slots keeping their candidate keep their
-    child decisions.
+    child decisions.  The child shares the lists off the path to the site
+    with `dna`; neither may change in place.  Given the canonical `tokens`
+    of a conforming `dna`, the resampled decision is checked (NonconformingDNA
+    names its point) and its tokens are spliced in place of the old ones.
     """
     total = _count_active(spec.points, dna.decisions)
     if not total:
         return dna
-    _, decisions = _mutated(spec.points, dna.decisions, rng.randrange(total), rng, exclude_current)
+    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng,
+                               exclude_current, tokens, 0)
     return dna if decisions is None else DNA(decisions)
 
 
@@ -173,27 +188,40 @@ def _count_active(points, decisions) -> int:
     return total
 
 
-def _mutated(points, decisions, site, rng: Random, exclude: bool):
+def _mutated(points, decisions, site, rng: Random, exclude: bool, tokens, at: int):
     """Walk `decisions` in pre-order to their `site`-th active decision and
-    resample it.  Returns ``(site less the decisions walked, None)`` when the
-    site lies beyond them, else ``(-1, rebuilt)``: `rebuilt` copies only the
-    lists on the path to the site, or is None if the resample kept it."""
+    resample it, counting in `at` the `tokens` walked.  Returns ``(site less
+    the decisions walked, None, at)`` when the site lies beyond them, else
+    ``(-1, rebuilt, at)``: `rebuilt` copies only the lists on the path to the
+    site, or is None if the resample kept it.  A new decision is checked and
+    spliced into `tokens` unless they are None."""
     for i, (point, decision) in enumerate(zip(points, decisions)):
         if not site:
             new = _resample(point, decision, rng, exclude)
-            return -1, None if new is decision else [*decisions[:i], new, *decisions[i + 1:]]
+            if new is decision:
+                return -1, None, at
+            if tokens is not None:
+                old, fresh = [], []
+                _emit(point, decision, old)
+                _encode_points([point], [new], fresh, None)
+                tokens[at:at + len(old)] = fresh
+            return -1, [*decisions[:i], new, *decisions[i + 1:]], at
         site -= 1
-        if isinstance(point, CategoricalPoint):
-            for slot, choice in enumerate(decision):
-                if subspace := point.subspaces[choice.index]:
-                    site, children = _mutated(subspace, choice.children, site, rng, exclude)
-                    if site < 0:
-                        if children is None:
-                            return -1, None
-                        new = list(decision)
-                        new[slot] = Choice(choice.index, children)
-                        return -1, [*decisions[:i], new, *decisions[i + 1:]]
-    return site, None
+        if not isinstance(point, CategoricalPoint):
+            at += 1
+            continue
+        for slot, choice in enumerate(decision):
+            at += 1
+            if subspace := point.subspaces[choice.index]:
+                site, children, at = _mutated(subspace, choice.children, site, rng, exclude,
+                                              tokens, at)
+                if site < 0:
+                    if children is None:
+                        return -1, None, at
+                    new = list(decision)
+                    new[slot] = Choice(choice.index, children)
+                    return -1, [*decisions[:i], new, *decisions[i + 1:]], at
+    return site, None, at
 
 
 def _resample(point, decision, rng: Random, exclude_current: bool):

@@ -41,7 +41,6 @@ from .decisions import (
     Selector,
     abstract_search_space,
     condition_spec,
-    encode_dna,
     filter_spec,
     merge_dna,
     split_dna,
@@ -184,11 +183,11 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
         yield child, handle
 
 
-def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
+def _proposals(algorithm: SearchAlgorithm, budget: int | None,
                strict: bool) -> Iterator[Feedback]:
-    """The proposal half of ``sample``: one feedback handle per proposed DNA,
-    after settling the previous handle if it was never fed.  Encoding the
-    proposal against `view` is the one check of what the algorithm made."""
+    """The proposal half of ``sample``: one feedback handle per DNA and
+    checked text from the algorithm's ``_proposal``, after settling the
+    previous handle if it was never fed."""
     produced = 0
     pending: Feedback | None = None
     while budget is None or produced < budget:
@@ -197,10 +196,9 @@ def _proposals(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | Non
                 raise FeedbackSkipped(f"trial for DNA {pending.dna_text!r} received no reward")
             pending(float("-inf"))
         try:
-            dna = algorithm._propose()
+            pending = Feedback(algorithm, *algorithm._proposal())
         except ExhaustedSpace:
             return
-        pending = Feedback(algorithm, dna, encode_dna(dna, view))
         produced += 1
         yield pending
 
@@ -394,7 +392,7 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
     if phase2_trials is None or not attempts:
         return report
     _, _, sub_spec, merge, algorithm = max(attempts, key=lambda attempt: attempt[:2])
-    _run_trials(report, _proposals(algorithm, sub_spec, phase2_trials, strict=True), oracle,
+    _run_trials(report, _proposals(algorithm, phase2_trials, strict=True), oracle,
                 timing, build, merge, offset=outer.trials)
     return report
 
@@ -420,5 +418,5 @@ def _loop(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
           strict: bool = True) -> Iterator[Feedback]:
     """Set `algorithm` up on `view` and return its feedback handles."""
     algorithm.setup(view)
-    return _proposals(algorithm, view, budget, strict)
+    return _proposals(algorithm, budget, strict)
 

@@ -123,13 +123,21 @@ class SyntheticNASOracle:
 
 
 class TableOracle:
-    """Precomputed rewards keyed by canonical DNA text."""
+    """Precomputed rewards keyed by canonical DNA text.  ``reward_from_dna``
+    checks a spec for float points once per spec object, held by identity."""
 
     def __init__(self, spec: DecisionSpec, rewards: dict[str, float]):
         if spec.is_continuous:
             raise ContinuousSpaceForTable("table oracles require fully discrete spaces")
         self.spec = spec
         self.rewards = dict(rewards)
+        self._discrete = spec  # the last spec found to be discrete, held, never an id
+
+    def reward_from_dna(self, dna: DNA, spec: DecisionSpec) -> float:
+        if spec is not self._discrete and spec.is_continuous:
+            raise ContinuousSpaceForTable("table oracles require fully discrete spaces")
+        self._discrete = spec
+        return self.lookup(encode_dna(dna, spec))
 
     def lookup(self, dna_text: str) -> float:
         try:
@@ -193,12 +201,8 @@ def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
 
 def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
     """Deterministic reward of one DNA under either oracle kind."""
-    if isinstance(oracle, SyntheticNASOracle):
+    if isinstance(oracle, (SyntheticNASOracle, TableOracle)):
         return oracle.reward_from_dna(dna, spec)
-    if isinstance(oracle, TableOracle):
-        if spec.is_continuous:
-            raise ContinuousSpaceForTable("table oracles require fully discrete spaces")
-        return oracle.lookup(encode_dna(dna, spec))
     raise TypeError(f"unsupported oracle {oracle!r}")
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import symsearch as ss
+from symsearch import algorithms
 from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, mutate
 from symsearch.decisions import (
     abstract_search_space,
@@ -133,6 +134,25 @@ def test_public_propose_and_seed_feedback_check_the_dna(small_spec):
     with pytest.raises(NonconformingDNA):
         algo.seed_feedback(ss.DNA([[ss.Choice(0)], 5]), 1.0)
     assert len(algo.population) == 0
+
+
+def test_public_propose_after_warm_up_splices_a_mutation_that_feedback_accepts(
+        small_spec, monkeypatch):
+    algo = RegularizedEvolution(2, 1, seed=0).setup(small_spec)
+    for reward in (0.0, 1.0):
+        algo.feedback(algo.propose(), reward)
+    mutated, encoded = [], []
+    monkeypatch.setattr(algorithms, "mutate",
+                        lambda *args, **kwargs: mutated.append(mutate(*args, **kwargs))
+                        or mutated[-1])
+    monkeypatch.setattr(algorithms, "encode_dna",
+                        lambda *args: encoded.append(encode_dna(*args)) or encoded[-1])
+    child = algo.propose()
+    assert mutated == [child] and encoded == []
+    assert all(child is not entry[1] for entry in algo.population)
+    assert list(algo._outstanding.elements()) == [encode_dna(child, small_spec)]
+    algo.feedback(child, 2.0)
+    assert algo.population[-1][1:] == (child, 2.0, encode_dna(child, small_spec))
 
 
 def test_random_ignores_feedback(small_spec):

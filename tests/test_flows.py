@@ -13,7 +13,7 @@ import pytest
 
 import symsearch as ss
 from conftest import strict_json
-from symsearch import cli, decisions
+from symsearch import algorithms, cli, decisions
 from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, SearchAlgorithm
 from symsearch.decisions import DNA, Choice, abstract_search_space, enumerate_dnas, minimal_dna
 from symsearch.errors import (
@@ -418,8 +418,8 @@ def count_calls(monkeypatch, name, module=decisions):
     original = getattr(module, name)
     seen = []
 
-    def counted(*args):
-        seen.append(original(*args))
+    def counted(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
         return seen[-1]
 
     for module in list(sys.modules.values()):
@@ -428,14 +428,28 @@ def count_calls(monkeypatch, name, module=decisions):
     return seen
 
 
+class EncodesInFull(RegularizedEvolution):
+    """Regularized evolution proposing through ``_propose``, so that every
+    proposal, mutations included, is encoded in full."""
+
+    _proposal = SearchAlgorithm._proposal
+
+    def _propose(self):
+        return RegularizedEvolution._proposal(self)[0]
+
+
 def test_joint_encodes_each_trial_once_and_never_validates(monkeypatch, bench):
+    """Only the warm-up proposals are encoded; a mutation splices its
+    parent's text, which gives the texts of full encoding."""
     space, spec, oracle, reward = bench
+    expected = run_joint(space, EncodesInFull(4, 2, seed=0), reward, 12, seed=0)
     encoded = count_calls(monkeypatch, "encode_dna")
     validated = count_calls(monkeypatch, "validate_dna")
     report = run_joint(space, RegularizedEvolution(4, 2, seed=0), reward, 12, seed=0)
     assert validated == []
-    assert encoded == [record.dna for record in report.records]
-    assert len(encoded) == 12
+    assert encoded == [record.dna for record in report.records[:4]]
+    assert [record.dna for record in report.records] == \
+        [record.dna for record in expected.records]
 
 
 def test_joint_over_a_space_builds_each_child_once(monkeypatch, bench):
@@ -478,6 +492,7 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     partial = count_calls(monkeypatch, "materialize_partial_prepared", materialize_module)
     extracted = count_calls(monkeypatch, "abstract_search_space")
     encoded = count_calls(monkeypatch, "encode_dna")
+    mutated = count_calls(monkeypatch, "mutate", algorithms)
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
                          "--oracle", "synthetic", "--algo", "regevo", "--population", "4",
@@ -488,7 +503,8 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     assert len(extracted) == 1
     outer_proposals = 3 if flow in ("factorized", "hybrid") else 0
     pivot_check = 1 if flow == "separate" else 0  # the default pivot DNA is checked once
-    assert len(encoded) == oracle_calls + outer_proposals + pivot_check
+    assert (len(mutated) > 0) == (flow != "factorized")
+    assert len(encoded) == oracle_calls + outer_proposals - len(mutated) + pivot_check
 
 
 def test_separate_over_a_spec_needs_a_dna_pivot(bench):

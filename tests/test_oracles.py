@@ -9,7 +9,15 @@ import re
 import pytest
 
 import symsearch as ss
-from symsearch.decisions import DNA, abstract_search_space, decode_dna, enumerate_dnas, encode_dna
+from symsearch.algorithms import RandomSearch
+from symsearch.decisions import (
+    DNA,
+    DecisionSpec,
+    abstract_search_space,
+    decode_dna,
+    encode_dna,
+    enumerate_dnas,
+)
 from symsearch.errors import (
     BadDimensions,
     ContinuousSpaceForTable,
@@ -17,6 +25,7 @@ from symsearch.errors import (
     UnknownKey,
     UnsupportedSpace,
 )
+from symsearch.flows import run_joint
 from symsearch.hyper import floatv
 from symsearch.oracles import (
     SyntheticNASOracle,
@@ -255,6 +264,32 @@ def test_table_requires_discrete_space():
     spec = abstract_search_space(floatv(0, 1))
     with pytest.raises(ContinuousSpaceForTable):
         TableOracle(spec, {})
+
+
+def test_table_run_walks_its_spec_for_floats_once(monkeypatch):
+    space = build_nasbench_space(2, 2)
+    table = dump_table(space, SyntheticNASOracle(2, 2, seed=3))
+    spec = abstract_search_space(space)  # not the table's own spec object
+    walks = []
+    walk = DecisionSpec.is_continuous.fget
+    monkeypatch.setattr(DecisionSpec, "is_continuous",
+                        property(lambda self: walks.append(self) or walk(self)))
+    report = run_joint(spec, RandomSearch(seed=0),
+                       lambda child, dna: eval_oracle(table, dna, spec), 10)
+    assert report.oracle_calls == 10
+    assert walks == [spec]
+
+
+def test_table_refuses_a_continuous_spec_at_every_call():
+    space = build_nasbench_space(2, 2)
+    table = dump_table(space, SyntheticNASOracle(2, 2, seed=3))
+    spec = abstract_search_space(space)
+    eval_oracle(table, decode_dna("0|0|0", spec), spec)
+    continuous = abstract_search_space(ss.Sequence([space, floatv(0, 1)]))
+    dna = DNA(decode_dna("0|0|0", spec).decisions + [0.5])
+    for _ in range(2):
+        with pytest.raises(ContinuousSpaceForTable):
+            eval_oracle(table, dna, continuous)
 
 
 def test_exhaustive_joint_matches_brute_force_m4():

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
 from conftest import HOLDERS, SpaceGenerator
-from symsearch.algorithms import _resample, mutate
+from symsearch import algorithms
+from symsearch.algorithms import RegularizedEvolution, _resample, mutate
 from symsearch.decisions import (
     DNA,
     CategoricalPoint,
@@ -32,7 +33,8 @@ from symsearch.decisions import (
     split_dna,
 )
 from symsearch.errors import ConstraintViolation, EmptyCandidates, KTooLarge, NonconformingDNA
-from symsearch.hyper import Categorical, floatv, oneof
+from symsearch.flows import run_joint
+from symsearch.hyper import Categorical, floatv, intv, manyof, oneof
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
 from symsearch.values import ObjectNode, Primitive
@@ -194,6 +196,64 @@ def test_mutate_conforms_moves_and_matches_the_site_list_reference(space, seed, 
         else:
             single = point.min == point.max
         assert (mutated == dna) == single
+
+
+def with_tuples(space):
+    """`with_floats(space)` followed by a k=2 categorical whose candidates
+    hold an int, a float and nothing."""
+    return ss.Sequence([with_floats(space),
+                        manyof(2, [ss.Sequence([0, intv(0, 3)]), floatv(0.0, 1.0), 5],
+                               distinct=False)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       extended=st.booleans(), integral=st.booleans(), exclude_current=st.booleans())
+def test_mutate_splices_the_text_of_the_child_into_the_tokens(space, seed, extended,
+                                                              integral, exclude_current):
+    """Given its DNA's tokens, ``mutate`` makes the same child and leaves
+    the rng in the same state, and the tokens become the child's text.  With
+    `integral`, the top-level float decision is an int, which a float token
+    spells as a float."""
+    spec = abstract_search_space(with_tuples(space) if extended else space)
+    rng = random.Random(seed)
+    dna = random_dna(spec, rng)
+    if extended and integral:
+        dna.decisions[-3] = round(dna.decisions[-3])
+    plain_rng = random.Random()
+    plain_rng.setstate(rng.getstate())
+    tokens = encode_dna(dna, spec).split("|")
+    child = mutate(dna, spec, rng, exclude_current, tokens=tokens)
+    plain = mutate(dna, spec, plain_rng, exclude_current)
+    assert child == plain and (child is dna) == (plain is dna)
+    assert rng.getstate() == plain_rng.getstate()
+    assert "|".join(tokens) == encode_dna(child, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       with_float=st.booleans())
+def test_a_mutation_checks_its_resampled_decision(space, seed, with_float):
+    """A mutated decision outside its point's range stops the joint flow
+    before the oracle sees it, naming that point."""
+    spec = abstract_search_space(with_floats(space) if with_float else space)
+    assume(not spec.is_empty)
+    resampled = []
+
+    def resample(point, decision, rng, exclude_current):  # leaves the point's range
+        resampled.append(point)
+        if isinstance(point, CategoricalPoint):
+            return [Choice(point.n) for _ in range(point.k)]
+        return point.max + 1
+
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithms, "_resample", resample)
+        with pytest.raises(NonconformingDNA) as caught:
+            run_joint(spec, RegularizedEvolution(1, 1, seed=seed),
+                      lambda child, dna: calls.append(dna) or 0.0, 2)
+    assert len(calls) == 1 and len(resampled) == 1
+    assert caught.value.point_id == resampled[0].id
 
 
 @settings(max_examples=200, deadline=None)
