@@ -30,7 +30,7 @@ from .decisions import (
     split_dna,
     validate_dna,
 )
-from .eager import EagerContext, eager_floatv, eager_intv, eager_oneof, run_eager
+from .eager import EagerContext, eager_floatv, eager_intv, eager_oneof, eager_problem, run_eager
 from .errors import SymsearchError
 from .flows import (
     Feedback,
@@ -106,7 +106,7 @@ __all__ = [
     "abstract_search_space", "condition_spec", "decode_dna", "encode_dna", "enumerate_dnas",
     "filter_spec", "isomorphic", "merge_dna", "minimal_dna", "random_dna", "spec_to_json_obj",
     "split_dna", "validate_dna",
-    "EagerContext", "eager_floatv", "eager_intv", "eager_oneof", "run_eager",
+    "EagerContext", "eager_floatv", "eager_intv", "eager_oneof", "eager_problem", "run_eager",
     "SymsearchError",
     "Feedback", "FlowReport", "SearchLoop", "TrialRecord", "run_factorized", "run_hybrid",
     "run_joint", "run_separate", "sample", "top5_average",

@@ -120,8 +120,7 @@ class RegularizedEvolution(SearchAlgorithm):
     the earliest inserted) and a single decision point of it is mutated.
     """
 
-    def __init__(self, population_size: int = 25, tournament_size: int = 5,
-                 seed: int = 0, resample_includes_current: bool = False):
+    def __init__(self, population_size: int = 25, tournament_size: int = 5, seed: int = 0):
         super().__init__(seed)
         if population_size < 1:
             raise ValueError("population_size must be >= 1")
@@ -129,7 +128,6 @@ class RegularizedEvolution(SearchAlgorithm):
             raise ValueError("tournament_size must be in [1, population_size]")
         self.population_size = population_size
         self.tournament_size = tournament_size
-        self.resample_includes_current = resample_includes_current
 
     def _setup(self) -> None:
         self.population: deque = deque()
@@ -143,8 +141,7 @@ class RegularizedEvolution(SearchAlgorithm):
         contenders = self.rng.sample(list(self.population), self.tournament_size)
         _, parent, _, text = max(contenders, key=lambda entry: (entry[2], -entry[0]))
         tokens = text.split("|")
-        child = mutate(parent, self.spec, self.rng,
-                       exclude_current=not self.resample_includes_current, tokens=tokens)
+        child = mutate(parent, self.spec, self.rng, tokens=tokens)
         return child, text if child is parent else "|".join(tokens)
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:

@@ -369,13 +369,8 @@ def minimal_dna(spec: DecisionSpec) -> DNA:
 def _minimal_decision(point):
     if isinstance(point, (IntPoint, FloatPoint)):
         return point.min
-    prefix: list[int] = []
-    choices = []
-    for _ in range(point.k):
-        index = next(_feasible_indices(point.n, point.distinct, point.sorted, prefix))
-        prefix.append(index)
-        choices.append(Choice(index, [_minimal_decision(p) for p in point.subspaces[index]]))
-    return choices
+    return [Choice(index, [_minimal_decision(p) for p in point.subspaces[index]])
+            for index in (range(point.k) if point.distinct else [0] * point.k)]
 
 
 # ---------------------------------------------------------------------------

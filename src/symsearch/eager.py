@@ -12,6 +12,10 @@ collection pass enters every thunk to register its nested decision points,
 while an apply run executes only the chosen one.  Programs must be
 deterministic in their decision sequence; a run that requests more or
 different decisions than were registered raises DecisionStreamMismatch.
+
+``eager_problem`` makes a program a search problem that every flow takes:
+the collected spec and a reward that re-runs the program with a trial's DNA.
+``run_eager`` is the joint flow over it.
 """
 
 from __future__ import annotations
@@ -20,15 +24,9 @@ from contextvars import ContextVar
 from typing import Callable
 
 from .algorithms import SearchAlgorithm
-from .decisions import (
-    DNA,
-    CategoricalPoint,
-    DecisionSpec,
-    FloatPoint,
-    IntPoint,
-)
+from .decisions import DNA, CategoricalPoint, DecisionSpec, FloatPoint, IntPoint
 from .errors import BadRange, DecisionStreamMismatch, EmptyCandidates
-from .flows import FlowReport, _loop, _run_trials
+from .flows import FlowReport, RewardFn, run_joint
 
 _current: ContextVar["EagerContext | None"] = ContextVar("eager_context", default=None)
 
@@ -119,10 +117,11 @@ class EagerContext:
         return f"{scope.prefix}d{len(scope.points)}"
 
 
-def _context(ctx: EagerContext | None) -> EagerContext:
-    ctx = ctx or _current.get()
+def _context() -> EagerContext:
+    ctx = _current.get()
     if ctx is None:
-        raise RuntimeError("no active eager context; call through run_eager or enter an EagerContext")
+        raise RuntimeError("no active eager context; call through run_eager or the reward of "
+                           "eager_problem, or enter an EagerContext")
     return ctx
 
 
@@ -139,13 +138,13 @@ def _evaluate(candidate, ctx: EagerContext, points: list, decisions: list | None
         ctx.pop(call_index)
 
 
-def eager_oneof(candidates, hints: str | None = None, ctx: EagerContext | None = None):
+def eager_oneof(candidates, hints: str | None = None):
     """Inline choice over candidates; zero-argument callables are conditional
     branches whose hyper values register under this point."""
     candidates = list(candidates)
     if not candidates:
         raise EmptyCandidates("eager choice needs at least one candidate")
-    ctx = _context(ctx)
+    ctx = _context()
     call_index = ctx.next_call_index()
     if ctx.mode == COLLECT:
         point = CategoricalPoint(
@@ -167,12 +166,11 @@ def eager_oneof(candidates, hints: str | None = None, ctx: EagerContext | None =
                      point.subspaces[choice.index], choice.children, call_index)
 
 
-def eager_intv(min: int, max: int, hints: str | None = None,
-               ctx: EagerContext | None = None) -> int:
+def eager_intv(min: int, max: int, hints: str | None = None) -> int:
     """Inline integer range; the collection pass returns the minimum."""
     if min > max:
         raise BadRange(f"intv: min {min} > max {max}")
-    ctx = _context(ctx)
+    ctx = _context()
     call_index = ctx.next_call_index()
     if ctx.mode == COLLECT:
         ctx.register(IntPoint(ctx.point_id(), min, max, hints))
@@ -183,12 +181,11 @@ def eager_intv(min: int, max: int, hints: str | None = None,
     return decision
 
 
-def eager_floatv(min: float, max: float, hints: str | None = None,
-                 ctx: EagerContext | None = None) -> float:
+def eager_floatv(min: float, max: float, hints: str | None = None) -> float:
     """Inline float range; the collection pass returns the minimum."""
     if min > max:
         raise BadRange(f"floatv: min {min} > max {max}")
-    ctx = _context(ctx)
+    ctx = _context()
     call_index = ctx.next_call_index()
     if ctx.mode == COLLECT:
         ctx.register(FloatPoint(ctx.point_id(), float(min), float(max), hints))
@@ -199,29 +196,32 @@ def eager_floatv(min: float, max: float, hints: str | None = None,
     return float(decision)
 
 
-def run_eager(program: Callable[[], float], algorithm: SearchAlgorithm,
-              budget: int, seed: int | None = None,
-              timing: bool = False) -> FlowReport:
-    """Search over a define-by-run program.
-
-    The collection pass runs the program once with defaults (its reward is
-    discarded and not counted against the budget); every trial afterwards
-    re-runs it in apply mode with a proposed DNA.
-    """
+def eager_problem(program: Callable[[], float]) -> tuple[DecisionSpec, RewardFn]:
+    """``(spec, reward)`` of a define-by-run program.  The collection pass
+    runs here, once.  ``reward(child, dna)`` ignores `child` and re-runs the
+    program in apply mode with the full-space `dna`, returning what the
+    program returns for the flow to check as a reward."""
     ctx = EagerContext()
-
-    def apply(_child, dna: DNA) -> float:
-        ctx.begin_apply(dna)
-        reward = float(program())
-        ctx.end_run()
-        return reward
-
     with ctx:
         ctx.begin_collect()
         program()
         ctx.end_run()
-        spec = ctx.spec()
-        report = FlowReport("eager", {"trials": budget}, seed)
-        # There is no child tree: the oracle re-runs the program itself.
-        _run_trials(report, _loop(algorithm, spec, budget), apply, timing)
+
+    def reward(_child, dna: DNA):
+        with ctx:
+            ctx.begin_apply(dna)
+            value = program()
+            ctx.end_run()
+        return value
+
+    return ctx.spec(), reward
+
+
+def run_eager(program: Callable[[], float], algorithm: SearchAlgorithm, budget: int,
+              seed: int | None = None, timing: bool = False) -> FlowReport:
+    """``run_joint`` over ``eager_problem(program)``, reported as flow
+    ``"eager"``; the collection pass is not counted against the budget."""
+    spec, reward = eager_problem(program)
+    report = run_joint(spec, algorithm, reward, budget, seed, timing)
+    report.flow = "eager"
     return report

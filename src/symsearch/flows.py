@@ -15,13 +15,13 @@ sub-space being the spec conditioned on a selection (``condition_spec``):
 * hybrid     - factorized phase, then resume the best sub-space with its
                retained inner algorithm state; a * b + c calls.
 
-Every driver, and ``eager.run_eager``, runs its trials through one trial
-step, ``_run_trials``.  Reward functions are called as ``oracle(child, dna)``
-with the trial's full-space DNA, so tabular oracles keyed by canonical text
-work in every flow.  Given a symbolic space, a driver builds each child once,
-from the root space with that DNA; given a ``DecisionSpec``, it builds none
-and calls ``oracle(None, dna)``, as the CLI does.  The separate flow's pivot
-may be a full-space DNA, and must be one over a spec.
+Every driver runs its trials through one trial step, ``_run_trials``.
+Reward functions are called as ``oracle(child, dna)`` with the trial's
+full-space DNA, so tabular oracles keyed by canonical text work in every
+flow.  Given a symbolic space, a driver builds each child once, from the
+root space with that DNA; given a ``DecisionSpec`` (the CLI's problem, or
+``eager.eager_problem``'s), it builds none and calls ``oracle(None, dna)``.
+The separate flow's pivot may be a full-space DNA, and must be one over a spec.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
         if partition is None:
             child = materialize_prepared(space, spec, handle.dna)
         else:
-            child = materialize_partial_prepared(space, spec, view, handle.dna, partition)
+            child = materialize_partial_prepared(space, spec, handle.dna, partition)
         yield child, handle
 
 
@@ -207,7 +207,7 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
                 timing: bool, build: Callable[[DNA], SymbolicValue] | None = None,
                 merge: Callable[[DNA, list], DNA] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
-    """The trial step of every flow, eager included.
+    """The trial step of every flow.
 
     For each feedback handle: map the loop DNA to the full-space DNA with
     ``merge(dna, tokens)``, which appends that DNA's canonical tokens to

@@ -84,15 +84,13 @@ def materialize_partial(space, dna_subset: DNA, selector: Selector) -> SymbolicV
         logger.warning("partition selector matched no decision points; space unchanged")
         return clone(space)
     validate_dna(dna_subset, fspec)
-    return materialize_partial_prepared(space, spec, fspec, dna_subset, selector)
+    return materialize_partial_prepared(space, spec, dna_subset, selector)
 
 
-def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec,
-                                 fspec: DecisionSpec, dna_subset: DNA,
+def materialize_partial_prepared(space: SymbolicValue, spec: DecisionSpec, dna_subset: DNA,
                                  selector: Selector) -> SymbolicValue:
-    """Loop-friendly variant of :func:`materialize_partial`; `spec` and
-    `fspec` must be the extraction and its selector-filtered view, and
-    `dna_subset` must conform to `fspec`."""
+    """Loop-friendly variant of :func:`materialize_partial`; `spec` must be the
+    extraction and `dna_subset` conform to its selector-filtered view."""
     return _run_plan(space, spec, selector, dna_subset)
 
 

@@ -208,10 +208,11 @@ def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
 
 def spec_from_json_obj(doc: dict) -> DecisionSpec:
     """Parse the JSON rendering produced by ``spec_to_json_obj``.  Ids must
-    be text, counts and int bounds JSON integers, flags booleans and float
-    bounds finite numbers, ``points`` and each subspace lists of point
-    objects, and a categorical's ``n`` must count its subspaces; anything
-    else raises MalformedDocument."""
+    be text, hints text or null, counts and int bounds JSON integers, flags
+    booleans, float bounds finite numbers, and ``points`` and each subspace
+    lists of point objects.  A point must be one the hyper constructors
+    allow: ``n`` counts the subspaces, ``k, n >= 1``, ``k <= n`` if distinct
+    and ``min <= max``.  Anything else raises MalformedDocument."""
     def parse_points(points, where):
         if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
             raise MalformedDocument(f"{where} must be a list of point objects, got {points!r}")
@@ -221,25 +222,35 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
         kind = _field(obj, "kind", str, "text", label="point")
         label = f"{kind} point {obj.get('id')!r}"
         point_id = _field(obj, "id", str, "text", label=label)
+        hints = _field(obj, "hints", (str, type(None)), "text or null", label=label)
         integer = lambda key: _field(obj, key, int, "an integer", label=label)
         flag = lambda key: _field(obj, key, bool, "true or false", label=label)
+        def require(holds, key, rule):
+            if not holds:
+                raise MalformedDocument(f"{label} {key} must {rule}, got {obj[key]!r}")
         if kind == "categorical":
             point = CategoricalPoint(
                 id=point_id, k=integer("k"), n=integer("n"),
                 distinct=flag("distinct"), sorted=flag("sorted"),
                 subspaces=[parse_points(sub, f"{label} subspaces[{i}]") for i, sub
                            in enumerate(_field(obj, "subspaces", list, "a list", label=label))],
-                hints=obj.get("hints"),
+                hints=hints,
             )
-            if point.n != len(point.subspaces):
-                raise MalformedDocument(f"{label} n must equal its number of subspaces, "
-                                        f"{len(point.subspaces)}, got {point.n}")
+            require(point.n == len(point.subspaces), "n",
+                    f"equal its number of subspaces, {len(point.subspaces)}")
+            require(point.n >= 1, "n", "be at least 1")
+            require(point.k >= 1, "k", "be at least 1")
+            require(point.k <= point.n or not point.distinct, "k",
+                    f"be at most n, {point.n}, when distinct")
             return point
         if kind == "int":
-            return IntPoint(point_id, integer("min"), integer("max"), obj.get("hints"))
-        if kind == "float":
-            return FloatPoint(point_id, _finite(obj, "min", label), _finite(obj, "max", label),
-                              obj.get("hints"))
-        raise MalformedDocument(f"unknown decision kind {kind!r}")
+            point = IntPoint(point_id, integer("min"), integer("max"), hints)
+        elif kind == "float":
+            point = FloatPoint(point_id, _finite(obj, "min", label), _finite(obj, "max", label),
+                               hints)
+        else:
+            raise MalformedDocument(f"unknown decision kind {kind!r}")
+        require(point.min <= point.max, "min", f"be at most max, {obj['max']!r}")
+        return point
 
     return DecisionSpec(parse_points(doc.get("points"), "spec points"))

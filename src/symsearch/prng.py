@@ -26,11 +26,9 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
+        value = mix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return value
 
     def next_unit(self) -> float:
         """A float in [0, 1) with 53 uniform bits."""

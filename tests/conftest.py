@@ -148,15 +148,17 @@ class SpaceGenerator:
     whose spec constrains it.  The holder is drawn from a second Random, seeded
     from the first one's state, so the random draws are the same either way;
     a holder whose spec rejects the value gives way to the first holder of
-    its kind.
+    its kind.  With ``only_oneof`` every categorical is a one-of, so that a
+    space holds only the kinds eager mode writes (with floats added).
     """
 
     def __init__(self, rng: random.Random, with_hints: bool = False, max_depth: int = 3,
-                 with_types: bool = False):
+                 with_types: bool = False, only_oneof: bool = False):
         self.rng = rng
         self.with_hints = with_hints
         self.max_depth = max_depth
         self.with_types = with_types
+        self.only_oneof = only_oneof
         self._holders = random.Random(str(rng.getstate()))
         self._tags = itertools.count()
 
@@ -180,7 +182,7 @@ class SpaceGenerator:
         if roll < 0.6:
             lo = self.tag() * 10
             return self.typed(intv(lo, lo + self.rng.randint(0, 3), hints=self.hint()))
-        if roll < 0.75:
+        if roll < 0.75 or self.only_oneof:
             return self.typed(oneof([self.candidate(depth)
                                      for _ in range(self.rng.randint(2, 3))],
                                     hints=self.hint()))

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import symsearch as ss
 from symsearch.algorithms import Exhaustive, RandomSearch
 from symsearch.decisions import abstract_search_space, isomorphic
-from symsearch.eager import EagerContext, eager_floatv, eager_intv, eager_oneof, run_eager
-from symsearch.errors import DecisionStreamMismatch
+from symsearch.eager import (
+    EagerContext,
+    eager_floatv,
+    eager_intv,
+    eager_oneof,
+    eager_problem,
+    run_eager,
+)
+from symsearch.errors import DecisionStreamMismatch, InvalidReward
 from symsearch.hyper import floatv, intv, oneof
 
 
@@ -94,7 +103,7 @@ def test_under_consumption_raises():
 
 
 def test_eager_calls_outside_context_rejected():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="eager_problem"):
         eager_oneof([1, 2])
 
 
@@ -153,3 +162,43 @@ def test_only_chosen_thunk_executes_in_apply():
     assert report.oracle_calls == 3
     # collection runs both branches once; apply runs only the chosen one
     assert executions == {"left": 1 + 2, "right": 1 + 1}
+
+
+@pytest.mark.parametrize("value", [None, "abc", math.nan, math.inf],
+                         ids=["none", "text", "nan", "inf"])
+def test_a_reward_that_is_not_a_number_raises_invalid_reward(value):
+    """Neither the collection pass's value nor a good trial's is refused."""
+    def program():
+        pick = eager_oneof([0, 1])
+        eager_intv(2, 2)
+        return value if pick else 0.0
+
+    with pytest.raises(InvalidReward, match=r"oracle returned .* for DNA '1\|2'"):
+        run_eager(program, Exhaustive(), budget=4)
+
+
+def test_eager_problem_runs_the_factorized_flow():
+    """The factorized flow over an eager program's (spec, reward): a * b
+    trials, each re-running the program with the merged full-space DNA."""
+    seen = []
+
+    def program():
+        op = eager_oneof([lambda: ("conv", eager_intv(1, 3)), lambda: ("dense", eager_intv(4, 6))],
+                         hints="op")
+        rate = eager_floatv(0.0, 1.0)
+        seen.append((op, rate))
+        return op[1] + rate
+
+    spec, reward = eager_problem(program)
+    assert len(seen) == 1  # the collection pass runs once, in eager_problem
+    select = lambda point: point.hints == "op"
+    loop = lambda trials: ss.SearchLoop(lambda seed: ss.RegularizedEvolution(2, 1, seed=seed),
+                                        trials)
+    report = ss.run_factorized(spec, select, loop(3), loop(4), reward)
+    assert report.oracle_calls == 3 * 4 == len(seen) - 1
+    assert [record.reward for record in report.records] == [op[1] + rate
+                                                           for op, rate in seen[1:]]
+    for record, (op, rate) in zip(report.records, seen[1:]):
+        index = record.dna.split("|")[0]
+        assert op[0] == ("conv", "dense")[int(index)]
+        assert record.dna == f"{index}|{op[1]}|{rate!r}"

@@ -125,7 +125,7 @@ def test_prepared_builds_follow_the_space_not_an_equal_spec():
             for base, space in spaces.items():
                 for index in (0, 1):
                     dna = DNA([[Choice(index)]])
-                    child = (materialize_partial_prepared(space, spec, spec, dna, select) if partial
+                    child = (materialize_partial_prepared(space, spec, dna, select) if partial
                              else materialize_prepared(space, spec, dna))
                     assert ss.equal(child, Slot(value=base + index))
                     children[base].append(child)

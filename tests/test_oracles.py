@@ -234,6 +234,45 @@ def test_table_load_rejects_a_wrong_count_or_a_non_text_id(tmp_path, fields, mes
         TableOracle.load(path)
 
 
+def categorical(k, n, distinct=True, **fields):
+    return {"kind": "categorical", "id": "c", "k": k, "n": n, "distinct": distinct,
+            "sorted": False, "hints": None, "subspaces": [[] for _ in range(n)], **fields}
+
+
+@pytest.mark.parametrize("point, message", [
+    (categorical(0, 2), "categorical point 'c' k must be at least 1, got 0"),
+    (categorical(0, 2, distinct=False), "categorical point 'c' k must be at least 1, got 0"),
+    (categorical(1, 0), "categorical point 'c' n must be at least 1, got 0"),
+    (categorical(3, 2), "categorical point 'c' k must be at most n, 2, when distinct, got 3"),
+    ({"kind": "int", "id": "i", "min": 3, "max": 2},
+     "int point 'i' min must be at most max, 2, got 3"),
+    ({"kind": "float", "id": "f", "min": 1.5, "max": 0.5, "hints": None},
+     "float point 'f' min must be at most max, 0.5, got 1.5"),
+    ({"kind": "int", "id": "i", "min": 0, "max": 2, "hints": 7},
+     "int point 'i' hints must be text or null, got 7"),
+    (categorical(1, 2, hints=["op"]), "categorical point 'c' hints must be text or null, "
+                                      "got ['op']"),
+    (categorical(1, 1, subspaces=[[{"kind": "int", "id": "c.i", "min": 1, "max": 0}]]),
+     "int point 'c.i' min must be at most max, 0, got 1"),
+], ids=["k0", "k0-repeats", "n0", "k-above-n", "int-range", "float-range", "int-hints",
+        "categorical-hints", "nested"])
+def test_table_load_refuses_a_point_no_constructor_allows(tmp_path, point, message):
+    """The rules of the hyper constructors; without them such a spec loads,
+    and its minimal or random DNA fails or lies outside its range."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"spec": {"points": [point]}, "rewards": {}}))
+    with pytest.raises(MalformedDocument, match=rf"bad table file .*: {re.escape(message)}$"):
+        TableOracle.load(path)
+
+
+def test_table_load_takes_repeated_choices_beyond_n(tmp_path):
+    """A categorical that may repeat a candidate may choose more than n."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"spec": {"points": [categorical(3, 2, distinct=False)]},
+                                "rewards": {"0|0|1": 0.5}}))
+    assert TableOracle.load(path).rewards == {"0|0|1": 0.5}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(rewards=[]), "table rewards must be an object, got []"),
     (lambda doc: doc.pop("rewards"), "table rewards must be an object, it is missing"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,14 +28,16 @@ from symsearch.decisions import (
     enumerate_dnas,
     filter_spec,
     isomorphic,
+    iter_all_points,
     merge_dna,
     minimal_dna,
     random_dna,
     split_dna,
 )
+from symsearch.eager import eager_floatv, eager_intv, eager_oneof, eager_problem
 from symsearch.errors import ConstraintViolation, EmptyCandidates, KTooLarge, NonconformingDNA
 from symsearch.flows import run_joint
-from symsearch.hyper import Categorical, floatv, intv, manyof, oneof
+from symsearch.hyper import Categorical, FloatRange, IntRange, floatv, intv, manyof, oneof
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
 from symsearch.values import ObjectNode, Primitive
@@ -575,3 +578,69 @@ def test_flows_give_the_same_records_over_the_spec_and_the_space(space, flow, se
     expected = outcome(spec, pivot, spec_reward)
     assert outcome(space, pivot, space_reward) == expected
     assert outcome(space, materialize(space, pivot), space_reward) == expected
+
+
+def eager_replay(node, tokens: list):
+    """A function that makes the decisions of `node`, a space of one-ofs,
+    ints and floats, with the eager calls: in the pre-order of its spec, with
+    the same hints, every candidate passed as a thunk.  It appends the
+    canonical token of each decision it makes to `tokens`."""
+    if isinstance(node, Categorical):
+        branches = [partial(eager_branch, str(index), eager_replay(candidate, tokens), tokens)
+                    for index, candidate in enumerate(node.candidates)]
+        return lambda: eager_oneof(branches, hints=node.hints)
+    if isinstance(node, IntRange):
+        return lambda: tokens.append(str(eager_intv(node.min, node.max, node.hints)))
+    if isinstance(node, FloatRange):
+        return lambda: tokens.append(repr(eager_floatv(node.min, node.max, node.hints)))
+    parts = [eager_replay(child, tokens) for _, child in node.child_items()]
+    return lambda: [part() for part in parts]
+
+
+def eager_branch(token: str, replay, tokens: list):
+    tokens.append(token)
+    replay()
+
+
+def nested_selected(points, select) -> bool:
+    """Whether every point nested under a selected point is selected."""
+    return all(select(nested) for point in iter_all_points(points)
+               if select(point) and isinstance(point, CategoricalPoint)
+               for subspace in point.subspaces for nested in iter_all_points(subspace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=seeded_spaces(with_hints=True, only_oneof=True),
+       selector=st.sampled_from(sorted(SELECTORS)))
+def test_an_eager_replay_of_a_space_is_the_same_search_problem(space, selector):
+    """The paper's claim that a define-by-run program and its symbolic space
+    are one search problem: the replay's spec is isomorphic, and every flow
+    gives the same records when the symbolic reward reads the DNA's text and
+    the program returns the same value from the decisions it made."""
+    space = with_floats(space)
+    spec = abstract_search_space(space)
+    text_reward = lambda text: zlib.crc32(text.encode()) / 2 ** 32
+    tokens = []
+    replay = eager_replay(space, tokens)
+
+    def program():
+        tokens.clear()
+        replay()
+        return text_reward("|".join(tokens))
+
+    eager_spec, eager_reward = eager_problem(program)
+    assert isomorphic(eager_spec, spec)
+    select, pivot = SELECTORS[selector], minimal_dna(spec)
+
+    def outcome(flow, problem, oracle):
+        try:
+            report = FLOWS[flow](problem, select, pivot, oracle)
+        except ss.SymsearchError as exc:
+            return type(exc)
+        return [record.to_json_obj() for record in report.records]
+
+    for flow in sorted(FLOWS):
+        if flow == "separate" and not nested_selected(spec.points, select):
+            continue
+        expected = outcome(flow, space, lambda child, dna: text_reward(encode_dna(dna, spec)))
+        assert outcome(flow, eager_spec, eager_reward) == expected
