@@ -25,34 +25,27 @@ from typing import Callable
 
 from .algorithms import SearchAlgorithm
 from .decisions import DNA, CategoricalPoint, DecisionSpec, FloatPoint, IntPoint
-from .errors import BadRange, DecisionStreamMismatch, EmptyCandidates
+from .errors import DecisionStreamMismatch, EmptyCandidates
 from .flows import FlowReport, RewardFn, run_joint
+from .hyper import check_range
 
 _current: ContextVar["EagerContext | None"] = ContextVar("eager_context", default=None)
-
-COLLECT = "collect"
-APPLY = "apply"
-
-
-class _Scope:
-    """One nesting level: the registered points plus an apply cursor."""
-
-    def __init__(self, points: list, decisions: list | None, prefix: str = ""):
-        self.points = points
-        self.decisions = decisions
-        self.prefix = prefix
-        self.cursor = 0
+_NO_CONTEXT = ("no active eager context; call through run_eager or the reward of eager_problem, "
+               "or enter an EagerContext")
 
 
 class EagerContext:
-    """Registration-ordered decision points shared by one program."""
+    """Registration-ordered decision points shared by one program.
+
+    The current scope is four attributes: ``_points``, the list being filled
+    while collecting or consumed while applying; ``_decisions``, the apply
+    run's decisions aligned with it, ``None`` while collecting; ``_cursor``,
+    the next point to consume; and ``_prefix``, the id prefix of the points
+    registered in it.  ``_calls`` counts the run's eager calls."""
 
     def __init__(self):
-        self.mode = COLLECT
-        self.points: list = []
-        self._stack: list[_Scope] = []
-        self._calls = 0
         self._token = None
+        self.begin_collect()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -68,130 +61,119 @@ class EagerContext:
         return DecisionSpec(self.points)
 
     def begin_collect(self):
-        self.mode = COLLECT
-        self.points = []
-        self._stack = [_Scope(self.points, None)]
+        self.points: list = []
+        self._points, self._decisions, self._cursor, self._prefix = self.points, None, 0, ""
         self._calls = 0
 
     def begin_apply(self, dna: DNA):
-        self.mode = APPLY
-        self._stack = [_Scope(self.points, dna.decisions)]
+        self._points, self._decisions, self._cursor, self._prefix = self.points, dna.decisions, 0, ""
         self._calls = 0
 
     def end_run(self):
-        scope = self._stack[-1]
-        if self.mode == APPLY and scope.cursor != len(scope.points):
+        if self._decisions is not None and self._cursor != len(self._points):
             raise DecisionStreamMismatch(
-                self._calls, f"program consumed {scope.cursor} of {len(scope.points)} decisions")
+                self._calls, f"program consumed {self._cursor} of {len(self._points)} decisions")
 
-    # -- decision points ---------------------------------------------------
-
-    def next_call_index(self) -> int:
-        index = self._calls
-        self._calls += 1
-        return index
-
-    def register(self, point) -> None:
-        self._stack[-1].points.append(point)
-
-    def current_decision(self, call_index: int):
-        scope = self._stack[-1]
-        if scope.cursor >= len(scope.points):
-            raise DecisionStreamMismatch(call_index, "more decisions requested than registered")
-        point = scope.points[scope.cursor]
-        decision = scope.decisions[scope.cursor]
-        scope.cursor += 1
-        return point, decision
-
-    def push(self, points: list, decisions: list | None, prefix: str = ""):
-        self._stack.append(_Scope(points, decisions, prefix))
-
-    def pop(self, call_index: int):
-        scope = self._stack.pop()
-        if self.mode == APPLY and scope.cursor != len(scope.points):
-            raise DecisionStreamMismatch(
-                call_index, f"chosen branch consumed {scope.cursor} of {len(scope.points)} decisions")
-
-    def point_id(self) -> str:
-        scope = self._stack[-1]
-        return f"{scope.prefix}d{len(scope.points)}"
+    def _branch(self, thunk, points: list, decisions: list | None, prefix: str, call_index: int):
+        """Run `thunk` with `points` and `decisions` as the current scope.
+        An applied branch that returns must have consumed exactly its points;
+        one that raises propagates its own exception."""
+        saved = self._points, self._decisions, self._cursor, self._prefix
+        self._points, self._decisions, self._cursor, self._prefix = points, decisions, 0, prefix
+        try:
+            value = thunk()
+            if decisions is not None and self._cursor != len(points):
+                raise DecisionStreamMismatch(
+                    call_index, f"chosen branch consumed {self._cursor} of {len(points)} decisions")
+            return value
+        finally:
+            self._points, self._decisions, self._cursor, self._prefix = saved
 
 
-def _context() -> EagerContext:
-    ctx = _current.get()
-    if ctx is None:
-        raise RuntimeError("no active eager context; call through run_eager or the reward of "
-                           "eager_problem, or enter an EagerContext")
-    return ctx
-
-
-def _evaluate(candidate, ctx: EagerContext, points: list, decisions: list | None,
-              call_index: int, prefix: str = ""):
-    """Return a candidate's value, executing it inside a nested scope when it
-    is a thunk."""
-    if not callable(candidate):
-        return candidate
-    ctx.push(points, decisions, prefix)
-    try:
-        return candidate()
-    finally:
-        ctx.pop(call_index)
+def _take(ctx: EagerContext, call_index: int):
+    """The current scope's next point and its decision, consumed."""
+    cursor = ctx._cursor
+    if cursor >= len(ctx._points):
+        raise DecisionStreamMismatch(call_index, "more decisions requested than registered")
+    ctx._cursor = cursor + 1
+    return ctx._points[cursor], ctx._decisions[cursor]
 
 
 def eager_oneof(candidates, hints: str | None = None):
     """Inline choice over candidates; zero-argument callables are conditional
-    branches whose hyper values register under this point."""
-    candidates = list(candidates)
+    branches whose hyper values register under this point.  A list or tuple
+    is read in place; another iterable is copied once."""
+    if not isinstance(candidates, (list, tuple)):
+        candidates = list(candidates)
     if not candidates:
         raise EmptyCandidates("eager choice needs at least one candidate")
-    ctx = _context()
-    call_index = ctx.next_call_index()
-    if ctx.mode == COLLECT:
+    ctx = _current.get()
+    if ctx is None:
+        raise RuntimeError(_NO_CONTEXT)
+    call_index = ctx._calls
+    ctx._calls = call_index + 1
+    if ctx._decisions is None:
         point = CategoricalPoint(
-            id=ctx.point_id(), k=1, n=len(candidates), distinct=True,
+            id=f"{ctx._prefix}d{len(ctx._points)}", k=1, n=len(candidates), distinct=True,
             sorted=False, subspaces=[], hints=hints)
-        ctx.register(point)
+        ctx._points.append(point)
         values = []
         for i, candidate in enumerate(candidates):
             sub: list = []
-            values.append(_evaluate(candidate, ctx, sub, None, call_index,
-                                    prefix=f"{point.id}.c{i}."))
+            if callable(candidate):
+                candidate = ctx._branch(candidate, sub, None, f"{point.id}.c{i}.", call_index)
+            values.append(candidate)
             point.subspaces.append(sub)
         return values[0]
-    point, decision = ctx.current_decision(call_index)
+    cursor = ctx._cursor
+    points = ctx._points
+    if cursor >= len(points):
+        raise DecisionStreamMismatch(call_index, "more decisions requested than registered")
+    ctx._cursor = cursor + 1
+    point = points[cursor]
+    decision = ctx._decisions[cursor]
     if not isinstance(point, CategoricalPoint) or point.n != len(candidates):
         raise DecisionStreamMismatch(call_index, "choice does not match the registered point")
     choice = decision[0]
-    return _evaluate(candidates[choice.index], ctx,
-                     point.subspaces[choice.index], choice.children, call_index)
+    candidate = candidates[choice.index]
+    if not callable(candidate):
+        return candidate
+    return ctx._branch(candidate, point.subspaces[choice.index], choice.children, "", call_index)
 
 
 def eager_intv(min: int, max: int, hints: str | None = None) -> int:
-    """Inline integer range; the collection pass returns the minimum."""
-    if min > max:
-        raise BadRange(f"intv: min {min} > max {max}")
-    ctx = _context()
-    call_index = ctx.next_call_index()
-    if ctx.mode == COLLECT:
-        ctx.register(IntPoint(ctx.point_id(), min, max, hints))
+    """Inline integer range; the collection pass checks the bounds as
+    ``intv`` does and returns the minimum."""
+    ctx = _current.get()
+    if ctx is None:
+        raise RuntimeError(_NO_CONTEXT)
+    call_index = ctx._calls
+    ctx._calls = call_index + 1
+    if ctx._decisions is None:
+        check_range("intv", min, max)
+        ctx._points.append(IntPoint(f"{ctx._prefix}d{len(ctx._points)}", min, max, hints))
         return min
-    point, decision = ctx.current_decision(call_index)
-    if not isinstance(point, IntPoint) or (point.min, point.max) != (min, max):
+    point, decision = _take(ctx, call_index)
+    if not isinstance(point, IntPoint) or point.min != min or point.max != max:
         raise DecisionStreamMismatch(call_index, "int range does not match the registered point")
     return decision
 
 
 def eager_floatv(min: float, max: float, hints: str | None = None) -> float:
-    """Inline float range; the collection pass returns the minimum."""
-    if min > max:
-        raise BadRange(f"floatv: min {min} > max {max}")
-    ctx = _context()
-    call_index = ctx.next_call_index()
-    if ctx.mode == COLLECT:
-        ctx.register(FloatPoint(ctx.point_id(), float(min), float(max), hints))
+    """Inline float range; the collection pass checks the bounds as
+    ``floatv`` does and returns the minimum."""
+    ctx = _current.get()
+    if ctx is None:
+        raise RuntimeError(_NO_CONTEXT)
+    call_index = ctx._calls
+    ctx._calls = call_index + 1
+    if ctx._decisions is None:
+        check_range("floatv", min, max)
+        ctx._points.append(
+            FloatPoint(f"{ctx._prefix}d{len(ctx._points)}", float(min), float(max), hints))
         return float(min)
-    point, decision = ctx.current_decision(call_index)
-    if not isinstance(point, FloatPoint) or (point.min, point.max) != (float(min), float(max)):
+    point, decision = _take(ctx, call_index)
+    if not isinstance(point, FloatPoint) or point.min != float(min) or point.max != float(max):
         raise DecisionStreamMismatch(call_index, "float range does not match the registered point")
     return float(decision)
 

@@ -10,6 +10,7 @@ deterministic child program.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import BadRange, ConstraintViolation, EmptyCandidates, IllegalDirective, KTooLarge
 from .values import (
@@ -23,6 +24,7 @@ from .values import (
 )
 
 INFINITE = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 
 class Categorical(HyperValue):
@@ -125,6 +127,24 @@ def _check_candidates(k: int, distinct: bool, candidates) -> None:
         raise KTooLarge(f"cannot choose {k} distinct of {len(candidates)} candidates")
 
 
+def check_range(kind: str, min, max) -> None:
+    """The one rule for range bounds, symbolic and eager: ``intv`` bounds are
+    ints, ``floatv`` bounds finite ints or floats, a bool is neither, and
+    min may not exceed max."""
+    if isinstance(min, bool) or isinstance(max, bool):
+        ok = False
+    elif kind == "intv":
+        ok = isinstance(min, int) and isinstance(max, int)
+    else:
+        ok = (isinstance(min, (int, float)) and isinstance(max, (int, float))
+              and -_FLOAT_MAX <= min <= _FLOAT_MAX and -_FLOAT_MAX <= max <= _FLOAT_MAX)
+    if not ok:
+        wanted = "integers" if kind == "intv" else "finite numbers"
+        raise BadRange(f"{kind}: bounds must be {wanted}, got {min!r} and {max!r}")
+    if min > max:
+        raise BadRange(f"{kind}: min {min} > max {max}")
+
+
 class IntRange(HyperValue):
     """An integer drawn from the inclusive range [min, max]."""
 
@@ -132,8 +152,7 @@ class IntRange(HyperValue):
 
     def __init__(self, min: int, max: int, hints: str | None = None):
         super().__init__()
-        if min > max:
-            raise BadRange(f"intv: min {min} > max {max}")
+        check_range("intv", min, max)
         self.min = min
         self.max = max
         self.hints = hints
@@ -164,8 +183,7 @@ class FloatRange(HyperValue):
 
     def __init__(self, min: float, max: float, hints: str | None = None):
         super().__init__()
-        if min > max:
-            raise BadRange(f"floatv: min {min} > max {max}")
+        check_range("floatv", min, max)
         self.min = float(min)
         self.max = float(max)
         self.hints = hints

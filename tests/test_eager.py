@@ -8,7 +8,7 @@ import pytest
 
 import symsearch as ss
 from symsearch.algorithms import Exhaustive, RandomSearch
-from symsearch.decisions import abstract_search_space, isomorphic
+from symsearch.decisions import DNA, Choice, abstract_search_space, isomorphic
 from symsearch.eager import (
     EagerContext,
     eager_floatv,
@@ -100,6 +100,72 @@ def test_under_consumption_raises():
 
     with pytest.raises(DecisionStreamMismatch):
         run_eager(program, RandomSearch(seed=0), budget=3)
+
+
+BRANCH_MISMATCHES = {
+    "one-more": (lambda: eager_intv(0, 3), lambda: eager_intv(0, 3) + eager_intv(0, 3),
+                 "more decisions requested than registered"),
+    "one-fewer": (lambda: eager_intv(0, 3) + eager_intv(0, 3), lambda: eager_intv(0, 3),
+                  "chosen branch consumed 1 of 2 decisions"),
+    "int-for-a-choice": (lambda: eager_oneof([1, 2]), lambda: eager_intv(1, 2),
+                         "int range does not match"),
+    "candidate-count": (lambda: eager_oneof([1, 2]), lambda: eager_oneof([1, 2, 3]),
+                        "choice does not match"),
+}
+
+
+@pytest.mark.parametrize("registered, requested, message", BRANCH_MISMATCHES.values(),
+                         ids=BRANCH_MISMATCHES)
+def test_an_applied_branch_that_strays_from_its_points_raises(registered, requested, message):
+    """The collection pass registers `registered` under the chosen thunk; the
+    apply runs enter `requested` instead."""
+    runs = []
+
+    def program():
+        runs.append(None)
+        return eager_oneof([registered if len(runs) == 1 else requested, 0])
+
+    with pytest.raises(DecisionStreamMismatch, match=message):
+        run_eager(program, Exhaustive(), budget=3)
+
+
+def test_an_exception_inside_a_branch_propagates_unchanged():
+    """A chosen thunk that raises after one of its two decisions surfaces its
+    own error, not a consumption mismatch, and the next trial still runs."""
+    fail = {"now": False}
+
+    def branch():
+        first = eager_intv(0, 3)
+        if fail["now"]:
+            raise ValueError("the branch failed")
+        return first + eager_intv(0, 3)
+
+    spec, reward = eager_problem(lambda: eager_oneof([branch, 10]))
+    dna = DNA([[Choice(0, [1, 2])]])
+    fail["now"] = True
+    with pytest.raises(ValueError, match="the branch failed") as caught:
+        reward(None, dna)
+    assert caught.value.__context__ is None
+    fail["now"] = False
+    assert reward(None, dna) == 3
+    assert reward(None, DNA([[Choice(1, [])]])) == 10
+
+
+@pytest.mark.parametrize("numbers, branches", [
+    (lambda: tuple(range(3)), lambda: (lambda: eager_intv(0, 2), 7)),
+    (lambda: range(3), lambda: iter([lambda: eager_intv(0, 2), 7])),
+    (lambda: (i for i in range(3)), lambda: (b for b in [lambda: eager_intv(0, 2), 7])),
+], ids=["tuples", "range-and-iterator", "generators"])
+def test_candidates_of_any_iterable_give_the_records_of_a_list(numbers, branches):
+    """A tuple is read in place as a list is; other iterables are copied."""
+    def records(numbers, branches):
+        report = run_eager(lambda: eager_oneof(numbers()) * 10 + eager_oneof(branches()),
+                           RandomSearch(seed=0), budget=12, seed=0)
+        return [(record.dna, record.reward) for record in report.records]
+
+    expected = records(lambda: list(range(3)), lambda: [lambda: eager_intv(0, 2), 7])
+    assert len(set(expected)) > 3
+    assert records(numbers, branches) == expected
 
 
 def test_eager_calls_outside_context_rejected():

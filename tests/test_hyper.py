@@ -8,6 +8,7 @@ import pytest
 
 import symsearch as ss
 from symsearch.decisions import abstract_search_space, enumerate_dnas
+from symsearch.eager import eager_floatv, eager_intv, eager_problem
 from symsearch.errors import BadRange, EmptyCandidates, IllegalDirective, KTooLarge
 from symsearch.hyper import INFINITE, floatv, intv, manyof, oneof, permutate
 
@@ -23,6 +24,37 @@ def test_constructor_errors():
         manyof(4, [1, 2, 3], distinct=True)
     with pytest.raises(BadRange):
         manyof(0, [1, 2])
+
+
+BAD_RANGES = {
+    "int-float-bound": ("intv", 1.5, 3), "int-bool-bound": ("intv", True, 3),
+    "int-text-bound": ("intv", 0, "3"), "int-min-above-max": ("intv", 5, 1),
+    "float-inf-bound": ("floatv", 0, math.inf), "float-text-bounds": ("floatv", "a", "b"),
+    "float-nan-bound": ("floatv", math.nan, 1), "float-bool-bound": ("floatv", False, 1.0),
+    "float-huge-int-bound": ("floatv", 0, 10**400), "float-min-above-max": ("floatv", 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("form", ["symbolic", "eager"])
+@pytest.mark.parametrize("kind, low, high", BAD_RANGES.values(), ids=BAD_RANGES)
+def test_one_range_rule_refuses_bad_bounds_at_construction(kind, low, high, form):
+    """``intv`` bounds are ints, ``floatv`` bounds finite numbers, a bool is
+    neither, and min <= max; an eager call checks them in the collection pass."""
+    if form == "symbolic":
+        make = {"intv": intv, "floatv": floatv}[kind]
+        with pytest.raises(BadRange, match=f"^{kind}: "):
+            make(low, high)
+    else:
+        make = {"intv": eager_intv, "floatv": eager_floatv}[kind]
+        with pytest.raises(BadRange, match=f"^{kind}: "):
+            eager_problem(lambda: make(low, high))
+
+
+def test_the_range_rule_accepts_int_bounds_for_floats_and_equal_bounds():
+    assert (floatv(0, 1).min, floatv(0, 1).max) == (0.0, 1.0)
+    assert ss.space_size(intv(-3, -3)) == 1
+    spec, _ = eager_problem(lambda: eager_floatv(-1e308, 1e308) + eager_intv(2, 2))
+    assert [(p.min, p.max) for p in spec.points] == [(-1e308, 1e308), (2, 2)]
 
 
 def test_oneof_is_k1_and_permutate_flags():
