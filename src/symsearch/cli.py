@@ -29,7 +29,7 @@ from .decisions import (
     minimal_dna,
     spec_to_json_obj,
 )
-from .errors import SymsearchError, UnsupportedSpace
+from .errors import MalformedDocument, SymsearchError, UnsupportedSpace
 from .flows import AGGREGATORS, SearchLoop, run_factorized, run_hybrid, run_joint, run_separate
 from .hyper import INFINITE, space_size
 from .materialize import infer_dna
@@ -103,7 +103,16 @@ def load_space(args):
     checked first by ``_check_space_flags``."""
     if args.builtin:
         return build_nasbench_space(args.nodes, args.ops)
-    return deserialize(Path(args.space).read_text(encoding="utf-8"))
+    return load_document(args.space)
+
+
+def load_document(path: str):
+    """The symbolic JSON file at `path`; one not in UTF-8 is MalformedDocument."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path} is not UTF-8 text: {exc}") from None
+    return deserialize(text)
 
 
 def cmd_inspect(args, parser) -> int:
@@ -210,7 +219,7 @@ def run_search_once(args, run_index: int) -> dict:
                             aggregator=aggregator, timing=args.timing)
     else:
         if args.pivot:
-            pivot = infer_dna(space, deserialize(Path(args.pivot).read_text(encoding="utf-8")))
+            pivot = infer_dna(space, load_document(args.pivot))
         else:
             pivot = minimal_dna(spec)
         report = run_separate(spec, selector, pivot, outer,

@@ -25,9 +25,9 @@ from typing import Callable
 
 from .algorithms import SearchAlgorithm
 from .decisions import DNA, CategoricalPoint, DecisionSpec, FloatPoint, IntPoint
-from .errors import DecisionStreamMismatch, EmptyCandidates
+from .errors import DecisionStreamMismatch
 from .flows import FlowReport, RewardFn, run_joint
-from .hyper import check_range
+from .hyper import check_categorical, check_range
 
 _current: ContextVar["EagerContext | None"] = ContextVar("eager_context", default=None)
 _NO_CONTEXT = ("no active eager context; call through run_eager or the reward of eager_problem, "
@@ -101,18 +101,18 @@ def _take(ctx: EagerContext, call_index: int):
 
 def eager_oneof(candidates, hints: str | None = None):
     """Inline choice over candidates; zero-argument callables are conditional
-    branches whose hyper values register under this point.  A list or tuple
-    is read in place; another iterable is copied once."""
+    branches whose hyper values register under this point.  The collection
+    pass checks the candidates as ``oneof`` does.  A list or tuple is read in
+    place; another iterable is copied once."""
     if not isinstance(candidates, (list, tuple)):
         candidates = list(candidates)
-    if not candidates:
-        raise EmptyCandidates("eager choice needs at least one candidate")
     ctx = _current.get()
     if ctx is None:
         raise RuntimeError(_NO_CONTEXT)
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
+        check_categorical("categorical:", 1, len(candidates), True)
         point = CategoricalPoint(
             id=f"{ctx._prefix}d{len(ctx._points)}", k=1, n=len(candidates), distinct=True,
             sorted=False, subspaces=[], hints=hints)
@@ -150,7 +150,7 @@ def eager_intv(min: int, max: int, hints: str | None = None) -> int:
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
-        check_range("intv", min, max)
+        check_range("intv:", True, min, max)
         ctx._points.append(IntPoint(f"{ctx._prefix}d{len(ctx._points)}", min, max, hints))
         return min
     point, decision = _take(ctx, call_index)
@@ -168,7 +168,7 @@ def eager_floatv(min: float, max: float, hints: str | None = None) -> float:
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
-        check_range("floatv", min, max)
+        check_range("floatv:", False, min, max)
         ctx._points.append(
             FloatPoint(f"{ctx._prefix}d{len(ctx._points)}", float(min), float(max), hints))
         return float(min)

@@ -71,15 +71,19 @@ class MalformedDocument(SymsearchError):
 
 # --- hyper values ---
 
-class EmptyCandidates(SymsearchError):
+class BadPoint(SymsearchError):
+    """A point that ``hyper``'s point rules refuse; the base of the three below."""
+
+
+class EmptyCandidates(BadPoint):
     pass
 
 
-class BadRange(SymsearchError):
+class BadRange(BadPoint):
     pass
 
 
-class KTooLarge(SymsearchError):
+class KTooLarge(BadPoint):
     pass
 
 
@@ -142,8 +146,8 @@ class EmptyRewards(SymsearchError):
 
 
 class InvalidReward(SymsearchError):
-    """An oracle returned NaN, which cannot be ranked against other rewards;
-    an infeasible trial should report -inf instead."""
+    """A reward that is not a real number, does not fit a float, or is NaN
+    or +inf; an infeasible trial should report -inf instead."""
 
 
 # --- oracles and CLI ---

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -214,10 +215,9 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
     `tokens` (without ``merge`` the proposal's DNA and text serve as they
     are), build its child if there is a ``build``, call the oracle (timed
     alone), feed the reward back and append a TrialRecord with the running
-    best.  A reward that is not a number, NaN or +inf raises InvalidReward;
-    -inf is the legal "infeasible" reward.  Trials are numbered ``offset +
-    i``, or as inner trials ``i`` of ``outer_index``.  Returns the (loop DNA,
-    reward) pairs.
+    best.  A reward that :func:`check_reward` refuses raises InvalidReward
+    naming the trial's DNA.  Trials are numbered ``offset + i``, or as inner
+    trials ``i`` of ``outer_index``.  Returns the (loop DNA, reward) pairs.
     """
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
@@ -230,7 +230,11 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
         start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
         wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
-        reward = _checked_reward(reward, text)
+        try:
+            reward = check_reward(reward)
+        except InvalidReward as exc:
+            raise InvalidReward(f"oracle returned {reward!r} for DNA {text!r}; the reward "
+                                f"{exc}") from None
         feedback(reward)
         best = max(best, reward)
         records.append(TrialRecord(
@@ -246,14 +250,19 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
     return results
 
 
-def _checked_reward(reward, text: str) -> float:
-    try:
-        value = float(reward)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
+def check_reward(value) -> float:
+    """The one reward rule, for oracles and tables: a real number, not a bool,
+    that fits a float and is not NaN or +inf (-inf means "infeasible").  It
+    returns a float, or raises InvalidReward for the caller to prefix."""
+    if value.__class__ is not float:  # a plain float needs no conversion
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidReward(f"must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvalidReward("is an integer too large for a float") from None
     if value != value or value == math.inf:
-        raise InvalidReward(f"oracle returned {reward!r} for DNA {text!r}; "
-                            "a reward must be a number other than NaN or +inf")
+        raise InvalidReward("is NaN or +inf; -inf is the only non-finite reward")
     return value
 
 

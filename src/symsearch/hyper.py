@@ -42,8 +42,6 @@ class Categorical(HyperValue):
         super().__init__()
         candidates = list(candidates)
         _check_candidates(k, distinct, candidates)
-        if k < 1:
-            raise BadRange(f"k must be >= 1, got {k}")
         if k == 1:
             # Uniqueness and order constraints are vacuous for a single
             # choice; normalizing keeps equality and serialization canonical.
@@ -117,32 +115,39 @@ class Categorical(HyperValue):
 
 def _check_candidates(k: int, distinct: bool, candidates) -> None:
     """The rules a categorical's candidates keep, checked when it is built
-    and when an edit replaces them: a sequence (a list while building), not
-    empty, and at least `k` of them when `distinct`."""
+    and when an edit replaces them: a sequence (a list while building) that
+    :func:`check_categorical` allows."""
     if not isinstance(candidates, (list, Sequence)):
         raise IllegalDirective(f"categorical candidates must be a sequence, got {candidates!r}")
-    if not candidates:
-        raise EmptyCandidates("categorical needs at least one candidate")
-    if distinct and k > len(candidates):
-        raise KTooLarge(f"cannot choose {k} distinct of {len(candidates)} candidates")
+    check_categorical("categorical:", k, len(candidates), distinct)
 
 
-def check_range(kind: str, min, max) -> None:
-    """The one rule for range bounds, symbolic and eager: ``intv`` bounds are
-    ints, ``floatv`` bounds finite ints or floats, a bool is neither, and
-    min may not exceed max."""
-    if isinstance(min, bool) or isinstance(max, bool):
-        ok = False
-    elif kind == "intv":
-        ok = isinstance(min, int) and isinstance(max, int)
-    else:
-        ok = (isinstance(min, (int, float)) and isinstance(max, (int, float))
-              and -_FLOAT_MAX <= min <= _FLOAT_MAX and -_FLOAT_MAX <= max <= _FLOAT_MAX)
-    if not ok:
-        wanted = "integers" if kind == "intv" else "finite numbers"
-        raise BadRange(f"{kind}: bounds must be {wanted}, got {min!r} and {max!r}")
+def check_categorical(label: str, k, n: int, distinct: bool) -> None:
+    """The one rule for a categorical point, symbolic, eager or stored: `k`
+    is an int and not a bool, there are ``n >= 1`` candidates, ``k >= 1``,
+    and ``k <= n`` when `distinct`.  An error starts with `label`."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise BadRange(f"{label} k must be an integer, got {k!r}")
+    if n < 1:
+        raise EmptyCandidates(f"{label} n must be at least 1, got {n!r}")
+    if k < 1:
+        raise BadRange(f"{label} k must be at least 1, got {k!r}")
+    if distinct and k > n:
+        raise KTooLarge(f"{label} k must be at most n, {n!r}, when distinct, got {k!r}")
+
+
+def check_range(label: str, integer: bool, min, max) -> None:
+    """The one rule for a range point, symbolic, eager or stored: int bounds
+    are ints, float bounds finite ints or floats, a bool is neither, and
+    ``min <= max``.  An error starts with `label` and names the bound."""
+    for key, bound in (("min", min), ("max", max)):
+        if isinstance(bound, bool) or not (
+                isinstance(bound, int) if integer
+                else isinstance(bound, (int, float)) and -_FLOAT_MAX <= bound <= _FLOAT_MAX):
+            wanted = "an integer" if integer else "a finite number"
+            raise BadRange(f"{label} {key} must be {wanted}, got {bound!r}")
     if min > max:
-        raise BadRange(f"{kind}: min {min} > max {max}")
+        raise BadRange(f"{label} min must be at most max, {max!r}, got {min!r}")
 
 
 class IntRange(HyperValue):
@@ -152,7 +157,7 @@ class IntRange(HyperValue):
 
     def __init__(self, min: int, max: int, hints: str | None = None):
         super().__init__()
-        check_range("intv", min, max)
+        check_range("intv:", True, min, max)
         self.min = min
         self.max = max
         self.hints = hints
@@ -183,7 +188,7 @@ class FloatRange(HyperValue):
 
     def __init__(self, min: float, max: float, hints: str | None = None):
         super().__init__()
-        check_range("floatv", min, max)
+        check_range("floatv:", False, min, max)
         self.min = float(min)
         self.max = float(max)
         self.hints = hints

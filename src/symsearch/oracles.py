@@ -25,7 +25,6 @@ fully discrete space and rejects unknown keys.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .decisions import (
@@ -43,15 +42,17 @@ from .decisions import (
 from .errors import (
     BadDimensions,
     ContinuousSpaceForTable,
+    InvalidReward,
     MalformedDocument,
     NonconformingDNA,
     ParseError,
     UnknownKey,
     UnsupportedSpace,
 )
-from .hyper import oneof
+from .flows import check_reward
+from .hyper import check_categorical, check_range, oneof
 from .prng import SplitMix64
-from .serialization import _field, _finite
+from .serialization import _field, _point_rule
 from .values import Sequence, SymbolicValue
 
 OP_HINT = "op"
@@ -160,8 +161,12 @@ class TableOracle:
                 doc = json.load(handle)
             if not isinstance(doc, dict):
                 raise MalformedDocument(f"a table must be a JSON object, got {type(doc).__name__}")
-            rewards = {str(k): _reward(k, v)
-                       for k, v in _field(doc, "rewards", dict, "an object", label="table").items()}
+            rewards = {}
+            for key, value in _field(doc, "rewards", dict, "an object", label="table").items():
+                try:
+                    rewards[key] = check_reward(value)
+                except InvalidReward as exc:
+                    raise MalformedDocument(f"reward for key {key!r} {exc}") from None
             spec = spec_from_json_obj(_field(doc, "spec", dict, "an object", label="table"))
         except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
@@ -175,21 +180,6 @@ class TableOracle:
         return table
 
 
-def _reward(key: str, value) -> float:
-    """A table reward: a JSON number that fits a float, and not NaN or +inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedDocument(f"reward for key {key!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise MalformedDocument(f"reward for key {key!r} is an integer too large for a "
-                                "float") from None
-    if value != value or value == math.inf:
-        raise MalformedDocument(f"reward {value!r} for key {key!r} is NaN or +inf; -inf is "
-                                "the only non-finite reward")
-    return value
-
-
 def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
     """Tabulate a synthetic oracle over every DNA of a finite space."""
     spec = abstract_search_space(space)
@@ -201,18 +191,16 @@ def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
 
 def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
     """Deterministic reward of one DNA under either oracle kind."""
-    if isinstance(oracle, (SyntheticNASOracle, TableOracle)):
-        return oracle.reward_from_dna(dna, spec)
-    raise TypeError(f"unsupported oracle {oracle!r}")
+    return oracle.reward_from_dna(dna, spec)
 
 
 def spec_from_json_obj(doc: dict) -> DecisionSpec:
     """Parse the JSON rendering produced by ``spec_to_json_obj``.  Ids must
-    be text, hints text or null, counts and int bounds JSON integers, flags
-    booleans, float bounds finite numbers, and ``points`` and each subspace
-    lists of point objects.  A point must be one the hyper constructors
-    allow: ``n`` counts the subspaces, ``k, n >= 1``, ``k <= n`` if distinct
-    and ``min <= max``.  Anything else raises MalformedDocument."""
+    be text, hints text or null, ``n`` a JSON integer that counts the
+    subspaces, flags booleans, and ``points`` and each subspace lists of
+    point objects.  A point must be one the hyper constructors allow, by
+    the same rules (``hyper.check_categorical`` and ``check_range``).
+    Anything else raises MalformedDocument."""
     def parse_points(points, where):
         if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
             raise MalformedDocument(f"{where} must be a list of point objects, got {points!r}")
@@ -221,36 +209,27 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
     def parse_point(obj):
         kind = _field(obj, "kind", str, "text", label="point")
         label = f"{kind} point {obj.get('id')!r}"
-        point_id = _field(obj, "id", str, "text", label=label)
-        hints = _field(obj, "hints", (str, type(None)), "text or null", label=label)
-        integer = lambda key: _field(obj, key, int, "an integer", label=label)
-        flag = lambda key: _field(obj, key, bool, "true or false", label=label)
-        def require(holds, key, rule):
-            if not holds:
-                raise MalformedDocument(f"{label} {key} must {rule}, got {obj[key]!r}")
+        field = lambda key, of, wanted: _field(obj, key, of, wanted, label=label)
+        point_id = field("id", str, "text")
+        hints = _field(obj, "hints", (str, type(None)), "text or null", None, label)
         if kind == "categorical":
-            point = CategoricalPoint(
-                id=point_id, k=integer("k"), n=integer("n"),
-                distinct=flag("distinct"), sorted=flag("sorted"),
-                subspaces=[parse_points(sub, f"{label} subspaces[{i}]") for i, sub
-                           in enumerate(_field(obj, "subspaces", list, "a list", label=label))],
-                hints=hints,
-            )
-            require(point.n == len(point.subspaces), "n",
-                    f"equal its number of subspaces, {len(point.subspaces)}")
-            require(point.n >= 1, "n", "be at least 1")
-            require(point.k >= 1, "k", "be at least 1")
-            require(point.k <= point.n or not point.distinct, "k",
-                    f"be at most n, {point.n}, when distinct")
-            return point
-        if kind == "int":
-            point = IntPoint(point_id, integer("min"), integer("max"), hints)
-        elif kind == "float":
-            point = FloatPoint(point_id, _finite(obj, "min", label), _finite(obj, "max", label),
-                               hints)
-        else:
+            k, n = field("k", object, "an integer"), field("n", int, "an integer")
+            distinct = field("distinct", bool, "true or false")
+            sorted_ = field("sorted", bool, "true or false")
+            subspaces = [parse_points(sub, f"{label} subspaces[{i}]")
+                         for i, sub in enumerate(field("subspaces", list, "a list"))]
+            if n != len(subspaces):
+                raise MalformedDocument(f"{label} n must equal its number of subspaces, "
+                                        f"{len(subspaces)}, got {n!r}")
+            _point_rule(check_categorical, label, k, n, distinct)
+            return CategoricalPoint(point_id, k, n, distinct, sorted_, subspaces, hints)
+        if kind not in ("int", "float"):
             raise MalformedDocument(f"unknown decision kind {kind!r}")
-        require(point.min <= point.max, "min", f"be at most max, {obj['max']!r}")
-        return point
+        wanted = "an integer" if kind == "int" else "a finite number"
+        low, high = field("min", object, wanted), field("max", object, wanted)
+        _point_rule(check_range, label, kind == "int", low, high)
+        if kind == "int":
+            return IntPoint(point_id, low, high, hints)
+        return FloatPoint(point_id, float(low), float(high), hints)
 
     return DecisionSpec(parse_points(doc.get("points"), "spec points"))

@@ -65,12 +65,6 @@ class Any(ValueSpec):
         return
 
 
-class Bool(ValueSpec):
-    def _check(self, node, path):
-        if not (isinstance(node, Primitive) and isinstance(node.value, bool)):
-            self._fail(path, node, "expected bool")
-
-
 class _Ranged(ValueSpec):
     def __init__(self, min=None, max=None, nullable: bool = False):
         super().__init__(nullable)

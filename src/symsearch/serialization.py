@@ -18,10 +18,9 @@ Serialization is deterministic: equal values produce identical text.
 from __future__ import annotations
 
 import json
-import math
 
-from .errors import MalformedDocument, ReservedKey, UnknownType
-from .hyper import Categorical, FloatRange, IntRange
+from .errors import BadPoint, MalformedDocument, ReservedKey, UnknownType
+from .hyper import Categorical, FloatRange, IntRange, check_categorical, check_range
 from .schema import TypeRegistry, new_object
 from .values import Mapping, ObjectNode, Primitive, Sequence, SymbolicValue, to_symbolic
 
@@ -140,45 +139,42 @@ def _hyper_from_json(doc, registry):
     hints = doc.get("hints")
     if hints is not None and not isinstance(hints, str):
         raise MalformedDocument(f"hints must be text or null, got {hints!r}")
-    if kind in ("oneof", "manyof", "permutate"):
-        candidates = _field(doc, "candidates", list, "a list")
-        candidates = [from_json_obj(c, registry) for c in candidates]
-        if kind == "oneof":
-            return Categorical(1, candidates, hints=hints)
-        if kind == "permutate":
-            return Categorical(len(candidates), candidates, distinct=True,
-                               sorted=False, hints=hints)
-        return Categorical(_field(doc, "k", int, "an integer"), candidates,
-                           distinct=_field(doc, "distinct", bool, "true or false", True),
-                           sorted=_field(doc, "sorted", bool, "true or false", False),
-                           hints=hints)
-    if kind == "intv":
-        return IntRange(_field(doc, "min", int, "an integer"),
-                        _field(doc, "max", int, "an integer"), hints=hints)
-    return FloatRange(_finite(doc, "min"), _finite(doc, "max"), hints=hints)
+    if kind in ("intv", "floatv"):
+        integer = kind == "intv"
+        wanted = "an integer" if integer else "a finite number"
+        low, high = _field(doc, "min", object, wanted), _field(doc, "max", object, wanted)
+        _point_rule(check_range, kind, integer, low, high)
+        return IntRange(low, high, hints) if integer else FloatRange(low, high, hints)
+    candidates = [from_json_obj(c, registry)
+                  for c in _field(doc, "candidates", list, "a list")]
+    if kind == "manyof":
+        k = _field(doc, "k", object, "an integer")
+        distinct = _field(doc, "distinct", bool, "true or false", True)
+        sorted_ = _field(doc, "sorted", bool, "true or false", False)
+    else:
+        k, distinct, sorted_ = 1 if kind == "oneof" else len(candidates), True, False
+    _point_rule(check_categorical, kind, k, len(candidates), distinct)
+    return Categorical(k, candidates, distinct=distinct, sorted=sorted_, hints=hints)
 
 
-def _field(doc, key, kind, wanted, default=None, label=None):
-    """``doc[key]``, which must be of `kind` (a bool is no int); a missing
-    key gives `default`, and is an error when there is none.  An error names
-    `label`, by default the document's hyper kind."""
+_MISSING = object()
+
+
+def _field(doc, key, kind, wanted, default=_MISSING, label=None):
+    """``doc[key]``, of `kind` (a bool is no int; `object` takes any value);
+    a missing key gives `default`, and is an error when there is none.  An
+    error names `label`, by default the document's hyper kind."""
     value = doc.get(key, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if (value is _MISSING or not isinstance(value, kind)
+            or (kind is int and isinstance(value, bool))):
         got = f"got {value!r}" if key in doc else "it is missing"
         raise MalformedDocument(f"{label or doc['_hyper']} {key} must be {wanted}, {got}")
     return value
 
 
-def _finite(doc, key, label=None) -> float:
-    """``doc[key]`` as a finite float; JSON parses 1e400 as infinity.  A
-    missing key is an error, as in :func:`_field`."""
-    value = doc.get(key)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an integer too large for a float
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    got = f"got {value!r}" if key in doc else "it is missing"
-    raise MalformedDocument(f"{label or doc['_hyper']} {key} must be a finite number, {got}")
+def _point_rule(rule, label: str, *args) -> None:
+    """Apply a ``hyper`` point rule; its error becomes MalformedDocument."""
+    try:
+        rule(label, *args)
+    except BadPoint as exc:
+        raise MalformedDocument(str(exc)) from None

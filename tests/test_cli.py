@@ -355,6 +355,23 @@ def test_malformed_hyper_document_is_runtime_error(tmp_path, document):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--space", "--pivot"])
+def test_a_file_that_is_not_utf8_is_a_runtime_error_naming_it(tmp_path, flag):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe[\x001\x00]\x00")
+    if flag == "--space":
+        args = ("inspect", "--space", str(bad))
+    else:
+        args = ("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+                "--oracle", "synthetic", "--flow", "separate", "--partition", "op",
+                "--trials", "2", "--phase2-trials", "2", "--pivot", str(bad))
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {bad} is not UTF-8 text")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("depth", [900, 3000])
 def test_deeply_nested_space_is_runtime_error(tmp_path, depth):
     space_file = tmp_path / "deep.json"

@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import sys
 import time
 
@@ -357,6 +358,23 @@ def test_non_numeric_and_positive_infinite_rewards_raise(bench, bad):
         run_joint(space, RandomSearch(seed=0), flaky, 3, seed=0)
     assert len(seen) == 2
     assert repr(bad) in str(caught.value) and repr(seen[-1]) in str(caught.value)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, b"1"], ids=["text", "bool", "bytes"])
+def test_text_bool_and_bytes_rewards_raise_in_every_route(bench, bad):
+    """The one reward rule wants a real number; ``float()`` would take each of
+    these.  An oracle's and an eager program's value are checked alike."""
+    space, *_ = bench
+    with pytest.raises(InvalidReward, match=f"must be a number, got {re.escape(repr(bad))}$"):
+        run_joint(space, RandomSearch(seed=0), lambda child, dna: bad, 2, seed=0)
+
+    def program():
+        ss.eager_oneof([0, 1])
+        return bad
+
+    spec, reward = ss.eager_problem(program)
+    with pytest.raises(InvalidReward, match=f"must be a number, got {re.escape(repr(bad))}$"):
+        run_joint(spec, RandomSearch(seed=0), reward, 2, seed=0)
 
 
 def test_minus_infinity_is_written_as_null(tmp_path, bench):

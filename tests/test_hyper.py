@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 import symsearch as ss
 from symsearch.decisions import abstract_search_space, enumerate_dnas
-from symsearch.eager import eager_floatv, eager_intv, eager_problem
-from symsearch.errors import BadRange, EmptyCandidates, IllegalDirective, KTooLarge
+from symsearch.eager import eager_floatv, eager_intv, eager_oneof, eager_problem
+from symsearch.errors import (
+    BadPoint,
+    BadRange,
+    EmptyCandidates,
+    IllegalDirective,
+    KTooLarge,
+    MalformedDocument,
+)
 from symsearch.hyper import INFINITE, floatv, intv, manyof, oneof, permutate
+from symsearch.oracles import spec_from_json_obj
 
 
 def test_constructor_errors():
@@ -55,6 +64,77 @@ def test_the_range_rule_accepts_int_bounds_for_floats_and_equal_bounds():
     assert ss.space_size(intv(-3, -3)) == 1
     spec, _ = eager_problem(lambda: eager_floatv(-1e308, 1e308) + eager_intv(2, 2))
     assert [(p.min, p.max) for p in spec.points] == [(-1e308, 1e308), (2, 2)]
+
+
+def categorical_routes(k, n, distinct=True):
+    """A categorical point of `k` out of `n` by each route that can state it:
+    constructor, eager collection pass (a one-of only), deserialize and
+    table spec."""
+    candidates = list(range(n))
+    doc = {"_hyper": "manyof", "k": k, "distinct": distinct, "sorted": False,
+           "candidates": candidates}
+    point = {"kind": "categorical", "id": "p", "k": k, "n": n, "distinct": distinct,
+             "sorted": False, "subspaces": [[] for _ in candidates]}
+    routes = {
+        "constructor": lambda: manyof(k, candidates, distinct=distinct),
+        "deserialize": lambda: ss.deserialize(json.dumps(doc)),
+        "table": lambda: spec_from_json_obj({"points": [point]}),
+    }
+    if type(k) is int and k == 1 and distinct:
+        routes["eager"] = lambda: eager_problem(lambda: eager_oneof(candidates))
+    return routes
+
+
+def range_routes(integer, low, high):
+    """A range point by each of the four routes."""
+    kind = "intv" if integer else "floatv"
+    point = {"kind": "int" if integer else "float", "id": "p", "min": low, "max": high}
+    return {
+        "constructor": lambda: (intv if integer else floatv)(low, high),
+        "eager": lambda: eager_problem(lambda: (eager_intv if integer else eager_floatv)(low, high)),
+        "deserialize": lambda: ss.deserialize(json.dumps({"_hyper": kind, "min": low, "max": high})),
+        "table": lambda: spec_from_json_obj({"points": [point]}),
+    }
+
+
+BAD_POINTS = {
+    "k-float": (categorical_routes(2.0, 3), "k"),
+    "k-bool": (categorical_routes(True, 3), "k"),
+    "k-text": (categorical_routes("2", 3), "k"),
+    "k-zero": (categorical_routes(0, 3), "k"),
+    "k-zero-repeats": (categorical_routes(0, 3, distinct=False), "k"),
+    "no-candidates": (categorical_routes(1, 0), "n"),
+    "k-above-n": (categorical_routes(4, 3), "k"),
+    "int-float-bound": (range_routes(True, 1.5, 3), "min"),
+    "int-bool-bound": (range_routes(True, 0, True), "max"),
+    "int-text-bound": (range_routes(True, 0, "3"), "max"),
+    "int-min-above-max": (range_routes(True, 5, 1), "min"),
+    "float-huge-int-bound": (range_routes(False, 0, 10 ** 400), "max"),
+    "float-text-bound": (range_routes(False, "a", 1.0), "min"),
+    "float-bool-bound": (range_routes(False, False, 1.0), "min"),
+    "float-min-above-max": (range_routes(False, 2.0, 1.0), "min"),
+}
+
+
+@pytest.mark.parametrize("routes, key", BAD_POINTS.values(), ids=BAD_POINTS)
+def test_every_route_refuses_a_bad_point_by_the_same_rule(routes, key):
+    """Constructors and the eager collection pass raise the rule's error, the
+    parsers MalformedDocument; every route names the same key and gives the
+    rule's text after its own label."""
+    reasons = set()
+    for route, make in routes.items():
+        error = MalformedDocument if route in ("deserialize", "table") else BadPoint
+        with pytest.raises(error, match=f" {key} must ") as caught:
+            make()
+        message = str(caught.value)
+        reasons.add(message[message.index(f" {key} must "):])
+    assert len(reasons) == 1, reasons
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2"])
+def test_manyof_refuses_a_k_that_is_not_an_int(k):
+    with pytest.raises(BadRange, match=f"^categorical: k must be an integer, got {k!r}$"):
+        manyof(k, [1, 2, 3])
 
 
 def test_oneof_is_k1_and_permutate_flags():

@@ -110,6 +110,17 @@ def test_missing_hyper_keys_are_named_with_their_type(document, message):
         ss.deserialize(document)
 
 
+@pytest.mark.parametrize("document, message", [
+    ('{"_hyper":"intv","min":3,"max":1}', "intv min must be at most max, 1, got 3"),
+    ('{"_hyper":"oneof","candidates":[]}', "oneof n must be at least 1, got 0"),
+    ('{"_hyper":"manyof","k":3,"candidates":[1,2]}',
+     "manyof k must be at most n, 2, when distinct, got 3"),
+], ids=["min-above-max", "no-candidates", "k-above-n"])
+def test_a_point_no_constructor_allows_is_malformed(document, message):
+    with pytest.raises(MalformedDocument, match=f"^{message}$"):
+        ss.deserialize(document)
+
+
 def test_reserved_keys_rejected_in_construction():
     with pytest.raises(ReservedKey):
         ss.Mapping({"_type": 1})
