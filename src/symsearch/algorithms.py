@@ -10,6 +10,8 @@ deterministic.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter, deque
 from random import Random
 
@@ -29,7 +31,7 @@ from .decisions import (
     random_dna,
     random_tuple,
 )
-from .errors import ExhaustedSpace, UnknownProposal, UnsupportedSpace
+from .errors import ExhaustedSpace, InvalidReward, UnknownProposal, UnsupportedSpace
 
 
 class SearchAlgorithm:
@@ -76,15 +78,42 @@ class SearchAlgorithm:
         text = encode_dna(dna, self.spec)
         if self._outstanding[text] <= 0:
             raise UnknownProposal(f"DNA {text!r} was not proposed by this instance")
+        reward = reward_for(text, reward)
         self._outstanding[text] -= 1
-        self._feedback(dna, text, float(reward))
+        self._feedback(dna, text, reward)
 
     def seed_feedback(self, dna: DNA, reward: float) -> None:
         """Inject an externally evaluated DNA, bypassing the proposal check."""
-        self._feedback(dna, encode_dna(dna, self.spec), float(reward))
+        text = encode_dna(dna, self.spec)
+        self._feedback(dna, text, reward_for(text, reward))
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
         pass
+
+
+def check_reward(value) -> float:
+    """The one reward rule, for oracles, tables and every feedback route: a
+    real number, not a bool, that fits a float and is not NaN or +inf (-inf
+    means "infeasible").  It returns a float, or raises InvalidReward for
+    the caller to prefix."""
+    if value.__class__ is not float:  # a plain float needs no conversion
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidReward(f"must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvalidReward("is an integer too large for a float") from None
+    if value != value or value == math.inf:
+        raise InvalidReward("is NaN or +inf; -inf is the only non-finite reward")
+    return value
+
+
+def reward_for(dna_text: str, value) -> float:
+    """:func:`check_reward` on every feedback route, its error naming the DNA."""
+    try:
+        return check_reward(value)
+    except InvalidReward as exc:
+        raise InvalidReward(f"the reward for DNA {dna_text!r} {exc}") from None
 
 
 class RandomSearch(SearchAlgorithm):

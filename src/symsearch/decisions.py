@@ -118,10 +118,9 @@ def _extract(node: SymbolicValue) -> list:
             subspaces=[_extract(c) for c in node.candidates],
             hints=node.hints,
         )]
-    if isinstance(node, IntRange):
-        return [IntPoint(path_of(node).render(), node.min, node.max, node.hints)]
-    if isinstance(node, FloatRange):
-        return [FloatPoint(path_of(node).render(), node.min, node.max, node.hints)]
+    if isinstance(node, (IntRange, FloatRange)):
+        point = IntPoint if isinstance(node, IntRange) else FloatPoint
+        return [point(path_of(node).render(), node.min, node.max, node.hints)]
     points = []
     for _, child in node.child_items():
         points.extend(_extract(child))
@@ -485,24 +484,10 @@ def _expect_exhausted(iterator, label):
 # ---------------------------------------------------------------------------
 
 def isomorphic(a: DecisionSpec, b: DecisionSpec) -> bool:
-    """Same kinds, ranges, constraints, nesting and order; ids are ignored."""
-    return _iso_points(a.points, b.points)
-
-
-def _iso_points(pa, pb) -> bool:
-    if len(pa) != len(pb):
-        return False
-    for x, y in zip(pa, pb):
-        if type(x) is not type(y) or x.hints != y.hints:
-            return False
-        if isinstance(x, CategoricalPoint):
-            if (x.k, x.n, x.distinct, x.sorted) != (y.k, y.n, y.distinct, y.sorted):
-                return False
-            if not all(_iso_points(sx, sy) for sx, sy in zip(x.subspaces, y.subspaces)):
-                return False
-        elif (x.min, x.max) != (y.min, y.max):
-            return False
-    return True
+    """Same shape as a table file stores it: equal :func:`spec_to_json_obj`
+    renderings but for the ids (kinds, ranges, flags, hints and nesting)."""
+    return ([_point_to_json(p, False) for p in a.points]
+            == [_point_to_json(p, False) for p in b.points])
 
 
 def spec_to_json_obj(spec: DecisionSpec) -> dict:
@@ -511,22 +496,18 @@ def spec_to_json_obj(spec: DecisionSpec) -> dict:
     return {"points": [_point_to_json(p) for p in spec.points]}
 
 
-def _point_to_json(point) -> dict:
+def _point_to_json(point, ids: bool = True) -> dict:
+    doc = {"id": point.id} if ids else {}
     if isinstance(point, CategoricalPoint):
-        return {
-            "id": point.id,
-            "kind": "categorical",
-            "k": point.k,
-            "n": point.n,
-            "distinct": point.distinct,
-            "sorted": point.sorted,
-            "hints": point.hints,
-            "subspaces": [[_point_to_json(p) for p in sub] for sub in point.subspaces],
-        }
-    return {
-        "id": point.id,
-        "kind": point.kind,
-        "min": point.min,
-        "max": point.max,
-        "hints": point.hints,
-    }
+        doc.update(
+            kind="categorical",
+            k=point.k,
+            n=point.n,
+            distinct=point.distinct,
+            sorted=point.sorted,
+            hints=point.hints,
+            subspaces=[[_point_to_json(p, ids) for p in sub] for sub in point.subspaces],
+        )
+    else:
+        doc.update(kind=point.kind, min=point.min, max=point.max, hints=point.hints)
+    return doc

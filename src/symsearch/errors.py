@@ -40,6 +40,10 @@ class MissingRequiredField(SymsearchError):
     pass
 
 
+class UnknownField(SymsearchError, TypeError):
+    """A field name the object's type does not declare."""
+
+
 class BindingConflict(SymsearchError):
     """A functor argument was bound twice without the override flag."""
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -57,7 +56,7 @@ from .errors import (
     UnsupportedSpace,
 )
 from .materialize import infer_dna, materialize_prepared, materialize_partial_prepared
-from .algorithms import SearchAlgorithm
+from .algorithms import SearchAlgorithm, check_reward, reward_for
 from .prng import derive_seed
 from .values import SymbolicValue, to_symbolic
 
@@ -146,8 +145,8 @@ class FlowReport:
 
 class Feedback:
     """Single-use reward channel bound to one proposed DNA and its canonical
-    text.  It feeds the algorithm's ``_feedback`` hook; being single-use, it
-    does the proposal bookkeeping of ``SearchAlgorithm.feedback``."""
+    text.  It feeds the algorithm's ``_feedback`` hook a reward the reward
+    rule accepts; being single-use, it does the proposal bookkeeping."""
 
     def __init__(self, algorithm: SearchAlgorithm, dna: DNA, dna_text: str):
         self._algorithm = algorithm
@@ -158,7 +157,7 @@ class Feedback:
     def __call__(self, reward: float) -> None:
         if self.used:
             raise DoubleFeedback(f"reward for DNA {self.dna_text!r} already delivered")
-        self._algorithm._feedback(self.dna, self.dna_text, float(reward))
+        self._algorithm._feedback(self.dna, self.dna_text, reward_for(self.dna_text, reward))
         self.used = True
 
 
@@ -248,22 +247,6 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
         ))
         results.append((feedback.dna, reward))
     return results
-
-
-def check_reward(value) -> float:
-    """The one reward rule, for oracles and tables: a real number, not a bool,
-    that fits a float and is not NaN or +inf (-inf means "infeasible").  It
-    returns a float, or raises InvalidReward for the caller to prefix."""
-    if value.__class__ is not float:  # a plain float needs no conversion
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidReward(f"must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise InvalidReward("is an integer too large for a float") from None
-    if value != value or value == math.inf:
-        raise InvalidReward("is NaN or +inf; -inf is the only non-finite reward")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -145,25 +145,40 @@ def check_range(label: str, integer: bool, min, max) -> None:
                 isinstance(bound, int) if integer
                 else isinstance(bound, (int, float)) and -_FLOAT_MAX <= bound <= _FLOAT_MAX):
             wanted = "an integer" if integer else "a finite number"
-            raise BadRange(f"{label} {key} must be {wanted}, got {bound!r}")
+            raise BadRange(f"{label} {key} must be {wanted}, got {_shown(bound)}")
     if min > max:
-        raise BadRange(f"{label} min must be at most max, {max!r}, got {min!r}")
+        raise BadRange(f"{label} min must be at most max, {_shown(max)}, got {_shown(min)}")
 
 
-class IntRange(HyperValue):
-    """An integer drawn from the inclusive range [min, max]."""
+def _shown(bound) -> str:
+    """``repr(bound)``, or the size of an int too long to render in decimal."""
+    try:
+        return repr(bound)
+    except ValueError:
+        return f"an integer of {bound.bit_length()} bits"
+
+
+class _Range(HyperValue):
+    """The body both range kinds share: a `_number` in [min, max].  Bounds are
+    checked by :func:`check_range` when built, never when copied; `form`
+    names the constructor and the wire form."""
 
     __slots__ = ("min", "max", "hints")
 
-    def __init__(self, min: int, max: int, hints: str | None = None):
+    def __init__(self, min, max, hints: str | None = None):
         super().__init__()
-        check_range("intv:", True, min, max)
-        self.min = min
-        self.max = max
+        check_range(f"{self.form}:", self._number is int, min, max)
+        self.min = self._number(min)
+        self.max = self._number(max)
         self.hints = hints
 
     def _copy(self, replaced=None):
-        return IntRange(self.min, self.max, self.hints)
+        fresh = self.__class__.__new__(self.__class__)
+        fresh._parent = None
+        fresh.min = self.min
+        fresh.max = self.max
+        fresh.hints = self.hints
+        return fresh
 
     def _equals_same_kind(self, other):
         return (self.min, self.max, self.hints) == (other.min, other.max, other.hints)
@@ -173,43 +188,29 @@ class IntRange(HyperValue):
 
         if isinstance(spec, Any):
             return
-        if isinstance(spec, (Int, Float)) and spec.accepts_range(self.min, self.max):
+        accepted = (Int, Float) if self._number is int else Float
+        if isinstance(spec, accepted) and spec.accepts_range(self.min, self.max):
             return
         raise ConstraintViolation(path, spec, self, f"range [{self.min}, {self.max}] not accepted")
 
     def __repr__(self):
-        return f"intv({self.min}, {self.max})"
+        return f"{self.form}({self.min}, {self.max})"
 
 
-class FloatRange(HyperValue):
+class IntRange(_Range):
+    """An integer drawn from the inclusive range [min, max]."""
+
+    __slots__ = ()
+    form = "intv"
+    _number = int
+
+
+class FloatRange(_Range):
     """A float drawn from the closed interval [min, max]."""
 
-    __slots__ = ("min", "max", "hints")
-
-    def __init__(self, min: float, max: float, hints: str | None = None):
-        super().__init__()
-        check_range("floatv:", False, min, max)
-        self.min = float(min)
-        self.max = float(max)
-        self.hints = hints
-
-    def _copy(self, replaced=None):
-        return FloatRange(self.min, self.max, self.hints)
-
-    def _equals_same_kind(self, other):
-        return (self.min, self.max, self.hints) == (other.min, other.max, other.hints)
-
-    def check_against(self, spec, path):
-        from .schema import Any, Float
-
-        if isinstance(spec, Any):
-            return
-        if isinstance(spec, Float) and spec.accepts_range(self.min, self.max):
-            return
-        raise ConstraintViolation(path, spec, self, f"range [{self.min}, {self.max}] not accepted")
-
-    def __repr__(self):
-        return f"floatv({self.min}, {self.max})"
+    __slots__ = ()
+    form = "floatv"
+    _number = float
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +233,8 @@ def permutate(candidates, hints: str | None = None) -> Categorical:
     return Categorical(len(list(candidates)), candidates, distinct=True, sorted=False, hints=hints)
 
 
-def intv(min: int, max: int, hints: str | None = None) -> IntRange:
-    return IntRange(min, max, hints)
-
-
-def floatv(min: float, max: float, hints: str | None = None) -> FloatRange:
-    return FloatRange(min, max, hints)
+intv = IntRange
+floatv = FloatRange
 
 
 # ---------------------------------------------------------------------------

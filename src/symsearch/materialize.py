@@ -176,17 +176,12 @@ def _match_tree(space_node, prog_node):
     `prog_node`, or None."""
     if isinstance(space_node, Categorical):
         return _match_categorical(space_node, prog_node)
-    if isinstance(space_node, IntRange):
-        if isinstance(prog_node, Primitive) and isinstance(prog_node.value, int) \
-                and not isinstance(prog_node.value, bool) \
-                and space_node.min <= prog_node.value <= space_node.max:
-            return [prog_node.value]
-        return None
-    if isinstance(space_node, FloatRange):
-        if isinstance(prog_node, Primitive) and isinstance(prog_node.value, (int, float)) \
-                and not isinstance(prog_node.value, bool) \
-                and space_node.min <= prog_node.value <= space_node.max:
-            return [float(prog_node.value)]
+    if isinstance(space_node, (IntRange, FloatRange)):
+        integer = isinstance(space_node, IntRange)
+        value = prog_node.value if isinstance(prog_node, Primitive) else None
+        if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool) \
+                and space_node.min <= value <= space_node.max:
+            return [value if integer else float(value)]
         return None
     if type(space_node) is not type(prog_node):
         return None

@@ -49,7 +49,7 @@ from .errors import (
     UnknownKey,
     UnsupportedSpace,
 )
-from .flows import check_reward
+from .algorithms import check_reward
 from .hyper import check_categorical, check_range, oneof
 from .prng import SplitMix64
 from .serialization import _field, _point_rule

@@ -84,28 +84,27 @@ class _Ranged(ValueSpec):
         """Whether the whole closed interval [lo, hi] satisfies the bounds."""
         return self._in_range(lo) and self._in_range(hi)
 
+    def _check(self, node, path):
+        if not (isinstance(node, Primitive) and isinstance(node.value, self._numbers)
+                and not isinstance(node.value, bool)):
+            self._fail(path, node, f"expected {self._expected}")
+        if not self._in_range(node.value):
+            self._fail(path, node, f"out of range [{self.min}, {self.max}]")
+
     def __repr__(self):
         return f"{type(self).__name__}(min={self.min!r}, max={self.max!r})"
 
 
 class Int(_Ranged):
-    def _check(self, node, path):
-        if not (isinstance(node, Primitive) and isinstance(node.value, int)
-                and not isinstance(node.value, bool)):
-            self._fail(path, node, "expected int")
-        if not self._in_range(node.value):
-            self._fail(path, node, f"out of range [{self.min}, {self.max}]")
+    _numbers = int
+    _expected = "int"
 
 
 class Float(_Ranged):
     """Accepts floats and ints within the bounds."""
 
-    def _check(self, node, path):
-        if not (isinstance(node, Primitive) and isinstance(node.value, (int, float))
-                and not isinstance(node.value, bool)):
-            self._fail(path, node, "expected float")
-        if not self._in_range(node.value):
-            self._fail(path, node, f"out of range [{self.min}, {self.max}]")
+    _numbers = (int, float)
+    _expected = "float"
 
 
 class Text(ValueSpec):
@@ -310,9 +309,8 @@ class TypeRegistry:
 def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
     """Construct a validated object node.
 
-    Positional arguments map to params in declaration order.  Defaults fill
-    unbound params; functor types may leave non-defaulted params unbound,
-    every other type requires them.
+    Positional arguments map to params in declaration order; the fields are
+    then checked and completed by :class:`ObjectNode`'s construction rule.
     """
     if isinstance(type_def, TypeHandle):
         type_def = type_def.type_def
@@ -322,13 +320,7 @@ def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
         )
     fields = {param.name: value for param, value in zip(type_def.params, args)}
     for name, value in kwargs.items():
-        param = type_def.param(name)
-        if param is None:
-            raise TypeError(f"{type_def.type_name} has no field {name!r}")
         if name in fields:
             raise TypeError(f"{type_def.type_name} got duplicate value for {name!r}")
         fields[name] = value
-    for param in type_def.params:
-        if param.name not in fields and param.has_default:
-            fields[param.name] = param.default.clone()
     return ObjectNode(type_def, fields)

@@ -18,10 +18,11 @@ Serialization is deterministic: equal values produce identical text.
 from __future__ import annotations
 
 import json
+import math
 
-from .errors import BadPoint, MalformedDocument, ReservedKey, UnknownType
+from .errors import BadPoint, MalformedDocument, UnknownField, UnknownType
 from .hyper import Categorical, FloatRange, IntRange, check_categorical, check_range
-from .schema import TypeRegistry, new_object
+from .schema import TypeRegistry
 from .values import Mapping, ObjectNode, Primitive, Sequence, SymbolicValue, to_symbolic
 
 
@@ -49,10 +50,8 @@ def to_json_obj(node: SymbolicValue):
         doc["candidates"] = [to_json_obj(c) for c in node.candidates]
         doc["hints"] = node.hints
         return doc
-    if isinstance(node, IntRange):
-        return {"_hyper": "intv", "min": node.min, "max": node.max, "hints": node.hints}
-    if isinstance(node, FloatRange):
-        return {"_hyper": "floatv", "min": node.min, "max": node.max, "hints": node.hints}
+    if isinstance(node, (IntRange, FloatRange)):
+        return {"_hyper": node.form, "min": node.min, "max": node.max, "hints": node.hints}
     raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
@@ -72,15 +71,21 @@ def deserialize(text: str, registry: TypeRegistry | None = None) -> SymbolicValu
     interpreter's recursion limit allows are rejected as malformed.
     """
     try:
-        return from_json_obj(json.loads(text, parse_constant=_reject_constant), registry)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from None
+        try:
+            doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
+        except ValueError as exc:  # not JSON, or an integer longer than int() reads
+            raise MalformedDocument(f"invalid JSON: {exc}") from None
+        return from_json_obj(doc, registry)
     except RecursionError:
         raise MalformedDocument("document is nested too deeply") from None
 
 
-def _reject_constant(name):
-    raise MalformedDocument(f"non-finite number {name!r} not allowed")
+def _finite(text: str) -> float:
+    """A JSON number's float; NaN, infinities and overflowing literals raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise MalformedDocument(f"non-finite number {text!r} not allowed")
+    return value
 
 
 def from_json_obj(doc, registry: TypeRegistry | None = None) -> SymbolicValue:
@@ -96,8 +101,6 @@ def from_json_obj(doc, registry: TypeRegistry | None = None) -> SymbolicValue:
         return _object_from_json(doc, registry)
     try:
         return Mapping({k: from_json_obj(v, registry) for k, v in doc.items()})
-    except ReservedKey:
-        raise
     except ValueError as exc:
         raise MalformedDocument(str(exc)) from None
 
@@ -109,14 +112,11 @@ def _object_from_json(doc, registry):
     if registry is None:
         raise UnknownType(f"type {type_name!r} is not registered")
     type_def = registry.resolve(type_name)
-    fields = {}
-    for key, value in doc.items():
-        if key == "_type":
-            continue
-        if type_def.param(key) is None:
-            raise MalformedDocument(f"{type_name} has no field {key!r}")
-        fields[key] = from_json_obj(value, registry)
-    return new_object(type_def, **fields)
+    fields = {key: from_json_obj(value, registry) for key, value in doc.items() if key != "_type"}
+    try:
+        return ObjectNode(type_def, fields)
+    except UnknownField as exc:
+        raise MalformedDocument(str(exc)) from None
 
 
 # The keys each hyper kind's document may hold besides "_hyper" and "hints".

@@ -44,6 +44,7 @@ from .errors import (
     MissingRequiredField,
     PathNotFound,
     ReservedKey,
+    UnknownField,
 )
 from .paths import KeyPath, as_path, is_identifier, join_segment
 
@@ -281,11 +282,11 @@ class ObjectNode(SymbolicValue):
     """An instance of a registered type: a node whose children are its fields,
     each constrained by the type's per-field spec.
 
-    Fields of functor (callable) types may be left unbound; all other types
-    require every field bound after defaults are applied.  Construction is
-    where both rules are checked: each field against its spec and each
-    missing field against the rule, in param declaration order, before any
-    field is adopted.
+    Construction is the one field rule, however an object is built: an
+    undeclared name raises UnknownField, then in param order each given
+    field is checked against its spec and each absent one takes a clone of
+    its default (checked when the param was declared) or, unless the type
+    is a functor (callable), is missing.  No field is adopted before all pass.
     """
 
     __slots__ = ("type_def", "_fields")
@@ -293,11 +294,16 @@ class ObjectNode(SymbolicValue):
     def __init__(self, type_def, fields: dict):
         super().__init__()
         self.type_def = type_def
+        for name in fields:
+            if type_def.param(name) is None:
+                raise UnknownField(f"{type_def.type_name} has no field {name!r}")
         nodes = {}
         for param in type_def.params:
             if param.name in fields:
                 nodes[param.name] = node = to_symbolic(fields[param.name])
                 param.spec.check(node, param.name)
+            elif param.has_default:
+                nodes[param.name] = param.default.clone()
             elif not type_def.callable:
                 raise MissingRequiredField(f"{type_def.type_name} requires field {param.name!r}")
         self._fields = {name: self._adopt(name, node) for name, node in nodes.items()}
@@ -343,33 +349,21 @@ class ObjectNode(SymbolicValue):
         Binding an already-bound field is a conflict; change bound fields
         through rebind instead.
         """
-        bound = dict(self._fields)
-        for name, value in fields.items():
-            param = self.type_def.param(name)
-            if param is None:
-                raise TypeError(f"{self.type_name} has no field {name!r}")
-            if name in bound:
-                raise BindingConflict(f"{self.type_name}.{name} is already bound")
-            bound[name] = value
-        return ObjectNode(self.type_def, bound)
+        for name in fields:
+            if name in self._fields:
+                raise BindingConflict(f"{self.type_name}.{name} is already bound; change it through "
+                                      "rebind, or at call time with override_args=True")
+        return ObjectNode(self.type_def, {**self._fields, **fields})
 
     def __call__(self, override_args: bool = False, **kwargs):
         """Invoke a functor.  Call-time arguments bind for this invocation
         only; rebinding an already-bound field requires ``override_args``."""
         if not self.type_def.callable:
             raise TypeError(f"{self.type_name} is not a functor")
-        bound = dict(self._fields)
-        for name, value in kwargs.items():
-            param = self.type_def.param(name)
-            if param is None:
-                raise TypeError(f"{self.type_name} has no field {name!r}")
-            if name in bound and not override_args:
-                raise BindingConflict(
-                    f"{self.type_name}.{name} is already bound; pass override_args=True to rebind at call time"
-                )
-            node = to_symbolic(value)
-            param.spec.check(node, name)
-            bound[name] = node
+        if override_args:
+            bound = ObjectNode(self.type_def, {**self._fields, **kwargs})._fields
+        else:
+            bound = self.bind(**kwargs)._fields
         missing = [p.name for p in self.type_def.params if p.name not in bound]
         if missing:
             raise MissingRequiredField(f"calling {self.type_name} with unbound fields: {', '.join(missing)}")

@@ -344,6 +344,11 @@ def test_search_bad_budget_and_size_flags_are_usage_errors(tmp_path, flags, mess
     '{"_hyper":"floatv","min":0,"max":1e400}',
     '{"_hyper":"intv","min":1,"max":3,"step":2}',
     '{"_hyper":"oneof","candidates":[1,2],"k":2}',
+    # Numbers the JSON parser itself cannot hold: a float that overflows to
+    # inf, and an int with more digits than int() reads.
+    pytest.param("[1e400]", id="float-overflow"),
+    pytest.param('{"_hyper":"intv","min":0,"max":1' + "0" * sys.get_int_max_str_digits() + "}",
+                 id="int-over-the-digit-limit"),
 ])
 def test_malformed_hyper_document_is_runtime_error(tmp_path, document):
     space_file = tmp_path / "space.json"

@@ -368,3 +368,27 @@ def test_isomorphic_ignores_ids():
     assert isomorphic(a, b)
     c = abstract_search_space(ss.Sequence([oneof([5, 6, 7]), intv(0, 3)]))
     assert not isomorphic(a, c)
+
+
+def iso_space(k=2, candidates=(intv(0, 3), 1, 2), distinct=True, sorted=False, hints="op",
+              last=intv(1, 4)):
+    return abstract_search_space(ss.Sequence([
+        manyof(k, list(candidates), distinct=distinct, sorted=sorted, hints=hints), last]))
+
+
+@pytest.mark.parametrize("changes", [
+    {"last": floatv(1, 4)},
+    {"k": 3},
+    {"candidates": (intv(0, 3), 1, 2, 3)},
+    {"distinct": False},
+    {"sorted": True},
+    {"last": intv(0, 4)},
+    {"last": intv(1, 5)},
+    {"hints": None},
+    {"candidates": (1, intv(0, 3), 2)},
+], ids=["kind", "k", "n", "distinct", "sorted", "min", "max", "hints", "nesting"])
+def test_isomorphic_is_false_for_each_single_difference(changes):
+    """Same shape means the same table-file rendering, ids aside."""
+    assert isomorphic(iso_space(), iso_space())
+    assert not isomorphic(iso_space(), iso_space(**changes))
+    assert not isomorphic(iso_space(**changes), iso_space())

@@ -119,6 +119,30 @@ def test_sample_lenient_mode_feeds_neg_inf(bench):
     assert [entry[2] for entry in algo.population] == [float("-inf")]
 
 
+@pytest.mark.parametrize("bad", ["nan", "0.5", True, float("inf"), float("nan")],
+                         ids=["nan-text", "text", "bool", "plus-inf", "nan"])
+def test_every_feedback_route_refuses_a_reward_the_rule_refuses(bench, bad):
+    """The handle, ``feedback`` and ``seed_feedback`` hold rewards to the
+    one reward rule, naming the DNA; a refused reward changes nothing, so
+    no NaN reaches the population."""
+    space, spec, *_ = bench
+    algo = RegularizedEvolution(4, 1, seed=0)
+    child, handle = next(sample(space, algo, budget=1))
+    with pytest.raises(InvalidReward, match=rf"^the reward for DNA '{re.escape(handle.dna_text)}' "):
+        handle(bad)
+    assert not handle.used
+    handle(0.25)
+    dna = algo.propose()
+    text = ss.encode_dna(dna, spec)
+    with pytest.raises(InvalidReward, match=rf"^the reward for DNA '{re.escape(text)}' "):
+        algo.feedback(dna, bad)
+    algo.feedback(dna, 0.5)  # the refused reward left the proposal outstanding
+    with pytest.raises(InvalidReward, match=rf"^the reward for DNA '{re.escape(text)}' "):
+        algo.seed_feedback(dna, bad)
+    algo.seed_feedback(dna, -float("inf"))
+    assert [entry[2] for entry in algo.population] == [0.25, 0.5, -float("inf")]
+
+
 def test_sample_empty_partition_raises(bench):
     space, *_ = bench
     with pytest.raises(EmptySelection):

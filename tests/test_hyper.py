@@ -8,6 +8,7 @@ import math
 import pytest
 
 import symsearch as ss
+from symsearch import hyper
 from symsearch.decisions import abstract_search_space, enumerate_dnas
 from symsearch.eager import eager_floatv, eager_intv, eager_oneof, eager_problem
 from symsearch.errors import (
@@ -41,6 +42,9 @@ BAD_RANGES = {
     "float-inf-bound": ("floatv", 0, math.inf), "float-text-bounds": ("floatv", "a", "b"),
     "float-nan-bound": ("floatv", math.nan, 1), "float-bool-bound": ("floatv", False, 1.0),
     "float-huge-int-bound": ("floatv", 0, 10**400), "float-min-above-max": ("floatv", 2.0, 1.0),
+    # Integers too long for repr() to render are named by their size.
+    "float-unprintable-int-bound": ("floatv", 0, 10**5000),
+    "int-unprintable-min-above-max": ("intv", 10**5000, 0),
 }
 
 
@@ -57,6 +61,32 @@ def test_one_range_rule_refuses_bad_bounds_at_construction(kind, low, high, form
         make = {"intv": eager_intv, "floatv": eager_floatv}[kind]
         with pytest.raises(BadRange, match=f"^{kind}: "):
             eager_problem(lambda: make(low, high))
+
+
+def test_a_bound_too_long_to_print_is_a_bad_range_on_every_route():
+    huge = 10 ** 5000
+    reason = f"max must be a finite number, got an integer of {huge.bit_length()} bits$"
+    with pytest.raises(BadRange, match=f"^floatv: {reason}"):
+        floatv(0, huge)
+    point = {"kind": "float", "id": "p", "min": 0, "max": huge, "hints": None}
+    with pytest.raises(MalformedDocument, match=f"^float point 'p' {reason}"):
+        spec_from_json_obj({"points": [point]})
+
+
+def test_copies_of_a_space_run_no_range_check(monkeypatch, types):
+    """A range's bounds passed :func:`check_range` when it was built, so a
+    clone, a copy around an edit and a partial materialization take them as
+    they are."""
+    space = ss.Sequence([intv(1, 3), floatv(0, 1), types.Dense(units=intv(1, 8))])
+    fresh = intv(1, 3)
+    calls = []
+    monkeypatch.setattr(hyper, "check_range", lambda *args: calls.append(args))
+    copies = [space.clone(), ss.clone(space), ss.rebind(space, {"[0]": fresh}),
+              ss.rebind(space, {"[1]": 0.5}),
+              ss.materialize_partial(space, ss.DNA([2]), lambda point: point.id == "[0]")]
+    assert calls == []
+    assert [ss.equal(copy, space) for copy in copies[:3]] == [True, True, True]
+    assert repr(copies[3][0]) == "intv(1, 3)" and repr(copies[4][1]) == "floatv(0.0, 1.0)"
 
 
 def test_the_range_rule_accepts_int_bounds_for_floats_and_equal_bounds():

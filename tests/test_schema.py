@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import symsearch as ss
@@ -10,10 +12,13 @@ from symsearch.errors import (
     ConstraintViolation,
     DuplicateTypeName,
     InvalidSpec,
+    MalformedDocument,
     MissingRequiredField,
+    UnknownField,
     UnknownType,
 )
 from symsearch.hyper import floatv, intv, manyof, oneof
+from symsearch.values import ObjectNode
 
 
 def test_register_and_construct(types):
@@ -160,3 +165,32 @@ def test_conditional_candidate_acceptance(types):
     assert not ss.is_deterministic(node)
     with pytest.raises(ConstraintViolation):
         types.Conv(filters=oneof([2, oneof([4, 0])]), kernel_size=3)
+
+
+def test_every_object_route_applies_the_one_construction_rule():
+    """Building a node directly, through its type handle or ``new_object``,
+    by ``bind`` or by ``deserialize`` gives the same fields, defaults filled,
+    and refuses an unknown name with the same text."""
+    registry = ss.TypeRegistry()
+    Opt = registry.register(ss.TypeDef("Opt", [
+        ss.Param("lr", schema.Float(min=0), 0.1),
+        ss.Param("steps", schema.Int(min=1)),
+    ], impl=lambda lr, steps: (lr, steps)))
+    type_def = Opt.type_def
+    routes = {
+        "node": lambda **fields: ObjectNode(type_def, fields),
+        "handle": lambda **fields: Opt(**fields),
+        "new_object": lambda **fields: ss.new_object(type_def, **fields),
+        "bind": lambda **fields: ObjectNode(type_def, {}).bind(**fields),
+        "deserialize": lambda **fields: ss.deserialize(
+            json.dumps({"_type": "Opt", **fields}), registry),
+    }
+    for route, build in routes.items():
+        assert ss.serialize(build(steps=5)) == '{"_type":"Opt","lr":0.1,"steps":5}', route
+        error = MalformedDocument if route == "deserialize" else UnknownField
+        with pytest.raises(error, match=r"^Opt has no field 'bogus'$"):
+            build(steps=5, bogus=1)
+    with pytest.raises(UnknownField, match=r"^Opt has no field 'bogus'$"):
+        Opt()(bogus=1)
+    assert Opt()(steps=2) == (0.1, 2)
+    assert issubclass(UnknownField, TypeError)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -80,6 +81,10 @@ def test_malformed_documents(types):
         ss.deserialize("{not json", types.registry)
     with pytest.raises(MalformedDocument):
         ss.deserialize("NaN", types.registry)
+    with pytest.raises(MalformedDocument, match="^non-finite number '-1e400' not allowed$"):
+        ss.deserialize('{"_type":"Dense","units":[-1e400]}', types.registry)
+    with pytest.raises(MalformedDocument, match="^invalid JSON: "):
+        ss.deserialize("[1" + "0" * sys.get_int_max_str_digits() + "]")
     with pytest.raises(MalformedDocument):
         ss.deserialize('{"_type":"Dense","bogus":1}', types.registry)
     with pytest.raises(MalformedDocument):
