@@ -181,25 +181,23 @@ class RegularizedEvolution(SearchAlgorithm):
             self.population.popleft()
 
 
-def mutate(dna: DNA, spec: DecisionSpec, rng: Random, exclude_current: bool = True,
-           tokens: list | None = None) -> DNA:
+def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None) -> DNA:
     """Single-point mutation: resample one decision point chosen uniformly
     among the points active under the DNA's conditional path.
 
-    With ``exclude_current`` the resample avoids the current value; a point
-    whose feasible set is a singleton leaves the DNA unchanged.  When a
-    categorical slot switches candidates, the child decisions for the new
-    candidate are sampled fresh; slots keeping their candidate keep their
-    child decisions.  The child shares the lists off the path to the site
-    with `dna`; neither may change in place.  Given the canonical `tokens`
-    of a conforming `dna`, the resampled decision is checked (NonconformingDNA
-    names its point) and its tokens are spliced in place of the old ones.
+    The resample avoids the current value; a point whose feasible set is a
+    singleton leaves the DNA unchanged.  When a categorical slot switches
+    candidates, the child decisions for the new candidate are sampled fresh;
+    slots keeping their candidate keep their child decisions.  The child
+    shares the lists off the path to the site with `dna`; neither may change
+    in place.  Given the canonical `tokens` of a conforming `dna`, the
+    resampled decision is checked (NonconformingDNA names its point) and its
+    tokens are spliced in place of the old ones.
     """
     total = _count_active(spec.points, dna.decisions)
     if not total:
         return dna
-    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng,
-                               exclude_current, tokens, 0)
+    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng, tokens, 0)
     return dna if decisions is None else DNA(decisions)
 
 
@@ -214,7 +212,7 @@ def _count_active(points, decisions) -> int:
     return total
 
 
-def _mutated(points, decisions, site, rng: Random, exclude: bool, tokens, at: int):
+def _mutated(points, decisions, site, rng: Random, tokens, at: int):
     """Walk `decisions` in pre-order to their `site`-th active decision and
     resample it, counting in `at` the `tokens` walked.  Returns ``(site less
     the decisions walked, None, at)`` when the site lies beyond them, else
@@ -223,7 +221,7 @@ def _mutated(points, decisions, site, rng: Random, exclude: bool, tokens, at: in
     spliced into `tokens` unless they are None."""
     for i, (point, decision) in enumerate(zip(points, decisions)):
         if not site:
-            new = _resample(point, decision, rng, exclude)
+            new = _resample(point, decision, rng)
             if new is decision:
                 return -1, None, at
             if tokens is not None:
@@ -239,8 +237,7 @@ def _mutated(points, decisions, site, rng: Random, exclude: bool, tokens, at: in
         for slot, choice in enumerate(decision):
             at += 1
             if subspace := point.subspaces[choice.index]:
-                site, children, at = _mutated(subspace, choice.children, site, rng, exclude,
-                                              tokens, at)
+                site, children, at = _mutated(subspace, choice.children, site, rng, tokens, at)
                 if site < 0:
                     if children is None:
                         return -1, None, at
@@ -250,29 +247,27 @@ def _mutated(points, decisions, site, rng: Random, exclude: bool, tokens, at: in
     return site, None, at
 
 
-def _resample(point, decision, rng: Random, exclude_current: bool):
+def _resample(point, decision, rng: Random):
     if isinstance(point, IntPoint):
         span = point.max - point.min + 1
-        if not exclude_current:
-            return rng.randint(point.min, point.max)
         if span == 1:
             return decision
         value = point.min + rng.randrange(span - 1)
         return value + 1 if value >= decision else value
     if isinstance(point, FloatPoint):
-        if exclude_current and point.min == point.max:
+        if point.min == point.max:
             return decision
         while True:
             value = rng.uniform(point.min, point.max)
-            if not exclude_current or value != decision:
+            if value != decision:
                 return value
     # Categorical: resample the whole index tuple.
     current = [c.index for c in decision]
-    if exclude_current and count_tuples(point) == 1:
+    if count_tuples(point) == 1:
         return decision
     while True:
         indices = random_tuple(point, rng)
-        if not exclude_current or indices != current:
+        if indices != current:
             break
     return [decision[slot] if slot < len(decision) and decision[slot].index == index
             else Choice(index, random_decisions(point.subspaces[index], rng))

@@ -243,9 +243,7 @@ def _run_path(out: Path, run_index: int, repeat: int) -> Path:
 
 def cmd_search(args, parser) -> int:
     _check_search_flags(args, parser)
-    if args.repeat == 1:
-        summaries = [run_search_once(args, 0)]
-    elif args.jobs == 1:
+    if args.jobs == 1 or args.repeat == 1:
         summaries = [run_search_once(args, i) for i in range(args.repeat)]
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -58,8 +58,7 @@ class CategoricalPoint:
     kind = "categorical"
 
 
-DecisionPoint = "CategoricalPoint | IntPoint | FloatPoint"
-Selector = Callable[["DecisionPoint"], bool]
+Selector = Callable[["CategoricalPoint | IntPoint | FloatPoint"], bool]
 
 
 @dataclass
@@ -284,15 +283,11 @@ def _enum_points(points) -> Iterator[list]:
         yield []
         return
     head, tail = points[0], points[1:]
-    for decision in _enum_decision(head):
+    decisions = (range(head.min, head.max + 1) if isinstance(head, IntPoint)
+                 else _enum_choices(head, []))
+    for decision in decisions:
         for rest in _enum_points(tail):
             yield [decision] + rest
-
-
-def _enum_decision(point) -> Iterator:
-    if isinstance(point, IntPoint):
-        return iter(range(point.min, point.max + 1))
-    return _enum_choices(point, [])
 
 
 def _enum_choices(point, prefix) -> Iterator[list]:

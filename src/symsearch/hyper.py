@@ -138,14 +138,21 @@ def check_categorical(label: str, k, n: int, distinct: bool) -> None:
 
 def check_range(label: str, integer: bool, min, max) -> None:
     """The one rule for a range point, symbolic, eager or stored: int bounds
-    are ints, float bounds finite ints or floats, a bool is neither, and
-    ``min <= max``.  An error starts with `label` and names the bound."""
+    are ints that ``repr`` renders (``sys.get_int_max_str_digits()``), float
+    bounds finite ints or floats, a bool is neither, and ``min <= max``.  An
+    error starts with `label` and names the bound."""
     for key, bound in (("min", min), ("max", max)):
         if isinstance(bound, bool) or not (
                 isinstance(bound, int) if integer
                 else isinstance(bound, (int, float)) and -_FLOAT_MAX <= bound <= _FLOAT_MAX):
             wanted = "an integer" if integer else "a finite number"
             raise BadRange(f"{label} {key} must be {wanted}, got {_shown(bound)}")
+        if integer:
+            try:
+                repr(bound)
+            except ValueError:
+                raise BadRange(f"{label} {key} must have at most {sys.get_int_max_str_digits()} "
+                               f"digits, got {_shown(bound)}") from None
     if min > max:
         raise BadRange(f"{label} min must be at most max, {_shown(max)}, got {_shown(min)}")
 
@@ -229,8 +236,9 @@ def manyof(k: int, candidates, distinct: bool = True, sorted: bool = False,
 
 
 def permutate(candidates, hints: str | None = None) -> Categorical:
-    """Search for a permutation of all candidates."""
-    return Categorical(len(list(candidates)), candidates, distinct=True, sorted=False, hints=hints)
+    """Search for a permutation of all candidates, from any iterable."""
+    candidates = list(candidates)
+    return Categorical(len(candidates), candidates, distinct=True, sorted=False, hints=hints)
 
 
 intv = IntRange

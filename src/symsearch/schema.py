@@ -269,9 +269,8 @@ class TypeDef:
 class TypeHandle:
     """Constructor handle returned by registration; call it to build objects."""
 
-    def __init__(self, type_def: TypeDef, registry: "TypeRegistry"):
+    def __init__(self, type_def: TypeDef):
         self.type_def = type_def
-        self.registry = registry
 
     def __call__(self, *args, **kwargs) -> ObjectNode:
         return new_object(self.type_def, *args, **kwargs)
@@ -294,7 +293,7 @@ class TypeRegistry:
         if type_def.type_name in self._types:
             raise DuplicateTypeName(f"type {type_def.type_name!r} is already registered")
         self._types[type_def.type_name] = type_def
-        return TypeHandle(type_def, self)
+        return TypeHandle(type_def)
 
     def resolve(self, type_name: str) -> TypeDef:
         try:

@@ -32,6 +32,7 @@ the error they raise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Iterable, Iterator
@@ -528,10 +529,10 @@ def rebind(x: SymbolicValue, edits) -> SymbolicValue:
     to the node it replaces is no change, and Set and Insert values are
     attached as clones.  With a callable, the transform is applied to every
     node in depth-first post-order and receives the node's rendered path;
-    returning a value equal to the input (or None) means "no change".  A
-    returned value is attached as it is, or cloned once when it already
-    sits in a tree; it is not re-visited, and what changed below the node it
-    replaces is dropped.
+    returning a value equal to the input (or None), or the node of `x` at
+    that path, means "no change".  A returned value is attached as it is, or
+    cloned once when it already sits in a tree; it is not re-visited, and
+    what changed below the node it replaces is dropped.
 
     Both forms run one rebuild that copies each node of the result once and
     notes on its way the nearest object field enclosing each change and each
@@ -541,18 +542,16 @@ def rebind(x: SymbolicValue, edits) -> SymbolicValue:
     order Inserts, Deletes, then Sets deepest first, each in mapping order.
     Last, each hook fires once, bottom-up: deepest first, then by path.
     """
-    found = []
+    checks, hooks = [], []
     if callable(edits) and not isinstance(edits, dict):
-        result = _transform(x, "", None, edits, found)
+        result, _ = _transform(x, "", None, edits, checks, hooks, itertools.count())
     else:
-        result = _apply(_plan(x, edits), found)
+        result, _ = _apply(_plan(x, edits), checks, hooks)
     if result is x or result._parent is not None:
         result = result.clone()
-    checks = [entry for entry in found if entry is not None and entry[0] == "check"]
-    for _, _, value, spec in sorted(checks, key=lambda entry: entry[1]):
+    for _, value, spec in sorted(checks, key=lambda check: check[0]):
         _check_lazily(spec, value)
-    hooked = [entry[1] for entry in found if entry is not None and entry[0] == "hook"]
-    for obj in sorted(hooked, key=_hook_order):
+    for obj in sorted(hooks, key=_hook_order):
         obj.type_def.recompute_hook(obj)
     return result
 
@@ -621,42 +620,35 @@ def _validate_directive(x, path, directive):
         raise IllegalDirective(f"delete requires a sequence or mapping parent at {path.parent.render()!r}")
 
 
-# The rebuild shared by both forms of rebind.  Each change appends
-# ("change", order) to a `found` list.  A rebuilt object turns the changes
-# found below each of its replaced fields into one ("check", order, new
-# field value, spec), the order being that of the first, and appends
-# ("hook", copy) when it has a recompute hook; claimed changes become None.
-# A caller takes ``mark = len(found)`` before it descends into each child,
-# so the entries found below a child start at its mark.
+# The rebuild shared by both forms of rebind.  Each step returns the node it
+# built and `first`, the order of its first change that no object claimed, or
+# None.  A rebuilt object claims the changes below each replaced field: it
+# appends (first, new field value, spec) to `checks`, and itself to `hooks`
+# when it has a recompute hook.
 
-def _apply(edit: _Edit, found: list) -> SymbolicValue:
-    """The node `edit` addresses after the edits at and below it: the node
-    itself when nothing changed, else one fresh copy."""
+def _apply(edit: _Edit, checks: list, hooks: list) -> tuple:
+    """The node `edit` addresses after the edits at and below it (the node
+    itself when nothing changed, else one fresh copy), and its first change."""
     node, directive = edit.node, edit.directive
     if isinstance(directive, Set):
         new = to_symbolic(directive.value)
         if equal(node, new):
-            return node
-        found.append(("change", edit.order))
-        return new.clone()
-    replaced = marks = None
-    spliced = False
+            return node, None
+        return new.clone(), edit.order
+    replaced, firsts, spliced = {}, [], False
     for key, sub in edit.below.items():
         if isinstance(sub.directive, (Insert, Delete)):
             spliced = True
-            found.append(("change", sub.order))
+            firsts.append(sub.order)
             if isinstance(sub.directive, Delete) or not sub.below:
                 continue
-        mark = len(found)
-        new = _apply(sub, found)
+        new, first = _apply(sub, checks, hooks)
         if new is not sub.node:
-            if replaced is None:
-                replaced, marks = {}, []
             replaced[key] = new
-            marks.append(mark)
+            firsts.append(first)
     if spliced:
-        return _spliced(node, edit.below, replaced or {})
-    return node if replaced is None else _rebuilt(node, replaced, marks, found)
+        return _spliced(node, edit.below, replaced), _earliest(firsts)
+    return _rebuilt(node, replaced, firsts, checks, hooks) if replaced else (node, None)
 
 
 def _spliced(node, below: dict, replaced: dict) -> SymbolicValue:
@@ -677,52 +669,45 @@ def _spliced(node, below: dict, replaced: dict) -> SymbolicValue:
     return Sequence(children)
 
 
-def _transform(node, text, parent, fn, found) -> SymbolicValue:
-    """`node` after the transform: the node itself when nothing under it
+def _transform(node, text, parent, fn, checks, hooks, clock) -> tuple:
+    """`node` after the transform (the node itself when nothing under it
     changed, else one copy built from its replaced children and clones of
-    the rest, or the value `fn` returned for it."""
-    replaced = marks = None
+    the rest, or the value `fn` returned for it), and its first change; a
+    change's order is its place in post-order, read from `clock`."""
+    checked, hooked = len(checks), len(hooks)
+    replaced = firsts = None
     for key, child in node.child_items():
-        mark = len(found)
-        new_child = _transform(child, join_segment(text, key), node, fn, found)
+        new_child, first = _transform(child, join_segment(text, key), node, fn, checks, hooks, clock)
         if new_child is not child:
             if replaced is None:
-                replaced, marks = {}, []
+                replaced, firsts = {}, []
             replaced[key] = new_child
-            marks.append(mark)
-    current = node if replaced is None else _rebuilt(node, replaced, marks, found)
+            firsts.append(first)
+    current, first = (node, None) if replaced is None else _rebuilt(node, replaced, firsts, checks, hooks)
     returned = fn(text, current, parent)
-    if returned is None or returned is current:
-        return current
-    new = to_symbolic(returned)
-    if equal(new, current):
-        return current
-    if replaced is not None:
-        del found[marks[0]:]  # found in the copy that `new` replaces
-    found.append(("change", len(found)))
-    return new
+    if returned is None or returned is current or equal(new := to_symbolic(returned), current):
+        return current, first
+    del checks[checked:], hooks[hooked:]  # found in the copy that `new` replaces
+    return new, next(clock)
 
 
-def _rebuilt(node, replaced: dict, marks: list, found: list) -> SymbolicValue:
-    """``node._copy(replaced)``.  For an object, the changes found below
-    each replaced field (from its mark on) become one re-check of the new
-    field value, and its recompute hook is noted."""
+def _rebuilt(node, replaced: dict, firsts: list, checks: list, hooks: list) -> tuple:
+    """``node._copy(replaced)`` and the first of the `firsts` of its replaced
+    children; an object instead claims them, noting a re-check of each
+    replaced field that holds a change, and its recompute hook."""
     fresh = node._copy(replaced)
-    if isinstance(node, ObjectNode):
-        end = len(found)
-        for name, start in zip(reversed(replaced), reversed(marks)):
-            first = None
-            for i in range(start, end):
-                entry = found[i]
-                if entry is not None and entry[0] == "change":
-                    first = entry[1] if first is None else min(first, entry[1])
-                    found[i] = None
-            if first is not None:
-                found.append(("check", first, fresh._fields[name], node.type_def.param(name).spec))
-            end = start
-        if node.type_def.recompute_hook is not None:
-            found.append(("hook", fresh))
-    return fresh
+    if not isinstance(node, ObjectNode):
+        return fresh, _earliest(firsts)
+    for name, first in zip(replaced, firsts):
+        if first is not None:
+            checks.append((first, fresh._fields[name], node.type_def.param(name).spec))
+    if node.type_def.recompute_hook is not None:
+        hooks.append(fresh)
+    return fresh, None
+
+
+def _earliest(firsts: list):
+    return min((first for first in firsts if first is not None), default=None)
 
 
 def _hook_order(obj: ObjectNode) -> tuple:

@@ -240,13 +240,3 @@ def test_mutate_resamples_children_on_candidate_switch(types):
         mutated = mutate(dna, spec, rng)
         validate_dna(mutated, spec)
         dna = mutated
-
-
-def test_mutate_include_current_flag():
-    spec = abstract_search_space(oneof(["a", "b"]))
-    rng = random.Random(7)
-    dna = ss.DNA([[ss.Choice(0)]])
-    seen = set()
-    for _ in range(100):
-        seen.add(mutate(dna, spec, rng, exclude_current=False).decisions[0][0].index)
-    assert seen == {0, 1}  # resample may keep the current value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from symsearch.errors import (
 )
 from symsearch.hyper import INFINITE, floatv, intv, manyof, oneof, permutate
 from symsearch.oracles import spec_from_json_obj
+from symsearch.serialization import from_json_obj
 
 
 def test_constructor_errors():
@@ -45,6 +47,7 @@ BAD_RANGES = {
     # Integers too long for repr() to render are named by their size.
     "float-unprintable-int-bound": ("floatv", 0, 10**5000),
     "int-unprintable-min-above-max": ("intv", 10**5000, 0),
+    "int-unprintable-bound": ("intv", 0, 10**5000),
 }
 
 
@@ -64,6 +67,9 @@ def test_one_range_rule_refuses_bad_bounds_at_construction(kind, low, high, form
 
 
 def test_a_bound_too_long_to_print_is_a_bad_range_on_every_route():
+    """A float bound must fit a float, and an int bound must have no more
+    digits than ``repr`` renders, so every route refuses a bound that could
+    not be shown or stored."""
     huge = 10 ** 5000
     reason = f"max must be a finite number, got an integer of {huge.bit_length()} bits$"
     with pytest.raises(BadRange, match=f"^floatv: {reason}"):
@@ -71,6 +77,19 @@ def test_a_bound_too_long_to_print_is_a_bad_range_on_every_route():
     point = {"kind": "float", "id": "p", "min": 0, "max": huge, "hints": None}
     with pytest.raises(MalformedDocument, match=f"^float point 'p' {reason}"):
         spec_from_json_obj({"points": [point]})
+    reason = (f"max must have at most {sys.get_int_max_str_digits()} digits, "
+              f"got an integer of {huge.bit_length()} bits$")
+    with pytest.raises(BadRange, match=f"^intv: {reason}"):
+        intv(0, huge)
+    with pytest.raises(BadRange, match=f"^intv: {reason}"):
+        eager_problem(lambda: eager_intv(0, huge))
+    with pytest.raises(MalformedDocument, match=f"^intv {reason}"):
+        from_json_obj({"_hyper": "intv", "min": 0, "max": huge, "hints": None})
+    point = {"kind": "int", "id": "p", "min": 0, "max": huge, "hints": None}
+    with pytest.raises(MalformedDocument, match=f"^int point 'p' {reason}"):
+        spec_from_json_obj({"points": [point]})
+    longest = 10 ** sys.get_int_max_str_digits() - 1
+    assert json.loads(ss.serialize(intv(0, longest)))["max"] == longest
 
 
 def test_copies_of_a_space_run_no_range_check(monkeypatch, types):
@@ -171,6 +190,12 @@ def test_oneof_is_k1_and_permutate_flags():
     assert oneof([1, 2]).k == 1
     p = permutate([1, 2, 3])
     assert (p.k, p.distinct, p.sorted) == (3, True, False)
+
+
+def test_every_categorical_constructor_takes_any_iterable():
+    for make, k in ((oneof, 1), (lambda c: manyof(2, c), 2), (permutate, 3)):
+        point = make(x for x in [1, 2, 3])
+        assert point.k == k and point.candidates.to_plain() == [1, 2, 3]
 
 
 def test_is_deterministic(types):

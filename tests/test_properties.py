@@ -138,7 +138,7 @@ def test_merge_writes_the_text_of_the_merged_dna(space, seed, selector, with_flo
     assert "|".join(tokens) == encode_dna(merged, spec)
 
 
-def reference_mutate(dna, spec, rng, exclude_current):
+def reference_mutate(dna, spec, rng):
     """Single-point mutation through a list of every active site, as
     ``mutate`` was first written; returns the mutated DNA and the chosen
     point."""
@@ -169,7 +169,7 @@ def reference_mutate(dna, spec, rng, exclude_current):
     if not sites:
         return dna, None
     point, decision, location = sites[rng.randrange(len(sites))]
-    new_decision = _resample(point, decision, rng, exclude_current)
+    new_decision = _resample(point, decision, rng)
     if new_decision is decision:
         return dna, point
     return DNA(replace_at(spec.points, dna.decisions, location, new_decision)), point
@@ -177,23 +177,22 @@ def reference_mutate(dna, spec, rng, exclude_current):
 
 @settings(max_examples=200, deadline=None)
 @given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
-       with_float=st.booleans(), exclude_current=st.booleans())
-def test_mutate_conforms_moves_and_matches_the_site_list_reference(space, seed, with_float,
-                                                                    exclude_current):
-    """Every output encodes against the spec.  With `exclude_current` it
-    differs from its input unless the chosen point has one feasible value.
-    It is the reference's DNA, and it leaves the rng in the same state."""
+       with_float=st.booleans())
+def test_mutate_conforms_moves_and_matches_the_site_list_reference(space, seed, with_float):
+    """Every output encodes against the spec and differs from its input
+    unless the chosen point has one feasible value.  It is the reference's
+    DNA, and it leaves the rng in the same state."""
     spec = abstract_search_space(with_floats(space) if with_float else space)
     rng = random.Random(seed)
     dna = random_dna(spec, rng)
     reference_rng = random.Random()
     reference_rng.setstate(rng.getstate())
-    mutated = mutate(dna, spec, rng, exclude_current)
-    expected, point = reference_mutate(dna, spec, reference_rng, exclude_current)
+    mutated = mutate(dna, spec, rng)
+    expected, point = reference_mutate(dna, spec, reference_rng)
     assert mutated == expected and (mutated is dna) == (expected is dna)
     assert rng.getstate() == reference_rng.getstate()
     encode_dna(mutated, spec)
-    if exclude_current and point is not None:
+    if point is not None:
         if isinstance(point, CategoricalPoint):
             single = count_tuples(point) == 1
         else:
@@ -211,9 +210,8 @@ def with_tuples(space):
 
 @settings(max_examples=200, deadline=None)
 @given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
-       extended=st.booleans(), integral=st.booleans(), exclude_current=st.booleans())
-def test_mutate_splices_the_text_of_the_child_into_the_tokens(space, seed, extended,
-                                                              integral, exclude_current):
+       extended=st.booleans(), integral=st.booleans())
+def test_mutate_splices_the_text_of_the_child_into_the_tokens(space, seed, extended, integral):
     """Given its DNA's tokens, ``mutate`` makes the same child and leaves
     the rng in the same state, and the tokens become the child's text.  With
     `integral`, the top-level float decision is an int, which a float token
@@ -226,8 +224,8 @@ def test_mutate_splices_the_text_of_the_child_into_the_tokens(space, seed, exten
     plain_rng = random.Random()
     plain_rng.setstate(rng.getstate())
     tokens = encode_dna(dna, spec).split("|")
-    child = mutate(dna, spec, rng, exclude_current, tokens=tokens)
-    plain = mutate(dna, spec, plain_rng, exclude_current)
+    child = mutate(dna, spec, rng, tokens=tokens)
+    plain = mutate(dna, spec, plain_rng)
     assert child == plain and (child is dna) == (plain is dna)
     assert rng.getstate() == plain_rng.getstate()
     assert "|".join(tokens) == encode_dna(child, spec)
@@ -243,7 +241,7 @@ def test_a_mutation_checks_its_resampled_decision(space, seed, with_float):
     assume(not spec.is_empty)
     resampled = []
 
-    def resample(point, decision, rng, exclude_current):  # leaves the point's range
+    def resample(point, decision, rng):  # leaves the point's range
         resampled.append(point)
         if isinstance(point, CategoricalPoint):
             return [Choice(point.n) for _ in range(point.k)]
@@ -279,8 +277,7 @@ def test_encode_decode_round_trip(space, seed, with_float):
     spec = abstract_search_space(space)
     rng = random.Random(seed)
     dna = random_dna(spec, rng)
-    for candidate in (dna, mutate(dna, spec, rng, exclude_current=True),
-                      mutate(dna, spec, rng, exclude_current=False)):
+    for candidate in (dna, mutate(dna, spec, rng)):
         assert decode_dna(encode_dna(candidate, spec), spec) == candidate
 
 

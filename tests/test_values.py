@@ -362,12 +362,69 @@ def make_hooked_blocks(n: int):
     {"bs[0]": "insert", "bs[1].w": -1},
     {"bs[0]": ss.DELETE, "bs[2].w": -1},
     {"bs[1]": ss.DELETE, "bs[2].w": -1, "bs[0].w": 4},
+    {"bs[1]": "insert", "bs[1].w": -1},
 ])
 def test_a_set_beside_list_directives_is_checked_where_it_lands(edits):
     B, n, _ = make_hooked_blocks(3)
     edits = {path: ss.Insert(B(w=50)) if d == "insert" else d for path, d in edits.items()}
     with pytest.raises(ConstraintViolation):
         ss.rebind(n, edits)
+
+
+def make_ordered_fields():
+    """O(a=0, b=0, bs=[B(w=0), B(w=1)], cs=[0], m={"k": 0}), every int held
+    to >= 0 and `bs` to at least two Bs."""
+    reg = ss.TypeRegistry()
+    B = reg.register(ss.TypeDef("B", [ss.Param("w", schema.Int(min=0))]))
+    O = reg.register(ss.TypeDef("O", [
+        ss.Param("a", schema.Int(min=0)), ss.Param("b", schema.Int(min=0)),
+        ss.Param("bs", schema.ListOf(schema.ObjectOf("B"), min_len=2)),
+        ss.Param("cs", schema.ListOf(schema.Int(min=0))),
+        ss.Param("m", schema.MapOf(schema.Int(min=0)))]))
+    return O(a=0, b=0, bs=[B(w=0), B(w=1)], cs=[0], m={"k": 0})
+
+
+@pytest.mark.parametrize("edits, reported", [
+    ({"b": -1, "a": -1}, "b"),
+    ({"a": -1, "b": -1}, "a"),
+    ({"a": -1, "bs[1].w": -1}, "bs[1].w"),
+    ({"m.k": -1, "bs[1].w": -1, "a": -1}, "bs[1].w"),
+    ({"a": -1, "bs[1].w": -1, "bs[0]": ss.DELETE}, "bs"),
+    ({"bs[0]": ss.DELETE, "a": -1, "cs[0]": ss.Insert(-1)}, "cs[0]"),
+])
+def test_a_mapping_reports_inserts_then_deletes_then_sets_deepest_first(edits, reported):
+    """When several edited fields fail, the one reported is the field of the
+    first edit in the order Inserts, Deletes, then Sets deepest first, each
+    in mapping order."""
+    with pytest.raises(ConstraintViolation) as excinfo:
+        ss.rebind(make_ordered_fields(), edits)
+    assert excinfo.value.path == reported
+
+
+@pytest.mark.parametrize("changed, reported", [
+    ({"b": -1, "a": -1}, "a"),
+    ({"bs[1].w": -1, "a": -1}, "a"),
+    ({"m.k": -1, "bs[1].w": -1}, "bs[1].w"),
+    ({"m.k": -1, "cs[0]": -1, "b": -1}, "b"),
+    # the change to bs drops the one below it, made earlier
+    ({"bs[0].w": -1, "bs": [5, 6], "m.k": -1}, "bs[0]"),
+])
+def test_a_transform_reports_the_field_of_its_first_change_in_post_order(changed, reported):
+    edit = lambda path, value, parent: changed.get(path, value)
+    with pytest.raises(ConstraintViolation) as excinfo:
+        ss.rebind(make_ordered_fields(), edit)
+    assert excinfo.value.path == reported
+
+
+def test_a_transform_that_restores_a_node_of_the_input_changes_nothing_there():
+    """Returning the input's own node where the transform changed what lies
+    below restores that place, so it holds no change: the field reported is
+    the one of the first change that remains."""
+    _, n, _ = make_hooked_blocks(3)
+    changed = {"bs[0].w": 5, "bs[0]": n["bs"][0], "bs[1].w": -1, "bs[2]": -1}
+    with pytest.raises(ConstraintViolation) as excinfo:
+        ss.rebind(n, lambda path, value, parent: changed.get(path, value))
+    assert excinfo.value.path == "bs[1].w"
 
 
 def test_hooks_fire_on_the_edited_elements_beside_an_insert():
