@@ -70,7 +70,6 @@ from .schema import (
     ANY_OBJECT,
     Param,
     TypeDef,
-    TypeHandle,
     TypeRegistry,
     new_object,
 )
@@ -115,7 +114,7 @@ __all__ = [
     "infer_dna", "materialize", "materialize_partial",
     "SyntheticNASOracle", "TableOracle", "build_nasbench_space", "dump_table", "eval_oracle",
     "KeyPath",
-    "ANY_OBJECT", "Param", "TypeDef", "TypeHandle", "TypeRegistry", "new_object",
+    "ANY_OBJECT", "Param", "TypeDef", "TypeRegistry", "new_object",
     "deserialize", "serialize",
     "DELETE", "Delete", "HyperValue", "Insert", "Mapping", "ObjectNode", "Primitive",
     "Sequence", "Set", "SymbolicValue", "clone", "equal", "get", "has", "parent_of", "path_of",

@@ -112,7 +112,7 @@ def eager_oneof(candidates, hints: str | None = None):
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
-        check_categorical("categorical:", 1, len(candidates), True)
+        check_categorical("categorical:", 1, len(candidates), True, hints)
         point = CategoricalPoint(
             id=f"{ctx._prefix}d{len(ctx._points)}", k=1, n=len(candidates), distinct=True,
             sorted=False, subspaces=[], hints=hints)
@@ -150,7 +150,7 @@ def eager_intv(min: int, max: int, hints: str | None = None) -> int:
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
-        check_range("intv:", True, min, max)
+        check_range("intv:", True, min, max, hints)
         ctx._points.append(IntPoint(f"{ctx._prefix}d{len(ctx._points)}", min, max, hints))
         return min
     point, decision = _take(ctx, call_index)
@@ -168,7 +168,7 @@ def eager_floatv(min: float, max: float, hints: str | None = None) -> float:
     call_index = ctx._calls
     ctx._calls = call_index + 1
     if ctx._decisions is None:
-        check_range("floatv:", False, min, max)
+        check_range("floatv:", False, min, max, hints)
         ctx._points.append(
             FloatPoint(f"{ctx._prefix}d{len(ctx._points)}", float(min), float(max), hints))
         return float(min)

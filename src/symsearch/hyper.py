@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import BadRange, ConstraintViolation, EmptyCandidates, IllegalDirective, KTooLarge
+from .errors import BadPoint, BadRange, EmptyCandidates, IllegalDirective, KTooLarge
 from .values import (
     HyperValue,
     Primitive,
@@ -41,7 +41,7 @@ class Categorical(HyperValue):
                  sorted: bool = False, hints: str | None = None):
         super().__init__()
         candidates = list(candidates)
-        _check_candidates(k, distinct, candidates)
+        _check_candidates(k, distinct, candidates, hints)
         if k == 1:
             # Uniqueness and order constraints are vacuous for a single
             # choice; normalizing keeps equality and serialization canonical.
@@ -77,7 +77,7 @@ class Categorical(HyperValue):
         fresh.hints = self.hints
         new = self._candidates._copy() if replaced is None else replaced["candidates"]
         if replaced is not None:
-            _check_candidates(self.k, self.distinct, new)
+            _check_candidates(self.k, self.distinct, new, self.hints)
         if new._parent is not None:
             new = new._copy()
         new._parent = (fresh, "candidates")
@@ -89,43 +89,25 @@ class Categorical(HyperValue):
                 and self.sorted == other.sorted and self.hints == other.hints
                 and equal(self._candidates, other._candidates))
 
-    def check_against(self, spec, path):
-        candidates = list(self._candidates)
-        if self.k == 1:
-            for i, cand in enumerate(candidates):
-                spec.check(cand, f"{path}.candidates[{i}]")
-            return
-        # k > 1 materializes to a sequence of the chosen candidates.
-        from .schema import Any, ListOf  # local import avoids a cycle at load time
-
-        if isinstance(spec, Any):
-            return
-        if isinstance(spec, ListOf):
-            if not spec.length_ok(self.k):
-                raise ConstraintViolation(path, spec, self, f"materializes to a sequence of {self.k}")
-            for i, cand in enumerate(candidates):
-                spec.element.check(cand, f"{path}.candidates[{i}]")
-            return
-        raise ConstraintViolation(path, spec, self, "cannot hold a multi-choice splice")
-
     def __repr__(self):
         flags = f", k={self.k}, distinct={self.distinct}, sorted={self.sorted}"
         return f"Categorical({list(self._candidates)!r}{flags})"
 
 
-def _check_candidates(k: int, distinct: bool, candidates) -> None:
+def _check_candidates(k: int, distinct: bool, candidates, hints) -> None:
     """The rules a categorical's candidates keep, checked when it is built
     and when an edit replaces them: a sequence (a list while building) that
     :func:`check_categorical` allows."""
     if not isinstance(candidates, (list, Sequence)):
         raise IllegalDirective(f"categorical candidates must be a sequence, got {candidates!r}")
-    check_categorical("categorical:", k, len(candidates), distinct)
+    check_categorical("categorical:", k, len(candidates), distinct, hints)
 
 
-def check_categorical(label: str, k, n: int, distinct: bool) -> None:
-    """The one rule for a categorical point, symbolic, eager or stored: `k`
-    is an int and not a bool, there are ``n >= 1`` candidates, ``k >= 1``,
-    and ``k <= n`` when `distinct`.  An error starts with `label`."""
+def check_categorical(label: str, k, n: int, distinct: bool, hints) -> None:
+    """The one rule for a categorical point, symbolic, eager or stored: text
+    or null `hints`, an int `k` that is not a bool, ``n >= 1`` candidates,
+    ``k >= 1``, and ``k <= n`` when `distinct`.  An error starts with `label`."""
+    _check_hints(label, hints)
     if isinstance(k, bool) or not isinstance(k, int):
         raise BadRange(f"{label} k must be an integer, got {k!r}")
     if n < 1:
@@ -136,11 +118,12 @@ def check_categorical(label: str, k, n: int, distinct: bool) -> None:
         raise KTooLarge(f"{label} k must be at most n, {n!r}, when distinct, got {k!r}")
 
 
-def check_range(label: str, integer: bool, min, max) -> None:
-    """The one rule for a range point, symbolic, eager or stored: int bounds
-    are ints that ``repr`` renders (``sys.get_int_max_str_digits()``), float
-    bounds finite ints or floats, a bool is neither, and ``min <= max``.  An
-    error starts with `label` and names the bound."""
+def check_range(label: str, integer: bool, min, max, hints) -> None:
+    """The one rule for a range point, symbolic, eager or stored: text or null
+    `hints`; as int bounds, ints that ``repr`` renders (see
+    ``sys.get_int_max_str_digits()``), as float bounds, finite ints or floats,
+    and never a bool; and ``min <= max``.  An error starts with `label`."""
+    _check_hints(label, hints)
     for key, bound in (("min", min), ("max", max)):
         if isinstance(bound, bool) or not (
                 isinstance(bound, int) if integer
@@ -155,6 +138,12 @@ def check_range(label: str, integer: bool, min, max) -> None:
                                f"digits, got {_shown(bound)}") from None
     if min > max:
         raise BadRange(f"{label} min must be at most max, {_shown(max)}, got {_shown(min)}")
+
+
+def _check_hints(label: str, hints) -> None:
+    """Hints are text or None, so that every route can store them."""
+    if hints is not None and not isinstance(hints, str):
+        raise BadPoint(f"{label} hints must be text or null, got {hints!r}")
 
 
 def _shown(bound) -> str:
@@ -174,7 +163,7 @@ class _Range(HyperValue):
 
     def __init__(self, min, max, hints: str | None = None):
         super().__init__()
-        check_range(f"{self.form}:", self._number is int, min, max)
+        check_range(f"{self.form}:", self._number is int, min, max, hints)
         self.min = self._number(min)
         self.max = self._number(max)
         self.hints = hints
@@ -189,16 +178,6 @@ class _Range(HyperValue):
 
     def _equals_same_kind(self, other):
         return (self.min, self.max, self.hints) == (other.min, other.max, other.hints)
-
-    def check_against(self, spec, path):
-        from .schema import Any, Float, Int
-
-        if isinstance(spec, Any):
-            return
-        accepted = (Int, Float) if self._number is int else Float
-        if isinstance(spec, accepted) and spec.accepts_range(self.min, self.max):
-            return
-        raise ConstraintViolation(path, spec, self, f"range [{self.min}, {self.max}] not accepted")
 
     def __repr__(self):
         return f"{self.form}({self.min}, {self.max})"

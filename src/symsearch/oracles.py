@@ -211,7 +211,7 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
         label = f"{kind} point {obj.get('id')!r}"
         field = lambda key, of, wanted: _field(obj, key, of, wanted, label=label)
         point_id = field("id", str, "text")
-        hints = _field(obj, "hints", (str, type(None)), "text or null", None, label)
+        hints = obj.get("hints")
         if kind == "categorical":
             k, n = field("k", object, "an integer"), field("n", int, "an integer")
             distinct = field("distinct", bool, "true or false")
@@ -221,13 +221,13 @@ def spec_from_json_obj(doc: dict) -> DecisionSpec:
             if n != len(subspaces):
                 raise MalformedDocument(f"{label} n must equal its number of subspaces, "
                                         f"{len(subspaces)}, got {n!r}")
-            _point_rule(check_categorical, label, k, n, distinct)
+            _point_rule(check_categorical, label, k, n, distinct, hints)
             return CategoricalPoint(point_id, k, n, distinct, sorted_, subspaces, hints)
         if kind not in ("int", "float"):
             raise MalformedDocument(f"unknown decision kind {kind!r}")
         wanted = "an integer" if kind == "int" else "a finite number"
         low, high = field("min", object, wanted), field("max", object, wanted)
-        _point_rule(check_range, label, kind == "int", low, high)
+        _point_rule(check_range, label, kind == "int", low, high, hints)
         if kind == "int":
             return IntPoint(point_id, low, high, hints)
         return FloatPoint(point_id, float(low), float(high), hints)

@@ -6,6 +6,7 @@ constructed, however it is constructed, and on every rebind that touches the
 field.  A spec accepts a hyper value only when every possible
 materialization of that node would be accepted, so search spaces can never
 materialize into an invalid program, and materialization checks nothing.
+That rule is ``ValueSpec._check_hyper``; hyper values know nothing of specs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .errors import (
     InvalidSpec,
     UnknownType,
 )
-from .paths import is_identifier
+from .hyper import Categorical, FloatRange, IntRange
+from .paths import is_identifier, join_segment
 from .values import (
     HyperValue,
     Mapping as MappingNode,
@@ -43,12 +45,22 @@ class ValueSpec:
                 return
             raise ConstraintViolation(path, self, None, "null not allowed")
         if isinstance(node, HyperValue):
-            node.check_against(self, path)
+            self._check_hyper(node, path)
             return
         self._check(node, path)
 
     def _check(self, node: SymbolicValue, path: str) -> None:
         raise NotImplementedError
+
+    def _check_hyper(self, node: HyperValue, path: str) -> None:
+        """Raise unless every value `node` can become passes: each candidate
+        of a one-of must; a range or a multi-choice splice passes only a
+        spec that overrides this."""
+        if not isinstance(node, Categorical):
+            self._fail(path, node, f"range [{node.min}, {node.max}] not accepted")
+        if node.k > 1:
+            self._fail(path, node, "cannot hold a multi-choice splice")
+        _check_each_candidate(self, node, path)
 
     def _fail(self, path, node, reason):
         raise ConstraintViolation(path, self, node, reason)
@@ -61,7 +73,7 @@ class Any(ValueSpec):
     def __init__(self):
         super().__init__(nullable=True)
 
-    def _check(self, node, path):
+    def check(self, node, path=""):
         return
 
 
@@ -73,23 +85,18 @@ class _Ranged(ValueSpec):
         self.min = min
         self.max = max
 
-    def _in_range(self, value) -> bool:
-        if self.min is not None and value < self.min:
-            return False
-        if self.max is not None and value > self.max:
-            return False
-        return True
-
-    def accepts_range(self, lo, hi) -> bool:
-        """Whether the whole closed interval [lo, hi] satisfies the bounds."""
-        return self._in_range(lo) and self._in_range(hi)
-
     def _check(self, node, path):
         if not (isinstance(node, Primitive) and isinstance(node.value, self._numbers)
                 and not isinstance(node.value, bool)):
             self._fail(path, node, f"expected {self._expected}")
-        if not self._in_range(node.value):
+        if not _within(node.value, self.min, self.max):
             self._fail(path, node, f"out of range [{self.min}, {self.max}]")
+
+    def _check_hyper(self, node, path):
+        """A range of an accepted kind passes when both its bounds do."""
+        if not (isinstance(node, self._ranges) and _within(node.min, self.min, self.max)
+                and _within(node.max, self.min, self.max)):
+            super()._check_hyper(node, path)
 
     def __repr__(self):
         return f"{type(self).__name__}(min={self.min!r}, max={self.max!r})"
@@ -97,6 +104,7 @@ class _Ranged(ValueSpec):
 
 class Int(_Ranged):
     _numbers = int
+    _ranges = IntRange
     _expected = "int"
 
 
@@ -104,6 +112,7 @@ class Float(_Ranged):
     """Accepts floats and ints within the bounds."""
 
     _numbers = (int, float)
+    _ranges = (IntRange, FloatRange)
     _expected = "float"
 
 
@@ -171,20 +180,21 @@ class ListOf(ValueSpec):
         self.min_len = min_len
         self.max_len = max_len
 
-    def length_ok(self, n: int) -> bool:
-        if self.min_len is not None and n < self.min_len:
-            return False
-        if self.max_len is not None and n > self.max_len:
-            return False
-        return True
-
     def _check(self, node, path):
         if not isinstance(node, SequenceNode):
             self._fail(path, node, "expected a sequence")
-        if not self.length_ok(len(node)):
+        if not _within(len(node), self.min_len, self.max_len):
             self._fail(path, node, f"length outside [{self.min_len}, {self.max_len}]")
         for i, child in enumerate(node):
-            self.element.check(child, f"{path}[{i}]")
+            self.element.check(child, join_segment(path, i))
+
+    def _check_hyper(self, node, path):
+        """A multi-choice splice becomes a sequence of its k candidates."""
+        if not (isinstance(node, Categorical) and node.k > 1):
+            return super()._check_hyper(node, path)
+        if not _within(node.k, self.min_len, self.max_len):
+            self._fail(path, node, f"materializes to a sequence of {node.k}")
+        _check_each_candidate(self.element, node, path)
 
     def __repr__(self):
         return f"ListOf({self.element!r})"
@@ -199,10 +209,22 @@ class MapOf(ValueSpec):
         if not isinstance(node, MappingNode):
             self._fail(path, node, "expected a mapping")
         for key, child in node.items():
-            self.value.check(child, f"{path}.{key}" if path else key)
+            self.value.check(child, join_segment(path, key))
 
     def __repr__(self):
         return f"MapOf({self.value!r})"
+
+
+def _within(value, low, high) -> bool:
+    """Whether `value` lies inside the optional bounds `low` and `high`."""
+    return (low is None or value >= low) and (high is None or value <= high)
+
+
+def _check_each_candidate(spec: ValueSpec, node: Categorical, path: str) -> None:
+    """Check each candidate of `node`, which sits at `path`, against `spec`."""
+    at = join_segment(path, "candidates")
+    for i, candidate in enumerate(node.candidates):
+        spec.check(candidate, join_segment(at, i))
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +284,25 @@ class TypeDef:
     def param(self, name: str) -> Param | None:
         return self._by_name.get(name)
 
-    def __repr__(self):
-        return f"TypeDef({self.type_name!r})"
-
-
-class TypeHandle:
-    """Constructor handle returned by registration; call it to build objects."""
-
-    def __init__(self, type_def: TypeDef):
-        self.type_def = type_def
-
     def __call__(self, *args, **kwargs) -> ObjectNode:
-        return new_object(self.type_def, *args, **kwargs)
+        """Construct a validated object node of this type: positional arguments
+        map to params in declaration order, and :class:`ObjectNode`'s
+        construction rule checks and completes the fields."""
+        if len(args) > len(self.params):
+            raise TypeError(
+                f"{self.type_name} takes at most {len(self.params)} positional arguments")
+        fields = {param.name: value for param, value in zip(self.params, args)}
+        for name, value in kwargs.items():
+            if name in fields:
+                raise TypeError(f"{self.type_name} got duplicate value for {name!r}")
+            fields[name] = value
+        return ObjectNode(self, fields)
 
     def is_instance(self, node) -> bool:
-        return isinstance(node, ObjectNode) and node.type_name == self.type_def.type_name
+        return isinstance(node, ObjectNode) and node.type_name == self.type_name
 
     def __repr__(self):
-        return f"<type {self.type_def.type_name}>"
+        return f"TypeDef({self.type_name!r})"
 
 
 class TypeRegistry:
@@ -289,11 +312,12 @@ class TypeRegistry:
     def __init__(self):
         self._types: dict[str, TypeDef] = {}
 
-    def register(self, type_def: TypeDef) -> TypeHandle:
+    def register(self, type_def: TypeDef) -> TypeDef:
+        """Add `type_def` and return it; calling it builds an object."""
         if type_def.type_name in self._types:
             raise DuplicateTypeName(f"type {type_def.type_name!r} is already registered")
         self._types[type_def.type_name] = type_def
-        return TypeHandle(type_def)
+        return type_def
 
     def resolve(self, type_name: str) -> TypeDef:
         try:
@@ -305,21 +329,5 @@ class TypeRegistry:
         return type_name in self._types
 
 
-def new_object(type_def: TypeDef | TypeHandle, *args, **kwargs) -> ObjectNode:
-    """Construct a validated object node.
-
-    Positional arguments map to params in declaration order; the fields are
-    then checked and completed by :class:`ObjectNode`'s construction rule.
-    """
-    if isinstance(type_def, TypeHandle):
-        type_def = type_def.type_def
-    if len(args) > len(type_def.params):
-        raise TypeError(
-            f"{type_def.type_name} takes at most {len(type_def.params)} positional arguments"
-        )
-    fields = {param.name: value for param, value in zip(type_def.params, args)}
-    for name, value in kwargs.items():
-        if name in fields:
-            raise TypeError(f"{type_def.type_name} got duplicate value for {name!r}")
-        fields[name] = value
-    return ObjectNode(type_def, fields)
+# ``new_object(type_def, ...)`` builds an object as ``type_def(...)`` does.
+new_object = TypeDef.__call__

@@ -137,13 +137,11 @@ def _hyper_from_json(doc, registry):
         if key not in _HYPER_KEYS[kind] and key not in ("_hyper", "hints"):
             raise MalformedDocument(f"{kind} has no key {key!r}")
     hints = doc.get("hints")
-    if hints is not None and not isinstance(hints, str):
-        raise MalformedDocument(f"hints must be text or null, got {hints!r}")
     if kind in ("intv", "floatv"):
         integer = kind == "intv"
         wanted = "an integer" if integer else "a finite number"
         low, high = _field(doc, "min", object, wanted), _field(doc, "max", object, wanted)
-        _point_rule(check_range, kind, integer, low, high)
+        _point_rule(check_range, kind, integer, low, high, hints)
         return IntRange(low, high, hints) if integer else FloatRange(low, high, hints)
     candidates = [from_json_obj(c, registry)
                   for c in _field(doc, "candidates", list, "a list")]
@@ -153,7 +151,7 @@ def _hyper_from_json(doc, registry):
         sorted_ = _field(doc, "sorted", bool, "true or false", False)
     else:
         k, distinct, sorted_ = 1 if kind == "oneof" else len(candidates), True, False
-    _point_rule(check_categorical, kind, k, len(candidates), distinct)
+    _point_rule(check_categorical, kind, k, len(candidates), distinct, hints)
     return Categorical(k, candidates, distinct=distinct, sorted=sorted_, hints=hints)
 
 

@@ -393,11 +393,6 @@ class HyperValue(SymbolicValue):
 
     __slots__ = ()
 
-    def check_against(self, spec, path: str) -> None:
-        """Raise ConstraintViolation unless every possible materialization of
-        this node would satisfy `spec`."""
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 # Inquiry operations

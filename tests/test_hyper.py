@@ -115,33 +115,36 @@ def test_the_range_rule_accepts_int_bounds_for_floats_and_equal_bounds():
     assert [(p.min, p.max) for p in spec.points] == [(-1e308, 1e308), (2, 2)]
 
 
-def categorical_routes(k, n, distinct=True):
+def categorical_routes(k, n, distinct=True, hints=None):
     """A categorical point of `k` out of `n` by each route that can state it:
     constructor, eager collection pass (a one-of only), deserialize and
     table spec."""
     candidates = list(range(n))
     doc = {"_hyper": "manyof", "k": k, "distinct": distinct, "sorted": False,
-           "candidates": candidates}
+           "candidates": candidates, "hints": hints}
     point = {"kind": "categorical", "id": "p", "k": k, "n": n, "distinct": distinct,
-             "sorted": False, "subspaces": [[] for _ in candidates]}
+             "sorted": False, "subspaces": [[] for _ in candidates], "hints": hints}
     routes = {
-        "constructor": lambda: manyof(k, candidates, distinct=distinct),
+        "constructor": lambda: manyof(k, candidates, distinct=distinct, hints=hints),
         "deserialize": lambda: ss.deserialize(json.dumps(doc)),
         "table": lambda: spec_from_json_obj({"points": [point]}),
     }
     if type(k) is int and k == 1 and distinct:
-        routes["eager"] = lambda: eager_problem(lambda: eager_oneof(candidates))
+        routes["eager"] = lambda: eager_problem(lambda: eager_oneof(candidates, hints))
     return routes
 
 
-def range_routes(integer, low, high):
+def range_routes(integer, low, high, hints=None):
     """A range point by each of the four routes."""
     kind = "intv" if integer else "floatv"
-    point = {"kind": "int" if integer else "float", "id": "p", "min": low, "max": high}
+    point = {"kind": "int" if integer else "float", "id": "p", "min": low, "max": high,
+             "hints": hints}
+    doc = {"_hyper": kind, "min": low, "max": high, "hints": hints}
     return {
-        "constructor": lambda: (intv if integer else floatv)(low, high),
-        "eager": lambda: eager_problem(lambda: (eager_intv if integer else eager_floatv)(low, high)),
-        "deserialize": lambda: ss.deserialize(json.dumps({"_hyper": kind, "min": low, "max": high})),
+        "constructor": lambda: (intv if integer else floatv)(low, high, hints),
+        "eager": lambda: eager_problem(
+            lambda: (eager_intv if integer else eager_floatv)(low, high, hints)),
+        "deserialize": lambda: ss.deserialize(json.dumps(doc)),
         "table": lambda: spec_from_json_obj({"points": [point]}),
     }
 
@@ -162,6 +165,10 @@ BAD_POINTS = {
     "float-text-bound": (range_routes(False, "a", 1.0), "min"),
     "float-bool-bound": (range_routes(False, False, 1.0), "min"),
     "float-min-above-max": (range_routes(False, 2.0, 1.0), "min"),
+    "oneof-number-hints": (categorical_routes(1, 3, hints=5), "hints"),
+    "manyof-list-hints": (categorical_routes(2, 3, hints=["op"]), "hints"),
+    "int-number-hints": (range_routes(True, 0, 3, hints=7), "hints"),
+    "float-object-hints": (range_routes(False, 0.0, 1.0, hints={"a": 1}), "hints"),
 }
 
 
@@ -184,6 +191,25 @@ def test_every_route_refuses_a_bad_point_by_the_same_rule(routes, key):
 def test_manyof_refuses_a_k_that_is_not_an_int(k):
     with pytest.raises(BadRange, match=f"^categorical: k must be an integer, got {k!r}$"):
         manyof(k, [1, 2, 3])
+
+
+@pytest.mark.parametrize("hints", [5, b"op", ["op"], 1.5, True])
+def test_hints_that_are_not_text_are_a_bad_point_on_every_constructor(hints):
+    """Hints are text or null, checked by the point rules, so no constructor
+    or eager call makes a point that ``serialize`` or a spec's JSON cannot
+    store and read back."""
+    makers = {
+        "categorical": (lambda: oneof([1, 2], hints=hints), lambda: manyof(2, [1, 2], hints=hints),
+                        lambda: permutate([1, 2], hints=hints),
+                        lambda: eager_problem(lambda: eager_oneof([1, 2], hints=hints))),
+        "intv": (lambda: intv(0, 1, hints), lambda: eager_problem(lambda: eager_intv(0, 1, hints))),
+        "floatv": (lambda: floatv(0, 1, hints),
+                   lambda: eager_problem(lambda: eager_floatv(0, 1, hints))),
+    }
+    for label, makes in makers.items():
+        for make in makes:
+            with pytest.raises(BadPoint, match=rf"^{label}: hints must be text or null, got "):
+                make()
 
 
 def test_oneof_is_k1_and_permutate_flags():

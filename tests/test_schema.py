@@ -168,7 +168,7 @@ def test_conditional_candidate_acceptance(types):
 
 
 def test_every_object_route_applies_the_one_construction_rule():
-    """Building a node directly, through its type handle or ``new_object``,
+    """Building a node directly, by calling its TypeDef or ``new_object``,
     by ``bind`` or by ``deserialize`` gives the same fields, defaults filled,
     and refuses an unknown name with the same text."""
     registry = ss.TypeRegistry()
@@ -176,10 +176,10 @@ def test_every_object_route_applies_the_one_construction_rule():
         ss.Param("lr", schema.Float(min=0), 0.1),
         ss.Param("steps", schema.Int(min=1)),
     ], impl=lambda lr, steps: (lr, steps)))
-    type_def = Opt.type_def
+    type_def = Opt
     routes = {
         "node": lambda **fields: ObjectNode(type_def, fields),
-        "handle": lambda **fields: Opt(**fields),
+        "call": lambda **fields: Opt(**fields),
         "new_object": lambda **fields: ss.new_object(type_def, **fields),
         "bind": lambda **fields: ObjectNode(type_def, {}).bind(**fields),
         "deserialize": lambda **fields: ss.deserialize(
@@ -194,3 +194,88 @@ def test_every_object_route_applies_the_one_construction_rule():
         Opt()(bogus=1)
     assert Opt()(steps=2) == (0.1, 2)
     assert issubclass(UnknownField, TypeError)
+
+
+# The acceptance matrix: each spec kind against a one-of that passes and one
+# that fails, a k = 2 splice, and int and float ranges inside and outside.
+_SPLICE = manyof(2, [1, 2, 3])
+_RANGES = {"intv-in": intv(1, 8), "intv-out": intv(5, 20),
+           "floatv-in": floatv(0.5, 2.5), "floatv-out": floatv(-1.0, 1.0)}
+
+
+def _acceptance_specs(P):
+    """Per spec kind: the spec, its text, a passing one-of, a failing one-of
+    (None for Any) with the path and text of its refusal, and what else it
+    accepts besides the passing one-of."""
+    at = "f.candidates[1]"
+    return {
+        "any": (schema.Any(), "Any", oneof([None, "x"]), None, None, {"splice", *_RANGES}),
+        "int": (schema.Int(min=0, max=10), "Int(min=0, max=10)", oneof([0, 10]), oneof([0, 11]),
+                (at, "Int(min=0, max=10) (out of range [0, 10]): 11"), {"intv-in"}),
+        "float": (schema.Float(min=0, max=10), "Float(min=0, max=10)", oneof([0, 0.5]),
+                  oneof([0.5, 11]), (at, "Float(min=0, max=10) (out of range [0, 10]): 11"),
+                  {"intv-in", "floatv-in"}),
+        "text": (schema.Text(pattern="[a-z]+"), "Text(pattern='[a-z]+')", oneof(["ab", "c"]),
+                 oneof(["ab", "AB"]),
+                 (at, "Text(pattern='[a-z]+') (does not match '[a-z]+'): 'AB'"), set()),
+        "enum": (schema.Enum(["a", "b"]), "Enum(['a', 'b'])", oneof(["a", "b"]),
+                 oneof(["a", "c"]), (at, "Enum(['a', 'b']) (not one of ['a', 'b']): 'c'"), set()),
+        "object": (schema.ObjectOf("P"), "ObjectOf('P')", oneof([P(), P()]), oneof([P(), 3]),
+                   (at, "ObjectOf('P') (expected an object): 3"), set()),
+        "list": (schema.ListOf(schema.Int(min=0), min_len=2, max_len=2),
+                 "ListOf(Int(min=0, max=None))", oneof([[1, 2], [3, 4]]), oneof([[1, 2], [1]]),
+                 (at, "ListOf(Int(min=0, max=None)) (length outside [2, 2]): [1]"), {"splice"}),
+        "map": (schema.MapOf(schema.Int(min=0)), "MapOf(Int(min=0, max=None))",
+                oneof([{"a": 1}, {}]), oneof([{"a": 1}, {"a": -1}]),
+                (f"{at}.a", "Int(min=0, max=None) (out of range [0, None]): -1"), set()),
+    }
+
+
+def _refusal(spec, value, path="f"):
+    with pytest.raises(ConstraintViolation) as caught:
+        spec.check(value, path)
+    return caught.value
+
+
+def test_acceptance_matrix_of_every_spec_kind_and_type_def_handles():
+    """A spec accepts a hyper value only when it accepts every value it can
+    become: each candidate of a one-of must pass; a splice is a sequence of
+    the chosen candidates; a range must lie inside a number spec's bounds,
+    and a float range fits only a Float.  Every refusal has a fixed text."""
+    registry = ss.TypeRegistry()
+    P = ss.TypeDef("P", [])
+    assert registry.register(P) is P
+    assert P.is_instance(P()) and not P.is_instance(ss.to_symbolic(3))
+    for name, (spec, text, passing, failing, refusal, accepts) in _acceptance_specs(P).items():
+        spec.check(passing, "f")
+        if failing is not None:
+            path, rest = refusal
+            caught = _refusal(spec, failing)
+            assert (caught.path, str(caught)) == (path, f"value at {path!r} violates {rest}"), name
+        for kind, value in {"splice": _SPLICE, **_RANGES}.items():
+            if kind in accepts:
+                spec.check(value, "f")
+                continue
+            reason = ("cannot hold a multi-choice splice" if kind == "splice"
+                      else f"range [{value.min}, {value.max}] not accepted")
+            caught = _refusal(spec, value)
+            assert (caught.path, str(caught)) == (
+                "f", f"value at 'f' violates {text} ({reason}): {value!r}"), (name, kind)
+    too_long = _refusal(schema.ListOf(schema.Int(), max_len=1), _SPLICE)
+    assert str(too_long) == ("value at 'f' violates ListOf(Int(min=None, max=None)) "
+                             "(materializes to a sequence of 2): "
+                             "Categorical([1, 2, 3], k=2, distinct=True, sorted=False)")
+    bad_element = _refusal(schema.ListOf(schema.Int(min=2)), _SPLICE)
+    assert bad_element.path == "f.candidates[0]"
+
+
+@pytest.mark.parametrize("spec, node", [
+    (schema.Int(min=0), oneof([1, -1])),
+    (schema.ListOf(schema.Int(min=0), min_len=2, max_len=2), manyof(2, [1, -1, 2])),
+    (schema.ListOf(schema.Int(min=0)), ss.to_symbolic([1, -1])),
+    (schema.MapOf(schema.Int(min=0)), ss.to_symbolic({"a": 1, "b": -1})),
+    (schema.ListOf(schema.Int(min=0)), ss.to_symbolic([oneof([1, -1])])),
+], ids=["oneof", "splice", "list", "map", "oneof-in-list"])
+def test_a_refusal_at_the_root_names_a_path_that_reaches_the_offending_node(spec, node):
+    caught = _refusal(spec, node, "")
+    assert ss.get(node, caught.path) is caught.value and caught.value.to_plain() == -1
