@@ -31,17 +31,17 @@ from .decisions import (
     random_dna,
     random_tuple,
 )
-from .errors import ExhaustedSpace, InvalidReward, UnknownProposal, UnsupportedSpace
+from .errors import BadSize, ExhaustedSpace, InvalidReward, UnknownProposal, UnsupportedSpace
 
 
 class SearchAlgorithm:
     """Base class implementing the setup/propose/feedback bookkeeping.
 
     The search loops call the ``_proposal`` and ``_feedback`` hooks directly:
-    ``_proposal`` gives a DNA and its text checked against ``self.spec`` (by
-    default, the encoding of what ``_propose`` returns), and both reach
-    ``_feedback`` through a single-use handle.  ``propose`` and ``feedback``
-    are the checked manual interface."""
+    ``_proposal`` gives a DNA conforming to ``self.spec`` and its canonical
+    text (by default, the encoding of what ``_propose`` returns, which checks
+    it), and both reach ``_feedback`` through a single-use handle.
+    ``propose`` and ``feedback`` are the checked manual interface."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
@@ -119,8 +119,9 @@ def reward_for(dna_text: str, value) -> float:
 class RandomSearch(SearchAlgorithm):
     """Uniform conforming samples; feedback is ignored."""
 
-    def _propose(self) -> DNA:
-        return random_dna(self.spec, self.rng)
+    def _proposal(self) -> tuple[DNA, str]:
+        tokens = []
+        return random_dna(self.spec, self.rng, tokens), "|".join(tokens)
 
 
 class Exhaustive(SearchAlgorithm):
@@ -147,41 +148,47 @@ class RegularizedEvolution(SearchAlgorithm):
     population has warmed up, proposals are uniform random.  Afterwards a
     tournament of ``tournament_size`` members picks the parent (ties go to
     the earliest inserted) and a single decision point of it is mutated.
+    ``_active`` maps each member's sequence to its active-decision count.
     """
 
     def __init__(self, population_size: int = 25, tournament_size: int = 5, seed: int = 0):
         super().__init__(seed)
-        if population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if not 1 <= tournament_size <= population_size:
-            raise ValueError("tournament_size must be in [1, population_size]")
+        for name, size, most in (("population_size", population_size, math.inf),
+                                 ("tournament_size", tournament_size, population_size)):
+            if isinstance(size, bool) or not isinstance(size, int) or not 1 <= size <= most:
+                raise BadSize(f"{name} must be an int in [1, {most}], got {size!r}")
         self.population_size = population_size
         self.tournament_size = tournament_size
 
     def _setup(self) -> None:
         self.population: deque = deque()
-        self._feedback_count = 0
-        self._insert_seq = 0
+        self._active: dict[int, int] = {}
+        self._counted: tuple = (None, 0)  # the last DNA counted and its count
+        self._feedback_count = 0  # also the next member's sequence
 
     def _proposal(self) -> tuple[DNA, str]:
         if self._feedback_count < self.population_size:
-            dna = random_dna(self.spec, self.rng)
-            return dna, encode_dna(dna, self.spec)
+            tokens = []
+            return random_dna(self.spec, self.rng, tokens), "|".join(tokens)
         contenders = self.rng.sample(list(self.population), self.tournament_size)
-        _, parent, _, text = max(contenders, key=lambda entry: (entry[2], -entry[0]))
-        tokens = text.split("|")
-        child = mutate(parent, self.spec, self.rng, tokens=tokens)
+        seq, parent, _, text = max(contenders, key=lambda entry: (entry[2], -entry[0]))
+        tokens, active = text.split("|"), [self._active[seq]]
+        child = mutate(parent, self.spec, self.rng, tokens=tokens, active=active)
+        self._counted = child, active[0]
         return child, text if child is parent else "|".join(tokens)
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
-        self.population.append((self._insert_seq, dna, reward, text))
-        self._insert_seq += 1
+        if self._counted[0] is not dna:  # a warm-up, seeded or out-of-order DNA
+            self._counted = dna, _count_active(self.spec.points, dna.decisions)
+        self._active[self._feedback_count] = self._counted[1]
+        self.population.append((self._feedback_count, dna, reward, text))
         self._feedback_count += 1
         while len(self.population) > self.population_size:
-            self.population.popleft()
+            del self._active[self.population.popleft()[0]]
 
 
-def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None) -> DNA:
+def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None,
+           active: list | None = None) -> DNA:
     """Single-point mutation: resample one decision point chosen uniformly
     among the points active under the DNA's conditional path.
 
@@ -192,12 +199,14 @@ def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None
     shares the lists off the path to the site with `dna`; neither may change
     in place.  Given the canonical `tokens` of a conforming `dna`, the
     resampled decision is checked (NonconformingDNA names its point) and its
-    tokens are spliced in place of the old ones.
+    tokens are spliced in place of the old ones.  `active`, a one-item count
+    of `dna`'s active decisions, spares their walk and ends with the child's.
     """
-    total = _count_active(spec.points, dna.decisions)
+    total = _count_active(spec.points, dna.decisions) if active is None else active[0]
     if not total:
         return dna
-    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng, tokens, 0)
+    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng,
+                               tokens, 0, active)
     return dna if decisions is None else DNA(decisions)
 
 
@@ -212,13 +221,13 @@ def _count_active(points, decisions) -> int:
     return total
 
 
-def _mutated(points, decisions, site, rng: Random, tokens, at: int):
+def _mutated(points, decisions, site, rng: Random, tokens, at: int, active):
     """Walk `decisions` in pre-order to their `site`-th active decision and
     resample it, counting in `at` the `tokens` walked.  Returns ``(site less
     the decisions walked, None, at)`` when the site lies beyond them, else
     ``(-1, rebuilt, at)``: `rebuilt` copies only the lists on the path to the
     site, or is None if the resample kept it.  A new decision is checked and
-    spliced into `tokens` unless they are None."""
+    spliced into `tokens`, and `active[0]` gains its change, unless None."""
     for i, (point, decision) in enumerate(zip(points, decisions)):
         if not site:
             new = _resample(point, decision, rng)
@@ -229,6 +238,8 @@ def _mutated(points, decisions, site, rng: Random, tokens, at: int):
                 _emit(point, decision, old)
                 _encode_points([point], [new], fresh, None)
                 tokens[at:at + len(old)] = fresh
+            if active is not None and isinstance(point, CategoricalPoint):
+                active[0] += _count_active([point], [new]) - _count_active([point], [decision])
             return -1, [*decisions[:i], new, *decisions[i + 1:]], at
         site -= 1
         if not isinstance(point, CategoricalPoint):
@@ -237,7 +248,8 @@ def _mutated(points, decisions, site, rng: Random, tokens, at: int):
         for slot, choice in enumerate(decision):
             at += 1
             if subspace := point.subspaces[choice.index]:
-                site, children, at = _mutated(subspace, choice.children, site, rng, tokens, at)
+                site, children, at = _mutated(subspace, choice.children, site, rng, tokens,
+                                              at, active)
                 if site < 0:
                     if children is None:
                         return -1, None, at
@@ -270,5 +282,5 @@ def _resample(point, decision, rng: Random):
         if indices != current:
             break
     return [decision[slot] if slot < len(decision) and decision[slot].index == index
-            else Choice(index, random_decisions(point.subspaces[index], rng))
+            else Choice(index, random_decisions(point.subspaces[index], rng, []))
             for slot, index in enumerate(indices)]

@@ -322,22 +322,26 @@ def count_tuples(point: CategoricalPoint) -> int:
     return math.comb(n + k - 1, k) if point.sorted else n ** k
 
 
-def random_dna(spec: DecisionSpec, rng: Random) -> DNA:
+def random_dna(spec: DecisionSpec, rng: Random, tokens: list | None = None) -> DNA:
     """Sample a conforming DNA: categorical tuples uniform over feasible
-    tuples, ints uniform inclusive, floats uniform over [min, max]."""
-    return DNA(random_decisions(spec.points, rng))
+    tuples, ints uniform inclusive, floats uniform over [min, max].  It
+    appends the DNA's :func:`encode_dna` tokens to `tokens` as it draws."""
+    return DNA(random_decisions(spec.points, rng, [] if tokens is None else tokens))
 
 
-def random_decisions(points, rng: Random) -> list:
+def random_decisions(points, rng: Random, tokens: list) -> list:
     out = []
     for point in points:
-        if isinstance(point, IntPoint):
-            out.append(rng.randint(point.min, point.max))
-        elif isinstance(point, FloatPoint):
-            out.append(rng.uniform(point.min, point.max))
+        if isinstance(point, CategoricalPoint):
+            out.append([])
+            for i in random_tuple(point, rng):
+                tokens.append(str(i))
+                out[-1].append(Choice(i, random_decisions(sub, rng, tokens)
+                                      if (sub := point.subspaces[i]) else []))
         else:
-            out.append([Choice(i, random_decisions(sub, rng) if (sub := point.subspaces[i]) else [])
-                        for i in random_tuple(point, rng)])
+            out.append(rng.randint(point.min, point.max) if isinstance(point, IntPoint)
+                       else rng.uniform(point.min, point.max))
+            tokens.append(_token(point, out[-1]))
     return out
 
 

@@ -122,6 +122,10 @@ class UnknownProposal(SymsearchError):
     """Feedback for a DNA this algorithm instance never proposed or seeded."""
 
 
+class BadSize(SymsearchError, ValueError):
+    """A population or tournament size that is not an int in its range."""
+
+
 # --- flows ---
 
 class DoubleFeedback(SymsearchError):

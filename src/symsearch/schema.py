@@ -278,7 +278,7 @@ class TypeDef:
         self.recompute_hook = recompute_hook
 
     @property
-    def callable(self) -> bool:
+    def is_functor(self) -> bool:
         return self.impl is not None
 
     def param(self, name: str) -> Param | None:

@@ -305,7 +305,7 @@ class ObjectNode(SymbolicValue):
                 param.spec.check(node, param.name)
             elif param.has_default:
                 nodes[param.name] = param.default.clone()
-            elif not type_def.callable:
+            elif not type_def.is_functor:
                 raise MissingRequiredField(f"{type_def.type_name} requires field {param.name!r}")
         self._fields = {name: self._adopt(name, node) for name, node in nodes.items()}
 
@@ -359,7 +359,7 @@ class ObjectNode(SymbolicValue):
     def __call__(self, override_args: bool = False, **kwargs):
         """Invoke a functor.  Call-time arguments bind for this invocation
         only; rebinding an already-bound field requires ``override_args``."""
-        if not self.type_def.callable:
+        if not self.type_def.is_functor:
             raise TypeError(f"{self.type_name} is not a functor")
         if override_args:
             bound = ObjectNode(self.type_def, {**self._fields, **kwargs})._fields
@@ -724,7 +724,7 @@ def validate_tree(root: SymbolicValue) -> None:
             for param in node.type_def.params:
                 if param.name in node._fields:
                     _check_lazily(param.spec, node._fields[param.name], root)
-                elif not node.type_def.callable:
+                elif not node.type_def.is_functor:
                     raise MissingRequiredField(
                         f"{node.type_name} at {_path_within(root, node).render()!r} "
                         f"is missing field {param.name!r}"

@@ -8,14 +8,26 @@ import pytest
 
 import symsearch as ss
 from symsearch import algorithms
-from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, mutate
+from symsearch.algorithms import (
+    Exhaustive,
+    RandomSearch,
+    RegularizedEvolution,
+    _count_active,
+    mutate,
+)
 from symsearch.decisions import (
     abstract_search_space,
     encode_dna,
     random_dna,
     validate_dna,
 )
-from symsearch.errors import ExhaustedSpace, NonconformingDNA, UnknownProposal, UnsupportedSpace
+from symsearch.errors import (
+    BadSize,
+    ExhaustedSpace,
+    NonconformingDNA,
+    UnknownProposal,
+    UnsupportedSpace,
+)
 from symsearch.hyper import floatv, intv, oneof, permutate
 
 
@@ -58,6 +70,26 @@ def test_regevo_config_validated():
         RegularizedEvolution(population_size=2, tournament_size=5)
     with pytest.raises(ValueError):
         RegularizedEvolution(population_size=0)
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ((0, 1), "population_size"),
+    ((2.5, 1), "population_size"),
+    ((True, 1), "population_size"),
+    (("4", 1), "population_size"),
+    ((4, "2"), "tournament_size"),
+    ((4, 2.0), "tournament_size"),
+    ((4, True), "tournament_size"),
+    ((4, 0), "tournament_size"),
+    ((4, 5), "tournament_size"),
+])
+def test_regevo_refuses_sizes_that_are_not_ints_in_range(sizes, named):
+    """A size must be an int that is not a bool; the refusal is a
+    SymsearchError that is still a ValueError, and names the size."""
+    with pytest.raises(BadSize, match=f"^{named} must be an int") as caught:
+        RegularizedEvolution(*sizes)
+    assert isinstance(caught.value, ValueError)
+    assert isinstance(caught.value, ss.SymsearchError)
 
 
 # -- propose ------------------------------------------------------------------------
@@ -138,21 +170,30 @@ def test_public_propose_and_seed_feedback_check_the_dna(small_spec):
 
 def test_public_propose_after_warm_up_splices_a_mutation_that_feedback_accepts(
         small_spec, monkeypatch):
+    """Only the checked ``feedback`` encodes, and only a warm-up member's
+    active decisions are counted by a walk."""
     algo = RegularizedEvolution(2, 1, seed=0).setup(small_spec)
-    for reward in (0.0, 1.0):
-        algo.feedback(algo.propose(), reward)
-    mutated, encoded = [], []
+    mutated, encoded, counted = [], [], []
+    monkeypatch.setattr(algorithms, "encode_dna",
+                        lambda *args: encoded.append(encode_dna(*args)) or encoded[-1])
+    monkeypatch.setattr(algorithms, "_count_active",
+                        lambda *args: counted.append(_count_active(*args)) or counted[-1])
+    warm_up = [algo.propose() for _ in range(2)]
+    assert encoded == []
+    for dna, reward in zip(warm_up, (0.0, 1.0)):
+        algo.feedback(dna, reward)
+    assert encoded == [encode_dna(dna, small_spec) for dna in warm_up] and counted == [2, 2]
+    del encoded[:], counted[:]
     monkeypatch.setattr(algorithms, "mutate",
                         lambda *args, **kwargs: mutated.append(mutate(*args, **kwargs))
                         or mutated[-1])
-    monkeypatch.setattr(algorithms, "encode_dna",
-                        lambda *args: encoded.append(encode_dna(*args)) or encoded[-1])
     child = algo.propose()
-    assert mutated == [child] and encoded == []
+    assert mutated == [child] and encoded == [] and counted == []
     assert all(child is not entry[1] for entry in algo.population)
     assert list(algo._outstanding.elements()) == [encode_dna(child, small_spec)]
     algo.feedback(child, 2.0)
     assert algo.population[-1][1:] == (child, 2.0, encode_dna(child, small_spec))
+    assert counted == [] and list(algo._active.values()) == [2, 2]
 
 
 def test_random_ignores_feedback(small_spec):

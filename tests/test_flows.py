@@ -481,15 +481,19 @@ class EncodesInFull(RegularizedEvolution):
 
 
 def test_joint_encodes_each_trial_once_and_never_validates(monkeypatch, bench):
-    """Only the warm-up proposals are encoded; a mutation splices its
-    parent's text, which gives the texts of full encoding."""
+    """No proposal is encoded: a warm-up proposal is written as it is drawn
+    and a mutation splices its parent's text, which gives the texts of full
+    encoding."""
     space, spec, oracle, reward = bench
     expected = run_joint(space, EncodesInFull(4, 2, seed=0), reward, 12, seed=0)
     encoded = count_calls(monkeypatch, "encode_dna")
     validated = count_calls(monkeypatch, "validate_dna")
+    sampled = count_calls(monkeypatch, "random_dna")
     report = run_joint(space, RegularizedEvolution(4, 2, seed=0), reward, 12, seed=0)
     assert validated == []
-    assert encoded == [record.dna for record in report.records[:4]]
+    assert encoded == []
+    assert [ss.encode_dna(dna, spec) for dna in sampled] == \
+        [record.dna for record in report.records[:4]]
     assert [record.dna for record in report.records] == \
         [record.dna for record in expected.records]
 
@@ -508,13 +512,14 @@ def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
     random_loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
     encoded = count_calls(monkeypatch, "encode_dna")
     validated = count_calls(monkeypatch, "validate_dna")
+    sampled = count_calls(monkeypatch, "random_dna")
     separate = run_separate(space, op_selector, pivot, random_loop(5), random_loop(4), reward)
-    assert len(encoded) == separate.oracle_calls
-    del encoded[:]
+    assert len(sampled) == separate.oracle_calls
+    del sampled[:]
     hybrid = run_hybrid(space, op_selector, random_loop(3), random_loop(4), 5, reward)
     assert hybrid.oracle_calls == 3 * 4 + 5
-    assert len(encoded) == hybrid.oracle_calls + 3  # plus each outer proposal
-    assert validated == []
+    assert len(sampled) == hybrid.oracle_calls + 3  # plus each outer proposal
+    assert encoded == [] and validated == []
 
 
 CLI_FLOWS = {
@@ -534,6 +539,7 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     partial = count_calls(monkeypatch, "materialize_partial_prepared", materialize_module)
     extracted = count_calls(monkeypatch, "abstract_search_space")
     encoded = count_calls(monkeypatch, "encode_dna")
+    sampled = count_calls(monkeypatch, "random_dna")
     mutated = count_calls(monkeypatch, "mutate", algorithms)
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
@@ -546,7 +552,8 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     outer_proposals = 3 if flow in ("factorized", "hybrid") else 0
     pivot_check = 1 if flow == "separate" else 0  # the default pivot DNA is checked once
     assert (len(mutated) > 0) == (flow != "factorized")
-    assert len(encoded) == oracle_calls + outer_proposals - len(mutated) + pivot_check
+    assert len(sampled) == oracle_calls + outer_proposals - len(mutated)
+    assert len(encoded) == pivot_check
 
 
 def test_separate_over_a_spec_needs_a_dna_pivot(bench):

@@ -231,6 +231,70 @@ def test_mutate_splices_the_text_of_the_child_into_the_tokens(space, seed, exten
     assert "|".join(tokens) == encode_dna(child, spec)
 
 
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       extended=st.booleans())
+def test_random_dna_writes_its_text_as_it_draws(space, seed, extended):
+    """Given tokens, ``random_dna`` draws the same DNA and leaves the rng in
+    the same state, and the tokens join into the DNA's text."""
+    spec = abstract_search_space(with_tuples(space) if extended else space)
+    rng, plain_rng = random.Random(seed), random.Random(seed)
+    tokens = []
+    dna = random_dna(spec, rng, tokens)
+    assert dna == random_dna(spec, plain_rng)
+    assert rng.getstate() == plain_rng.getstate()
+    assert "|".join(tokens) == encode_dna(dna, spec)
+
+
+class CountsChecked(RegularizedEvolution):
+    """Regularized evolution that checks, after every feedback, that each
+    member's carried count of active decisions is a fresh walk's."""
+
+    def _feedback(self, dna, text, reward):
+        super()._feedback(dna, text, reward)
+        assert self._active == {seq: algorithms._count_active(self.spec.points, member.decisions)
+                                for seq, member, _, _ in self.population}
+
+
+def with_singletons(space):
+    """`with_tuples(space)` followed by an int and a one-of that each have
+    one feasible value, so that many mutations keep their parent."""
+    return ss.Sequence([with_tuples(space), intv(5, 5), oneof([ss.Sequence([1, intv(0, 2)])])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_regularized_evolution_carries_each_members_active_count(space, seed):
+    """Through proposals that mutate or keep their parent, seeded DNAs and
+    proposals fed back out of order, every carried count equals a walk's."""
+    spec = abstract_search_space(with_singletons(space))
+    rng = random.Random(seed)
+    algo = CountsChecked(3, 2, seed=seed).setup(spec)
+    for _ in range(30):
+        move = rng.randrange(3)
+        if move == 0:
+            algo.seed_feedback(random_dna(spec, rng), rng.random())
+        elif move == 1:
+            proposals = [algo.propose() for _ in range(3)]
+            for dna in reversed(proposals):
+                algo.feedback(dna, rng.random())
+        else:
+            algo.feedback(algo.propose(), rng.random())
+
+
+@settings(max_examples=50, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       selector=st.sampled_from(["categorical", "range"]))
+def test_a_hybrid_resume_carries_each_members_active_count(space, seed, selector):
+    """The inner algorithm that phase 2 resumes keeps carrying its members'
+    counts."""
+    spec = abstract_search_space(with_singletons(space))
+    checked = lambda trials: ss.SearchLoop(lambda s: CountsChecked(3, 2, seed=s), trials, seed)
+    report = ss.run_hybrid(spec, SELECTORS[selector], checked(2), checked(4), 8,
+                           lambda child, dna: zlib.crc32(encode_dna(dna, spec).encode()))
+    assert report.oracle_calls == 2 * 4 + 8
+
+
 @settings(max_examples=100, deadline=None)
 @given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
        with_float=st.booleans())

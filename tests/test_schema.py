@@ -279,3 +279,16 @@ def test_acceptance_matrix_of_every_spec_kind_and_type_def_handles():
 def test_a_refusal_at_the_root_names_a_path_that_reaches_the_offending_node(spec, node):
     caught = _refusal(spec, node, "")
     assert ss.get(node, caught.path) is caught.value and caught.value.to_plain() == -1
+
+
+def test_is_functor_says_whether_instances_are_callable():
+    """Every TypeDef is callable (calling it builds an object); only a type
+    with an ``impl`` is a functor, whose instances are callable."""
+    plain = ss.TypeDef("Plain", [ss.Param("x", schema.Int())])
+    functor = ss.TypeDef("Doubler", [ss.Param("x", schema.Int())], impl=lambda x: 2 * x)
+    assert callable(plain) and callable(functor)
+    assert not plain.is_functor and functor.is_functor
+    assert functor(x=3)() == 6
+    with pytest.raises(TypeError, match="not a functor"):
+        plain(x=3)()
+    assert not hasattr(plain, "callable")
