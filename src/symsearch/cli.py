@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -81,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--repeat", type=int, default=1, help="independent seeded runs")
     sub.add_argument("--jobs", type=int, default=1, help="worker processes for --repeat")
     sub.add_argument("--timing", action="store_true",
-                     help="record real per-trial wall time (logs stop being "
-                          "byte-reproducible)")
+                     help="record each oracle call's wall time in ms as the trial's "
+                          "wall_ms (logs stop being byte-reproducible)")
     sub.set_defaults(func=cmd_search)
 
     sub = commands.add_parser("dump-table", help="tabulate the synthetic oracle")
@@ -201,6 +202,14 @@ def run_search_once(args, run_index: int) -> dict:
     # The oracles read only the DNA, so the flows run over the spec and
     # build no child.
     reward_fn = lambda child, dna: eval_oracle(oracle, dna, spec)
+    if args.timing:  # every flow makes one record per reward call, in call order
+        wall_ms, untimed = [], reward_fn
+
+        def reward_fn(child, dna):
+            start = time.perf_counter()
+            reward = untimed(child, dna)
+            wall_ms.append(int((time.perf_counter() - start) * 1000))
+            return reward
 
     make = _make_algorithm_factory(args)
     selector = (lambda p: p.hints == args.partition) if args.partition else None
@@ -209,22 +218,22 @@ def run_search_once(args, run_index: int) -> dict:
     inner = SearchLoop(make, args.inner_trials, seed=seed)
 
     if args.flow == "joint":
-        report = run_joint(spec, make(seed), reward_fn, args.trials,
-                           seed=seed, timing=args.timing)
+        report = run_joint(spec, make(seed), reward_fn, args.trials, seed=seed)
     elif args.flow == "factorized":
-        report = run_factorized(spec, selector, outer, inner, reward_fn,
-                                aggregator=aggregator, timing=args.timing)
+        report = run_factorized(spec, selector, outer, inner, reward_fn, aggregator=aggregator)
     elif args.flow == "hybrid":
         report = run_hybrid(spec, selector, outer, inner, args.phase2_trials, reward_fn,
-                            aggregator=aggregator, timing=args.timing)
+                            aggregator=aggregator)
     else:
         if args.pivot:
             pivot = infer_dna(space, load_document(args.pivot))
         else:
             pivot = minimal_dna(spec)
         report = run_separate(spec, selector, pivot, outer,
-                              SearchLoop(make, args.phase2_trials, seed=seed + 1),
-                              reward_fn, timing=args.timing)
+                              SearchLoop(make, args.phase2_trials, seed=seed + 1), reward_fn)
+    if args.timing:
+        for record, ms in zip(report.records, wall_ms):
+            record.wall_ms = ms
 
     if args.out:
         log_path = _run_path(Path(args.out), run_index, args.repeat)

@@ -200,10 +200,10 @@ def eager_problem(program: Callable[[], float]) -> tuple[DecisionSpec, RewardFn]
 
 
 def run_eager(program: Callable[[], float], algorithm: SearchAlgorithm, budget: int,
-              seed: int | None = None, timing: bool = False) -> FlowReport:
+              seed: int | None = None) -> FlowReport:
     """``run_joint`` over ``eager_problem(program)``, reported as flow
     ``"eager"``; the collection pass is not counted against the budget."""
     spec, reward = eager_problem(program)
-    report = run_joint(spec, algorithm, reward, budget, seed, timing)
+    report = run_joint(spec, algorithm, reward, budget, seed)
     report.flow = "eager"
     return report

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -75,7 +74,7 @@ class TrialRecord:
     dna: str
     reward: float
     best_so_far: float
-    wall_ms: int
+    wall_ms: int = 0  # the flows keep no clock; a caller that times its reward sets it
 
     def to_json_obj(self) -> dict:
         return {**vars(self), "reward": _json_reward(self.reward),  # declaration order
@@ -204,7 +203,7 @@ def _proposals(algorithm: SearchAlgorithm, budget: int | None,
 
 
 def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardFn,
-                timing: bool, build: Callable[[DNA], SymbolicValue] | None = None,
+                build: Callable[[DNA], SymbolicValue] | None = None,
                 merge: Callable[[DNA, list], DNA] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
     """The trial step of every flow.
@@ -212,11 +211,11 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
     For each feedback handle: map the loop DNA to the full-space DNA with
     ``merge(dna, tokens)``, which appends that DNA's canonical tokens to
     `tokens` (without ``merge`` the proposal's DNA and text serve as they
-    are), build its child if there is a ``build``, call the oracle (timed
-    alone), feed the reward back and append a TrialRecord with the running
-    best.  A reward that :func:`check_reward` refuses raises InvalidReward
-    naming the trial's DNA.  Trials are numbered ``offset + i``, or as inner
-    trials ``i`` of ``outer_index``.  Returns the (loop DNA, reward) pairs.
+    are), build its child if there is a ``build``, call the oracle once,
+    feed the reward back and append a TrialRecord with the running best.  A
+    reward that :func:`check_reward` refuses raises InvalidReward naming the
+    trial's DNA.  Trials are numbered ``offset + i``, or as inner trials
+    ``i`` of ``outer_index``.  Returns the (loop DNA, reward) pairs.
     """
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
@@ -226,9 +225,7 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
         full = feedback.dna if merge is None else merge(feedback.dna, tokens)
         text = feedback.dna_text if merge is None else "|".join(tokens)
         child = None if build is None else build(full)
-        start = time.perf_counter() if timing else 0.0
         reward = oracle(child, full)
-        wall_ms = int((time.perf_counter() - start) * 1000) if timing else 0
         try:
             reward = check_reward(reward)
         except InvalidReward as exc:
@@ -243,7 +240,6 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
             dna=text,
             reward=reward,
             best_so_far=best,
-            wall_ms=wall_ms,
         ))
         results.append((feedback.dna, reward))
     return results
@@ -292,17 +288,16 @@ class SearchLoop:
 
 
 def run_joint(space, algorithm: SearchAlgorithm, oracle: RewardFn, trials: int,
-              seed: int | None = None, timing: bool = False) -> FlowReport:
+              seed: int | None = None) -> FlowReport:
     """Optimize the whole space in a single loop."""
     spec, build = _problem(space)
     report = FlowReport("joint", {"trials": trials}, seed)
-    _run_trials(report, _loop(algorithm, spec, trials), oracle, timing, build)
+    _run_trials(report, _loop(algorithm, spec, trials), oracle, build)
     return report
 
 
 def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
-                 phase_b: SearchLoop, oracle: RewardFn,
-                 timing: bool = False) -> FlowReport:
+                 phase_b: SearchLoop, oracle: RewardFn) -> FlowReport:
     """Optimize the selected points against a fixed pivot, then fix them to
     the phase-A best and optimize the complement.
 
@@ -328,7 +323,7 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)
     results = _run_trials(
-        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, timing, build,
+        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, build,
         lambda dna, tokens: merge_dna(spec, selector, dna, pivot_complement, tokens))
     if not results:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
@@ -338,29 +333,25 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     if rest.is_empty:
         return report  # the selection covered everything
     _run_trials(
-        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, timing, build,
+        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, build,
         partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
     return report
 
 
 def run_factorized(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
-                   oracle: RewardFn, aggregator=top5_average,
-                   timing: bool = False) -> FlowReport:
+                   oracle: RewardFn, aggregator=top5_average) -> FlowReport:
     """Outer loop over sub-spaces, fresh inner algorithm per outer trial."""
-    return _factorized(space, selector, outer, inner, oracle, aggregator, timing)
+    return _factorized(space, selector, outer, inner, oracle, aggregator)
 
 
 def run_hybrid(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
-               phase2_trials: int, oracle: RewardFn, aggregator=top5_average,
-               timing: bool = False) -> FlowReport:
+               phase2_trials: int, oracle: RewardFn, aggregator=top5_average) -> FlowReport:
     """Factorized phase, then resume the best sub-space with its retained
     inner algorithm (population, bookkeeping and rng carry over)."""
-    return _factorized(space, selector, outer, inner, oracle, aggregator, timing,
-                       phase2_trials)
+    return _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials)
 
 
-def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
-                phase2_trials=None):
+def _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials=None):
     """The factorized flow; with ``phase2_trials`` it is the hybrid flow."""
     spec, build = _problem(space)
     fspec = _selection(spec, selector)
@@ -375,7 +366,7 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
         inner_algorithm = inner.build(outer_index)
         merge = partial(merge_dna, spec, selector, outer_feedback.dna)
         results = _run_trials(
-            report, _loop(inner_algorithm, sub_spec, inner.trials), oracle, timing, build,
+            report, _loop(inner_algorithm, sub_spec, inner.trials), oracle, build,
             merge, outer_index=outer_index)
         aggregate = aggregator([reward for _, reward in results])
         outer_feedback(aggregate)
@@ -384,8 +375,8 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, timing,
     if phase2_trials is None or not attempts:
         return report
     _, _, sub_spec, merge, algorithm = max(attempts, key=lambda attempt: attempt[:2])
-    _run_trials(report, _proposals(algorithm, phase2_trials, strict=True), oracle,
-                timing, build, merge, offset=outer.trials)
+    _run_trials(report, _proposals(algorithm, phase2_trials, strict=True), oracle, build,
+                merge, offset=outer.trials)
     return report
 
 

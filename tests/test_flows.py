@@ -522,6 +522,33 @@ def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
     assert encoded == [] and validated == []
 
 
+@pytest.mark.parametrize("over", ["space", "spec"])
+@pytest.mark.parametrize("flow", ["joint", "separate", "factorized", "hybrid"])
+def test_each_reward_call_makes_one_record_in_call_order(bench, flow, over):
+    """``search --timing`` pairs its i-th oracle time with the i-th record."""
+    space, spec, oracle, reward = bench
+    problem = space if over == "space" else spec
+    calls = []
+
+    def recording(child, dna):
+        calls.append(ss.encode_dna(dna, spec))
+        return reward(child, dna)
+
+    loop = lambda trials, seed=0: SearchLoop(lambda s: RegularizedEvolution(3, 2, seed=s),
+                                             trials, seed=seed)
+    if flow == "joint":
+        report = run_joint(problem, RegularizedEvolution(3, 2, seed=0), recording, 8)
+    elif flow == "separate":
+        report = run_separate(problem, op_selector, minimal_dna(spec), loop(5), loop(4, 1),
+                              recording)
+    elif flow == "factorized":
+        report = run_factorized(problem, op_selector, loop(3), loop(4), recording)
+    else:
+        report = run_hybrid(problem, op_selector, loop(3), loop(4), 5, recording)
+    assert len(calls) > 0
+    assert calls == [record.dna for record in report.records]
+
+
 CLI_FLOWS = {
     "joint": ["--flow", "joint", "--trials", "12"],
     "separate": ["--flow", "separate", "--partition", "op", "--trials", "5",
@@ -556,6 +583,31 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     assert len(encoded) == pivot_check
 
 
+@pytest.mark.parametrize("flow", sorted(CLI_FLOWS))
+def test_cli_timing_records_each_oracle_calls_wall_time(monkeypatch, tmp_path, flow):
+    def search(name, *flags):
+        out = tmp_path / f"{name}.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+                             "--oracle", "synthetic", "--population", "4", "--tournament", "2",
+                             *CLI_FLOWS[flow], "--out", str(out), *flags]) == 0
+        return json.loads(printed.getvalue())["oracle_calls"], out.read_text().splitlines()
+
+    original = SyntheticNASOracle.reward_from_dna
+
+    def slow(self, dna, spec):
+        time.sleep(0.002)
+        return original(self, dna, spec)
+
+    monkeypatch.setattr(SyntheticNASOracle, "reward_from_dna", slow)
+    oracle_calls, timed = search("timed", "--timing")
+    _, plain = search("plain")
+    assert len(timed) == oracle_calls > 0
+    assert all(json.loads(line)["wall_ms"] >= 1 for line in timed)
+    assert all(json.loads(line)["wall_ms"] == 0 for line in plain)
+    assert [re.sub(r'"wall_ms":\d+', '"wall_ms":0', line) for line in timed] == plain
+
+
 def test_separate_over_a_spec_needs_a_dna_pivot(bench):
     space, spec, oracle, reward = bench
     loop = SearchLoop(lambda s: RandomSearch(seed=s), 2, seed=0)
@@ -564,34 +616,6 @@ def test_separate_over_a_spec_needs_a_dna_pivot(bench):
                      reward)
     with pytest.raises(NonconformingDNA):
         run_separate(spec, op_selector, DNA([]), loop, loop, reward)
-
-
-@pytest.mark.parametrize("flow", ["joint", "eager"])
-def test_timing_records_wall_ms_and_nothing_else(bench, flow):
-    space, spec, oracle, reward = bench
-
-    def slow_reward(child, dna):
-        time.sleep(0.002)
-        return reward(child, dna)
-
-    def program():
-        time.sleep(0.002)
-        return ss.eager_oneof([1, 2, 3]) * ss.eager_intv(1, 4)
-
-    def search(timing):
-        if flow == "joint":
-            return run_joint(space, RegularizedEvolution(3, 2, seed=1), slow_reward, 8,
-                             seed=1, timing=timing)
-        return ss.run_eager(program, RegularizedEvolution(3, 2, seed=1), 8,
-                            seed=1, timing=timing)
-
-    timed, plain = search(True), search(False)
-    assert len(timed.records) == len(plain.records) == 8
-    for timed_record, plain_record in zip(timed.records, plain.records):
-        assert isinstance(timed_record.wall_ms, int) and timed_record.wall_ms >= 1
-        assert plain_record.wall_ms == 0
-        assert ({**timed_record.to_json_obj(), "wall_ms": 0}
-                == plain_record.to_json_obj())
 
 
 # -- aggregation -----------------------------------------------------------------------
@@ -651,7 +675,7 @@ def test_jsonl_and_summary_roundtrip(tmp_path, bench):
     first = json.loads(lines[0])
     assert set(first) == {"trial_index", "outer_index", "inner_index", "dna",
                           "reward", "best_so_far", "wall_ms"}
-    assert first["wall_ms"] == 0  # timing disabled by default for reproducibility
+    assert first["wall_ms"] == 0  # the flows keep no clock, so the log is reproducible
     summary = json.loads(log.with_suffix(".summary.json").read_text())
     assert summary["oracle_calls"] == 5
     assert summary["best_reward"] == report.best_reward
