@@ -71,7 +71,6 @@ from .schema import (
     Param,
     TypeDef,
     TypeRegistry,
-    new_object,
 )
 from .serialization import deserialize, serialize
 from .values import (
@@ -114,7 +113,7 @@ __all__ = [
     "infer_dna", "materialize", "materialize_partial",
     "SyntheticNASOracle", "TableOracle", "build_nasbench_space", "dump_table", "eval_oracle",
     "KeyPath",
-    "ANY_OBJECT", "Param", "TypeDef", "TypeRegistry", "new_object",
+    "ANY_OBJECT", "Param", "TypeDef", "TypeRegistry",
     "deserialize", "serialize",
     "DELETE", "Delete", "HyperValue", "Insert", "Mapping", "ObjectNode", "Primitive",
     "Sequence", "Set", "SymbolicValue", "clone", "equal", "get", "has", "parent_of", "path_of",

@@ -143,12 +143,12 @@ class Exhaustive(SearchAlgorithm):
 class RegularizedEvolution(SearchAlgorithm):
     """Evolution with an aging population.
 
-    The population is a FIFO queue of (sequence, DNA, reward, text) capped
-    at ``population_size``; the oldest member is evicted first.  Until the
+    The population is a FIFO queue of (sequence, DNA, reward, text, active)
+    capped at ``population_size``, where ``active`` is the member's count of
+    active decisions; the oldest member is evicted first.  Until the
     population has warmed up, proposals are uniform random.  Afterwards a
     tournament of ``tournament_size`` members picks the parent (ties go to
     the earliest inserted) and a single decision point of it is mutated.
-    ``_active`` maps each member's sequence to its active-decision count.
     """
 
     def __init__(self, population_size: int = 25, tournament_size: int = 5, seed: int = 0):
@@ -161,8 +161,7 @@ class RegularizedEvolution(SearchAlgorithm):
         self.tournament_size = tournament_size
 
     def _setup(self) -> None:
-        self.population: deque = deque()
-        self._active: dict[int, int] = {}
+        self.population: deque = deque(maxlen=self.population_size)
         self._counted: tuple = (None, 0)  # the last DNA counted and its count
         self._feedback_count = 0  # also the next member's sequence
 
@@ -171,8 +170,8 @@ class RegularizedEvolution(SearchAlgorithm):
             tokens = []
             return random_dna(self.spec, self.rng, tokens), "|".join(tokens)
         contenders = self.rng.sample(list(self.population), self.tournament_size)
-        seq, parent, _, text = max(contenders, key=lambda entry: (entry[2], -entry[0]))
-        tokens, active = text.split("|"), [self._active[seq]]
+        _, parent, _, text, count = max(contenders, key=lambda entry: (entry[2], -entry[0]))
+        tokens, active = text.split("|"), [count]
         child = mutate(parent, self.spec, self.rng, tokens=tokens, active=active)
         self._counted = child, active[0]
         return child, text if child is parent else "|".join(tokens)
@@ -180,11 +179,8 @@ class RegularizedEvolution(SearchAlgorithm):
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
         if self._counted[0] is not dna:  # a warm-up, seeded or out-of-order DNA
             self._counted = dna, _count_active(self.spec.points, dna.decisions)
-        self._active[self._feedback_count] = self._counted[1]
-        self.population.append((self._feedback_count, dna, reward, text))
+        self.population.append((self._feedback_count, dna, reward, text, self._counted[1]))
         self._feedback_count += 1
-        while len(self.population) > self.population_size:
-            del self._active[self.population.popleft()[0]]
 
 
 def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -81,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "file is written next to it")
     sub.add_argument("--repeat", type=int, default=1, help="independent seeded runs")
     sub.add_argument("--jobs", type=int, default=1, help="worker processes for --repeat")
-    sub.add_argument("--timing", action="store_true",
-                     help="record each oracle call's wall time in ms as the trial's "
-                          "wall_ms (logs stop being byte-reproducible)")
     sub.set_defaults(func=cmd_search)
 
     sub = commands.add_parser("dump-table", help="tabulate the synthetic oracle")
@@ -202,15 +198,6 @@ def run_search_once(args, run_index: int) -> dict:
     # The oracles read only the DNA, so the flows run over the spec and
     # build no child.
     reward_fn = lambda child, dna: eval_oracle(oracle, dna, spec)
-    if args.timing:  # every flow makes one record per reward call, in call order
-        wall_ms, untimed = [], reward_fn
-
-        def reward_fn(child, dna):
-            start = time.perf_counter()
-            reward = untimed(child, dna)
-            wall_ms.append(int((time.perf_counter() - start) * 1000))
-            return reward
-
     make = _make_algorithm_factory(args)
     selector = (lambda p: p.hints == args.partition) if args.partition else None
     aggregator = AGGREGATORS[args.aggregator]
@@ -231,23 +218,15 @@ def run_search_once(args, run_index: int) -> dict:
             pivot = minimal_dna(spec)
         report = run_separate(spec, selector, pivot, outer,
                               SearchLoop(make, args.phase2_trials, seed=seed + 1), reward_fn)
-    if args.timing:
-        for record, ms in zip(report.records, wall_ms):
-            record.wall_ms = ms
 
     if args.out:
-        log_path = _run_path(Path(args.out), run_index, args.repeat)
-        report.write_jsonl(log_path)
-        report.write_summary(log_path.with_suffix(".summary.json"))
+        out = Path(args.out)
+        stem = out.stem if args.repeat == 1 else f"{out.stem}.{run_index}"
+        report.write_jsonl(out.parent / (stem + out.suffix))
+        report.write_summary(out.parent / (stem + ".summary.json"))
     summary = report.summary_dict()
     summary["run_index"] = run_index
     return summary
-
-
-def _run_path(out: Path, run_index: int, repeat: int) -> Path:
-    if repeat == 1:
-        return out
-    return out.with_name(f"{out.stem}.{run_index}{out.suffix}")
 
 
 def cmd_search(args, parser) -> int:

@@ -185,7 +185,6 @@ def eager_problem(program: Callable[[], float]) -> tuple[DecisionSpec, RewardFn]
     program returns for the flow to check as a reward."""
     ctx = EagerContext()
     with ctx:
-        ctx.begin_collect()
         program()
         ctx.end_run()
 

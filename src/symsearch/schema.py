@@ -327,7 +327,3 @@ class TypeRegistry:
 
     def __contains__(self, type_name: str) -> bool:
         return type_name in self._types
-
-
-# ``new_object(type_def, ...)`` builds an object as ``type_def(...)`` does.
-new_object = TypeDef.__call__

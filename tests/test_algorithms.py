@@ -192,8 +192,10 @@ def test_public_propose_after_warm_up_splices_a_mutation_that_feedback_accepts(
     assert all(child is not entry[1] for entry in algo.population)
     assert list(algo._outstanding.elements()) == [encode_dna(child, small_spec)]
     algo.feedback(child, 2.0)
-    assert algo.population[-1][1:] == (child, 2.0, encode_dna(child, small_spec))
-    assert counted == [] and list(algo._active.values()) == [2, 2]
+    assert algo.population[-1][1:] == (child, 2.0, encode_dna(child, small_spec), 2)
+    assert counted == []
+    assert [entry[4] for entry in algo.population] == [2, 2] == [
+        _count_active(small_spec.points, entry[1].decisions) for entry in algo.population]
 
 
 def test_random_ignores_feedback(small_spec):

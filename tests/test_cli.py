@@ -108,18 +108,32 @@ def test_search_usage_errors():
     assert result.returncode == 2  # missing --phase2-trials
 
 
+def test_search_has_no_timing_flag():
+    result = run_cli("search", "--builtin", "nasbench", "--oracle", "synthetic",
+                     "--trials", "5", "--timing")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --timing" in result.stderr
+
+
 def test_search_repeat_runs(tmp_path):
-    result = run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
-                     "--oracle", "synthetic", "--algo", "random", "--flow", "joint",
-                     "--trials", "5", "--seed", "3", "--repeat", "3", "--jobs", "2",
-                     "--out", str(tmp_path / "r.jsonl"))
-    assert result.returncode == 0
-    summaries = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [s["run_index"] for s in summaries] == [0, 1, 2]
-    assert {s["seed"] for s in summaries} == {3, 4, 5}
-    for i in range(3):
-        assert (tmp_path / f"r.{i}.jsonl").exists()
-        assert (tmp_path / f"r.{i}.summary.json").exists()
+    """Each run writes its own log and summary, whether or not ``--out`` has
+    a suffix."""
+    for out, suffix in (("r.jsonl", ".jsonl"), ("r", "")):
+        result = run_cli("search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                         "--oracle", "synthetic", "--algo", "random", "--flow", "joint",
+                         "--trials", "5", "--seed", "3", "--repeat", "3", "--jobs", "2",
+                         "--out", str(tmp_path / out))
+        assert result.returncode == 0
+        summaries = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [s["run_index"] for s in summaries] == [0, 1, 2]
+        assert [s["seed"] for s in summaries] == [3, 4, 5]
+        for i in range(3):
+            assert (tmp_path / f"r.{i}{suffix}").exists()
+            summary = json.loads((tmp_path / f"r.{i}.summary.json").read_text())
+            assert summary["seed"] == 3 + i
+        for i in range(3):
+            (tmp_path / f"r.{i}.summary.json").unlink()
+    assert not (tmp_path / "r.summary.json").exists()
 
 
 def test_dump_table_then_search_reproduces(tmp_path):

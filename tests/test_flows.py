@@ -8,7 +8,6 @@ import io
 import json
 import re
 import sys
-import time
 
 import pytest
 
@@ -27,6 +26,7 @@ from symsearch.errors import (
     UnsupportedSpace,
 )
 from symsearch.flows import (
+    AGGREGATORS,
     SearchLoop,
     run_factorized,
     run_hybrid,
@@ -525,7 +525,8 @@ def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
 @pytest.mark.parametrize("over", ["space", "spec"])
 @pytest.mark.parametrize("flow", ["joint", "separate", "factorized", "hybrid"])
 def test_each_reward_call_makes_one_record_in_call_order(bench, flow, over):
-    """``search --timing`` pairs its i-th oracle time with the i-th record."""
+    """A reward wrapper that times each call, as in the README's recipe, can
+    pair its i-th time with the i-th record."""
     space, spec, oracle, reward = bench
     problem = space if over == "space" else spec
     calls = []
@@ -583,31 +584,6 @@ def test_cli_search_builds_no_child_and_extracts_once(monkeypatch, flow):
     assert len(encoded) == pivot_check
 
 
-@pytest.mark.parametrize("flow", sorted(CLI_FLOWS))
-def test_cli_timing_records_each_oracle_calls_wall_time(monkeypatch, tmp_path, flow):
-    def search(name, *flags):
-        out = tmp_path / f"{name}.jsonl"
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
-            assert cli.main(["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
-                             "--oracle", "synthetic", "--population", "4", "--tournament", "2",
-                             *CLI_FLOWS[flow], "--out", str(out), *flags]) == 0
-        return json.loads(printed.getvalue())["oracle_calls"], out.read_text().splitlines()
-
-    original = SyntheticNASOracle.reward_from_dna
-
-    def slow(self, dna, spec):
-        time.sleep(0.002)
-        return original(self, dna, spec)
-
-    monkeypatch.setattr(SyntheticNASOracle, "reward_from_dna", slow)
-    oracle_calls, timed = search("timed", "--timing")
-    _, plain = search("plain")
-    assert len(timed) == oracle_calls > 0
-    assert all(json.loads(line)["wall_ms"] >= 1 for line in timed)
-    assert all(json.loads(line)["wall_ms"] == 0 for line in plain)
-    assert [re.sub(r'"wall_ms":\d+', '"wall_ms":0', line) for line in timed] == plain
-
-
 def test_separate_over_a_spec_needs_a_dna_pivot(bench):
     space, spec, oracle, reward = bench
     loop = SearchLoop(lambda s: RandomSearch(seed=s), 2, seed=0)
@@ -638,28 +614,33 @@ def test_top5_average_matches_sort_oracle():
 
 
 def test_factorized_outer_reward_is_aggregated(bench):
+    """The outer algorithm is fed each outer trial's aggregate of its inner
+    rewards, by ``top5_average`` unless another aggregator is given; no
+    aggregate is defined on no rewards."""
     space, spec, oracle, reward = bench
-    outer_algo = RegularizedEvolution(2, 1, seed=0)
-    captured = []
-    original = outer_algo._feedback  # the loop feeds the algorithm's hook directly
+    for name in (None, *sorted(AGGREGATORS)):
+        outer_algo = RegularizedEvolution(2, 1, seed=0)
+        captured, inner_rewards = [], []
+        original = outer_algo._feedback  # the loop feeds the algorithm's hook directly
 
-    def spy(dna, text, value):
-        captured.append(value)
-        return original(dna, text, value)
+        def spy(dna, text, value):
+            captured.append(value)
+            return original(dna, text, value)
 
-    outer_algo._feedback = spy
-    inner_rewards = []
+        def tracking(child, dna):
+            inner_rewards.append(reward(child, dna))
+            return inner_rewards[-1]
 
-    def tracking(child, dna):
-        value = reward(child, dna)
-        inner_rewards.append(value)
-        return value
-
-    run_factorized(space, op_selector,
-                   SearchLoop(lambda s: outer_algo, 2, seed=0),
-                   SearchLoop(lambda s: RandomSearch(seed=s), 7, seed=0),
-                   tracking)
-    assert captured == [top5_average(inner_rewards[:7]), top5_average(inner_rewards[7:])]
+        outer_algo._feedback = spy
+        chosen = {} if name is None else {"aggregator": AGGREGATORS[name]}
+        run_factorized(space, op_selector,
+                       SearchLoop(lambda s: outer_algo, 2, seed=0),
+                       SearchLoop(lambda s: RandomSearch(seed=s), 7, seed=0),
+                       tracking, **chosen)
+        aggregate = chosen.get("aggregator", top5_average)
+        assert captured == [aggregate(inner_rewards[:7]), aggregate(inner_rewards[7:])], name
+        with pytest.raises(EmptyRewards, match="^no rewards to aggregate$"):
+            aggregate([])
 
 
 # -- report serialization -----------------------------------------------------------------

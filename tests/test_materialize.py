@@ -94,7 +94,7 @@ def test_results_are_deterministic_valid_and_distinct(make_generator):
 
 
 def test_an_object_refuses_a_hyper_value_when_it_is_built():
-    """An object built directly, not through new_object, still checks its
+    """An object built directly, not through a TypeDef call, still checks its
     fields, so no space can hold a range its spec does not accept; a refused
     object adopts none of its fields."""
     box = ss.TypeDef("Box", [ss.Param("label", schema.Text()), ss.Param("size", schema.Int(max=10))])

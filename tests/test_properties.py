@@ -252,8 +252,8 @@ class CountsChecked(RegularizedEvolution):
 
     def _feedback(self, dna, text, reward):
         super()._feedback(dna, text, reward)
-        assert self._active == {seq: algorithms._count_active(self.spec.points, member.decisions)
-                                for seq, member, _, _ in self.population}
+        assert all(active == algorithms._count_active(self.spec.points, member.decisions)
+                   for _, member, _, _, active in self.population)
 
 
 def with_singletons(space):

@@ -168,9 +168,9 @@ def test_conditional_candidate_acceptance(types):
 
 
 def test_every_object_route_applies_the_one_construction_rule():
-    """Building a node directly, by calling its TypeDef or ``new_object``,
-    by ``bind`` or by ``deserialize`` gives the same fields, defaults filled,
-    and refuses an unknown name with the same text."""
+    """Building a node directly, by calling its TypeDef, by ``bind`` or by
+    ``deserialize`` gives the same fields, defaults filled, and refuses an
+    unknown name with the same text."""
     registry = ss.TypeRegistry()
     Opt = registry.register(ss.TypeDef("Opt", [
         ss.Param("lr", schema.Float(min=0), 0.1),
@@ -180,7 +180,6 @@ def test_every_object_route_applies_the_one_construction_rule():
     routes = {
         "node": lambda **fields: ObjectNode(type_def, fields),
         "call": lambda **fields: Opt(**fields),
-        "new_object": lambda **fields: ss.new_object(type_def, **fields),
         "bind": lambda **fields: ObjectNode(type_def, {}).bind(**fields),
         "deserialize": lambda **fields: ss.deserialize(
             json.dumps({"_type": "Opt", **fields}), registry),
