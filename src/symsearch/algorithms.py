@@ -24,7 +24,6 @@ from .decisions import (
     IntPoint,
     _emit,
     _encode_points,
-    count_tuples,
     encode_dna,
     enumerate_dnas,
     random_decisions,
@@ -60,9 +59,14 @@ class SearchAlgorithm:
     def _setup(self) -> None:
         pass
 
-    def propose(self) -> DNA:
+    def _setup_first(self, call: str) -> DecisionSpec:
+        """The bound spec; before ``setup``, UnsupportedSpace naming `call`."""
         if self.spec is None:
-            raise UnsupportedSpace("setup() must run before propose()")
+            raise UnsupportedSpace(f"setup() must run before {call}()")
+        return self.spec
+
+    def propose(self) -> DNA:
+        self._setup_first("propose")
         dna, text = self._proposal()
         self._outstanding[text] += 1
         return dna
@@ -75,7 +79,7 @@ class SearchAlgorithm:
         raise NotImplementedError
 
     def feedback(self, dna: DNA, reward: float) -> None:
-        text = encode_dna(dna, self.spec)
+        text = encode_dna(dna, self._setup_first("feedback"))
         if self._outstanding[text] <= 0:
             raise UnknownProposal(f"DNA {text!r} was not proposed by this instance")
         reward = reward_for(text, reward)
@@ -84,7 +88,7 @@ class SearchAlgorithm:
 
     def seed_feedback(self, dna: DNA, reward: float) -> None:
         """Inject an externally evaluated DNA, bypassing the proposal check."""
-        text = encode_dna(dna, self.spec)
+        text = encode_dna(dna, self._setup_first("seed_feedback"))
         self._feedback(dna, text, reward_for(text, reward))
 
     def _feedback(self, dna: DNA, text: str, reward: float) -> None:
@@ -269,10 +273,10 @@ def _resample(point, decision, rng: Random):
             value = rng.uniform(point.min, point.max)
             if value != decision:
                 return value
-    # Categorical: resample the whole index tuple.
-    current = [c.index for c in decision]
-    if count_tuples(point) == 1:
+    # Categorical: resample the whole index tuple, unless it is the only feasible one.
+    if point.n == 1 or (point.distinct and point.sorted and point.k == point.n):
         return decision
+    current = [c.index for c in decision]
     while True:
         indices = random_tuple(point, rng)
         if indices != current:

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 from .algorithms import Exhaustive, RandomSearch, RegularizedEvolution
@@ -90,14 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_space_flags(args, parser):
-    if bool(args.space) == bool(args.builtin):
-        parser.error("exactly one of --space and --builtin is required")
-
-
 def load_space(args):
-    """The space that ``--space`` or ``--builtin`` names; the flags are
-    checked first by ``_check_space_flags``."""
+    """The space that ``--space`` or ``--builtin`` names; :func:`main` has
+    checked that exactly one of them is given."""
     if args.builtin:
         return build_nasbench_space(args.nodes, args.ops)
     return load_document(args.space)
@@ -113,7 +109,6 @@ def load_document(path: str):
 
 
 def cmd_inspect(args, parser) -> int:
-    _check_space_flags(args, parser)
     space = load_space(args)
     size = space_size(space)
     doc = {
@@ -127,12 +122,9 @@ def cmd_inspect(args, parser) -> int:
 def cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be >= 0")
-    _check_space_flags(args, parser)
     space = load_space(args)
     spec = abstract_search_space(space)
-    for count, dna in enumerate(enumerate_dnas(spec)):
-        if args.limit is not None and count >= args.limit:
-            break
+    for dna in islice(enumerate_dnas(spec), args.limit):
         print(encode_dna(dna, spec))
     return 0
 
@@ -147,21 +139,16 @@ def cmd_dump_table(args, parser) -> int:
 
 
 def _check_search_flags(args, parser):
-    _check_space_flags(args, parser)
     if args.oracle == "synthetic" and not args.builtin:
         parser.error("--oracle synthetic requires --builtin nasbench")
     if args.oracle == "table" and not args.table:
         parser.error("--oracle table requires --table FILE")
-    if args.flow in ("factorized", "hybrid"):
-        if not args.partition:
-            parser.error(f"--flow {args.flow} requires --partition")
-        if args.inner_trials is None:
-            parser.error(f"--flow {args.flow} requires --inner-trials")
-    if args.flow in ("hybrid", "separate"):
-        if args.phase2_trials is None:
-            parser.error(f"--flow {args.flow} requires --phase2-trials")
-    if args.flow == "separate" and not args.partition:
-        parser.error("--flow separate requires --partition")
+    if args.flow != "joint" and not args.partition:
+        parser.error(f"--flow {args.flow} requires --partition")
+    if args.flow in ("factorized", "hybrid") and args.inner_trials is None:
+        parser.error(f"--flow {args.flow} requires --inner-trials")
+    if args.flow in ("hybrid", "separate") and args.phase2_trials is None:
+        parser.error(f"--flow {args.flow} requires --phase2-trials")
     for flag, value, least in (("--trials", args.trials, 1),
                                ("--inner-trials", args.inner_trials, 1),
                                ("--phase2-trials", args.phase2_trials, 0),
@@ -245,6 +232,8 @@ def cmd_search(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if bool(args.space) == bool(args.builtin):  # every subcommand takes one space
+        parser.error("exactly one of --space and --builtin is required")
     try:
         return args.func(args, parser)
     except (SymsearchError, OSError) as exc:

@@ -15,7 +15,6 @@ values.  The canonical text form flattens decisions in pre-order joined by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Iterator
@@ -312,14 +311,6 @@ def _feasible_indices(n: int, distinct: bool, is_sorted: bool, prefix):
     """Indices of n candidates that may fill the slot after ``prefix``,
     lowest first."""
     return (index for index in range(n) if _may_follow(index, prefix, distinct, is_sorted))
-
-
-def count_tuples(point: CategoricalPoint) -> int:
-    """Number of feasible index tuples of a categorical point."""
-    n, k = point.n, point.k
-    if point.distinct:
-        return math.comb(n, k) if point.sorted else math.perm(n, k)
-    return math.comb(n + k - 1, k) if point.sorted else n ** k
 
 
 def random_dna(spec: DecisionSpec, rng: Random, tokens: list | None = None) -> DNA:

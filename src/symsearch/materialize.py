@@ -19,8 +19,6 @@ of it would be accepted, so every child is valid.
 
 from __future__ import annotations
 
-import logging
-
 from .decisions import (
     DNA,
     Choice,
@@ -40,12 +38,9 @@ from .values import (
     Primitive,
     Sequence,
     SymbolicValue,
-    clone,
     equal,
     to_symbolic,
 )
-
-logger = logging.getLogger(__name__)
 
 _SELECT_ALL: Selector = lambda point: True
 
@@ -75,15 +70,11 @@ def materialize_partial(space, dna_subset: DNA, selector: Selector) -> SymbolicV
 
     Unselected hyper values survive verbatim, including those nested under a
     selected categorical's chosen candidates.  A selector matching nothing
-    logs a warning and returns a clone of the space.
+    takes ``DNA([])`` and returns a fresh copy of the space.
     """
     space = to_symbolic(space)
     spec = abstract_search_space(space)
-    fspec = filter_spec(spec, selector)
-    if fspec.is_empty:
-        logger.warning("partition selector matched no decision points; space unchanged")
-        return clone(space)
-    validate_dna(dna_subset, fspec)
+    validate_dna(dna_subset, filter_spec(spec, selector))
     return materialize_partial_prepared(space, spec, dna_subset, selector)
 
 

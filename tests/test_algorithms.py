@@ -54,6 +54,16 @@ def test_setup_resets_state(small_spec):
     assert first == second
 
 
+@pytest.mark.parametrize("make", [RandomSearch, RegularizedEvolution, Exhaustive])
+def test_every_entry_point_needs_setup_first(make):
+    algo = make()
+    for call, run in (("propose", lambda: algo.propose()),
+                      ("feedback", lambda: algo.feedback(ss.DNA([]), 1.0)),
+                      ("seed_feedback", lambda: algo.seed_feedback(ss.DNA([]), 1.0))):
+        with pytest.raises(UnsupportedSpace, match=rf"setup\(\) must run before {call}\(\)"):
+            run()
+
+
 def test_exhaustive_rejects_continuous():
     spec = abstract_search_space(floatv(0, 1))
     with pytest.raises(UnsupportedSpace):

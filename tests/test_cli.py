@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+import symsearch as ss
 from conftest import strict_json
+from symsearch import cli
 
 BASE = [sys.executable, "-m", "symsearch.cli"]
 
@@ -47,6 +49,9 @@ def test_enumerate_builtin():
 def test_enumerate_limit():
     result = run_cli("enumerate", "--builtin", "nasbench", "--limit", "5")
     assert len(result.stdout.splitlines()) == 5
+    result = run_cli("enumerate", "--builtin", "nasbench", "--limit", "0")
+    assert result.returncode == 0
+    assert result.stdout == ""
 
 
 def test_enumerate_negative_limit_is_usage_error():
@@ -106,6 +111,13 @@ def test_search_usage_errors():
                      "--flow", "hybrid", "--trials", "5", "--inner-trials", "2",
                      "--partition", "op")
     assert result.returncode == 2  # missing --phase2-trials
+    separate = ("search", "--builtin", "nasbench", "--oracle", "synthetic",
+                "--flow", "separate", "--trials", "5")
+    for given, missing in ((("--phase2-trials", "3"), "--partition"),
+                           (("--partition", "op"), "--phase2-trials")):
+        result = run_cli(*separate, *given)
+        assert result.returncode == 2
+        assert f"error: --flow separate requires {missing}" in result.stderr
 
 
 def test_search_has_no_timing_flag():
@@ -151,6 +163,51 @@ def test_dump_table_then_search_reproduces(tmp_path):
                      "--out", str(tmp_path / "t.jsonl"))
     assert synth.returncode == 0 and tabled.returncode == 0
     assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+
+
+def test_dump_table_takes_its_space_from_builtin_only(tmp_path):
+    table_path = tmp_path / "table.json"
+    result = run_cli("dump-table", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                     "--space", str(tmp_path / "missing.json"), "--out", str(table_path))
+    assert result.returncode == 2
+    assert "error: exactly one of --space and --builtin is required" in result.stderr
+    result = run_cli("dump-table", "--space", str(tmp_path / "missing.json"),
+                     "--out", str(table_path))
+    assert result.returncode == 2
+    assert "error: dump-table requires --builtin" in result.stderr
+    assert not table_path.exists()
+
+
+def test_search_table_with_int_points_finds_the_best(tmp_path, capsys):
+    """A table over a top-level intv and one nested under a oneof candidate
+    loads with the space's spec and an exhaustive search finds its best."""
+    space = ss.Mapping({"a": ss.oneof([ss.intv(0, 2), 5]), "b": ss.intv(0, 1)})
+    spec = ss.abstract_search_space(space)
+    texts = [ss.encode_dna(dna, spec) for dna in ss.enumerate_dnas(spec)]
+    rewards = {text: (3 * i % 8) / 8 for i, text in enumerate(texts)}
+    space_path, table_path = tmp_path / "space.json", tmp_path / "table.json"
+    space_path.write_text(ss.serialize(space))
+    ss.TableOracle(spec, rewards).save(table_path)
+    assert len(texts) == 8
+    assert ss.isomorphic(ss.TableOracle.load(table_path).spec, spec)
+    code = cli.main(["search", "--space", str(space_path), "--oracle", "table",
+                     "--table", str(table_path), "--algo", "exhaustive", "--trials", "8"])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    best = max(texts, key=rewards.get)
+    assert (summary["best_dna"], summary["best_reward"]) == (best, rewards[best])
+
+
+def test_search_table_with_a_float_point_is_runtime_error(tmp_path, capsys):
+    space = ss.Mapping({"a": ss.oneof([1, 2]), "rate": ss.floatv(0.0, 1.0)})
+    space_path, table_path = tmp_path / "space.json", tmp_path / "table.json"
+    space_path.write_text(ss.serialize(space))
+    spec = ss.spec_to_json_obj(ss.abstract_search_space(space))
+    table_path.write_text(json.dumps({"spec": spec, "rewards": {}}))
+    code = cli.main(["search", "--space", str(space_path), "--oracle", "table",
+                     "--table", str(table_path), "--algo", "random", "--trials", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: table oracles require fully discrete spaces\n"
 
 
 def test_search_table_unknown_key_is_runtime_error(tmp_path):

@@ -14,7 +14,6 @@ from symsearch.decisions import (
     Choice,
     IntPoint,
     abstract_search_space,
-    count_tuples,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -159,7 +158,8 @@ def test_encode_accepts_exactly_the_enumerated_tuples(distinct, is_sorted):
         except NonconformingDNA as exc:
             assert exc.point_id == spec.points[0].id
     assert accepted == {encode_dna(dna, spec) for dna in enumerate_dnas(spec)}
-    assert len(accepted) == count_tuples(spec.points[0])
+    assert len(accepted) == ss.space_size(manyof(3, [1, 2, 3, 4], distinct=distinct,
+                                                 sorted=is_sorted))
 
 
 def test_decode_validates(cond_space):

@@ -184,6 +184,11 @@ def test_partial_with_empty_selection_returns_clone(cond_space):
     result = materialize_partial(cond_space, DNA([]), lambda p: False)
     assert ss.equal(result, cond_space)
     assert result is not cond_space
+    # The DNA is checked on this route too: an empty selection takes only DNA([]).
+    space = ss.Mapping({"a": oneof([1, 2]), "b": intv(0, 3)})
+    for dna in (DNA([5]), DNA([5, "x"])):
+        with pytest.raises(NonconformingDNA):
+            materialize_partial(space, dna, lambda p: False)
 
 
 def test_partial_decomposition_property(make_generator):

@@ -22,7 +22,6 @@ from symsearch.decisions import (
     IntPoint,
     abstract_search_space,
     condition_spec,
-    count_tuples,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -37,7 +36,8 @@ from symsearch.decisions import (
 from symsearch.eager import eager_floatv, eager_intv, eager_oneof, eager_problem
 from symsearch.errors import ConstraintViolation, EmptyCandidates, KTooLarge, NonconformingDNA
 from symsearch.flows import run_joint
-from symsearch.hyper import Categorical, FloatRange, IntRange, floatv, intv, manyof, oneof
+from symsearch.hyper import (Categorical, FloatRange, IntRange, _tuple_weight, floatv, intv,
+                             manyof, oneof)
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
 from symsearch.values import ObjectNode, Primitive
@@ -194,7 +194,8 @@ def test_mutate_conforms_moves_and_matches_the_site_list_reference(space, seed, 
     encode_dna(mutated, spec)
     if point is not None:
         if isinstance(point, CategoricalPoint):
-            single = count_tuples(point) == 1
+            single = _tuple_weight([1] * point.n, point.k, point.distinct,
+                                   point.sorted) == 1
         else:
             single = point.min == point.max
         assert (mutated == dna) == single
