@@ -39,8 +39,8 @@ class SearchAlgorithm:
     The search loops call the ``_proposal`` and ``_feedback`` hooks directly:
     ``_proposal`` gives a DNA conforming to ``self.spec`` and its canonical
     text (by default, the encoding of what ``_propose`` returns, which checks
-    it), and both reach ``_feedback`` through a single-use handle.
-    ``propose`` and ``feedback`` are the checked manual interface."""
+    it); the trial step feeds ``_feedback`` a reward it checked.  ``sample``'s
+    handle, ``feedback`` and ``seed_feedback`` are the checked routes."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
@@ -84,6 +84,8 @@ class SearchAlgorithm:
             raise UnknownProposal(f"DNA {text!r} was not proposed by this instance")
         reward = reward_for(text, reward)
         self._outstanding[text] -= 1
+        if not self._outstanding[text]:
+            del self._outstanding[text]
         self._feedback(dna, text, reward)
 
     def seed_feedback(self, dna: DNA, reward: float) -> None:

@@ -167,48 +167,46 @@ def sample(space, algorithm: SearchAlgorithm, partition: Selector | None = None,
 
     Without a partition every child is a concrete program; with one, each
     child is the sub-space left after materializing the selected decision
-    points.  In strict mode advancing past an un-fed trial raises
-    FeedbackSkipped; in lenient mode the skipped trial is treated as
-    infeasible and fed reward -inf.
+    points.  In strict mode advancing past an un-fed trial, the last one
+    included, raises FeedbackSkipped; in lenient mode the skipped trial is
+    treated as infeasible and fed reward -inf.
     """
     space = to_symbolic(space)
     spec = abstract_search_space(space)
     view = spec if partition is None else _selection(spec, partition)
-    for handle in _loop(algorithm, view, budget, strict):
+    for dna, text in _proposals(algorithm.setup(view), budget):
         if partition is None:
-            child = materialize_prepared(space, spec, handle.dna)
+            child = materialize_prepared(space, spec, dna)
         else:
-            child = materialize_partial_prepared(space, spec, handle.dna, partition)
+            child = materialize_partial_prepared(space, spec, dna, partition)
+        handle = Feedback(algorithm, dna, text)
         yield child, handle
-
-
-def _proposals(algorithm: SearchAlgorithm, budget: int | None,
-               strict: bool) -> Iterator[Feedback]:
-    """The proposal half of ``sample``: one feedback handle per DNA and
-    checked text from the algorithm's ``_proposal``, after settling the
-    previous handle if it was never fed."""
-    produced = 0
-    pending: Feedback | None = None
-    while budget is None or produced < budget:
-        if pending is not None and not pending.used:
+        if not handle.used:
             if strict:
-                raise FeedbackSkipped(f"trial for DNA {pending.dna_text!r} received no reward")
-            pending(float("-inf"))
+                raise FeedbackSkipped(f"trial for DNA {text!r} received no reward")
+            handle(float("-inf"))
+
+
+def _proposals(algorithm: SearchAlgorithm, budget: int | None) -> Iterator[tuple[DNA, str]]:
+    """The algorithm's ``_proposal`` pairs of DNA and checked text, until
+    the budget or the space runs out."""
+    produced = 0
+    while budget is None or produced < budget:
         try:
-            pending = Feedback(algorithm, *algorithm._proposal())
+            proposal = algorithm._proposal()
         except ExhaustedSpace:
             return
         produced += 1
-        yield pending
+        yield proposal
 
 
-def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardFn,
+def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, oracle: RewardFn,
                 build: Callable[[DNA], SymbolicValue] | None = None,
                 merge: Callable[[DNA, list], DNA] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
-    """The trial step of every flow.
+    """The trial step of every flow, over the set-up `algorithm`'s proposals.
 
-    For each feedback handle: map the loop DNA to the full-space DNA with
+    For each proposal: map the loop DNA to the full-space DNA with
     ``merge(dna, tokens)``, which appends that DNA's canonical tokens to
     `tokens` (without ``merge`` the proposal's DNA and text serve as they
     are), build its child if there is a ``build``, call the oracle once,
@@ -220,10 +218,10 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
     results = []
-    for index, feedback in enumerate(handles):
+    for index, (dna, dna_text) in enumerate(_proposals(algorithm, budget)):
         tokens = []
-        full = feedback.dna if merge is None else merge(feedback.dna, tokens)
-        text = feedback.dna_text if merge is None else "|".join(tokens)
+        full = dna if merge is None else merge(dna, tokens)
+        text = dna_text if merge is None else "|".join(tokens)
         child = None if build is None else build(full)
         reward = oracle(child, full)
         try:
@@ -231,7 +229,7 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
         except InvalidReward as exc:
             raise InvalidReward(f"oracle returned {reward!r} for DNA {text!r}; the reward "
                                 f"{exc}") from None
-        feedback(reward)
+        algorithm._feedback(dna, dna_text, reward)
         best = max(best, reward)
         records.append(TrialRecord(
             trial_index=len(records),
@@ -241,7 +239,7 @@ def _run_trials(report: FlowReport, handles: Iterator[Feedback], oracle: RewardF
             reward=reward,
             best_so_far=best,
         ))
-        results.append((feedback.dna, reward))
+        results.append((dna, reward))
     return results
 
 
@@ -292,7 +290,7 @@ def run_joint(space, algorithm: SearchAlgorithm, oracle: RewardFn, trials: int,
     """Optimize the whole space in a single loop."""
     spec, build = _problem(space)
     report = FlowReport("joint", {"trials": trials}, seed)
-    _run_trials(report, _loop(algorithm, spec, trials), oracle, build)
+    _run_trials(report, algorithm.setup(spec), trials, oracle, build)
     return report
 
 
@@ -323,7 +321,7 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)
     results = _run_trials(
-        report, _loop(phase_a.build(), fspec, phase_a.trials), oracle, build,
+        report, phase_a.build().setup(fspec), phase_a.trials, oracle, build,
         lambda dna, tokens: merge_dna(spec, selector, dna, pivot_complement, tokens))
     if not results:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
@@ -333,7 +331,7 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     if rest.is_empty:
         return report  # the selection covered everything
     _run_trials(
-        report, _loop(phase_b.build(), rest, phase_b.trials), oracle, build,
+        report, phase_b.build().setup(rest), phase_b.trials, oracle, build,
         partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
     return report
 
@@ -360,23 +358,21 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials
         budgets["phase2_trials"] = phase2_trials
     report = FlowReport("factorized" if phase2_trials is None else "hybrid",
                         budgets, outer.seed)
-    attempts = []
-    for outer_index, outer_feedback in enumerate(_loop(outer.build(), fspec, outer.trials)):
-        sub_spec = condition_spec(spec, selector, outer_feedback.dna)
-        inner_algorithm = inner.build(outer_index)
-        merge = partial(merge_dna, spec, selector, outer_feedback.dna)
-        results = _run_trials(
-            report, _loop(inner_algorithm, sub_spec, inner.trials), oracle, build,
-            merge, outer_index=outer_index)
-        aggregate = aggregator([reward for _, reward in results])
-        outer_feedback(aggregate)
-        attempts.append((aggregate, -outer_index, sub_spec, merge, inner_algorithm))
+    outer_algorithm = outer.build().setup(fspec)
+    best = None  # (aggregate, merge, inner algorithm); the earliest wins a tie
+    for outer_index, (dna, text) in enumerate(_proposals(outer_algorithm, outer.trials)):
+        sub_spec = condition_spec(spec, selector, dna)
+        inner_algorithm = inner.build(outer_index).setup(sub_spec)
+        merge = partial(merge_dna, spec, selector, dna)
+        results = _run_trials(report, inner_algorithm, inner.trials, oracle, build, merge,
+                              outer_index=outer_index)
+        aggregate = reward_for(text, aggregator([reward for _, reward in results]))
+        outer_algorithm._feedback(dna, text, aggregate)
+        if best is None or aggregate > best[0]:
+            best = (aggregate, merge, inner_algorithm)
 
-    if phase2_trials is None or not attempts:
-        return report
-    _, _, sub_spec, merge, algorithm = max(attempts, key=lambda attempt: attempt[:2])
-    _run_trials(report, _proposals(algorithm, phase2_trials, strict=True), oracle, build,
-                merge, offset=outer.trials)
+    if phase2_trials is not None and best is not None:
+        _run_trials(report, best[2], phase2_trials, oracle, build, best[1], offset=outer.trials)
     return report
 
 
@@ -395,11 +391,4 @@ def _selection(spec: DecisionSpec, selector: Selector) -> DecisionSpec:
     if view.is_empty:
         raise EmptySelection("partition selector matched no decision points")
     return view
-
-
-def _loop(algorithm: SearchAlgorithm, view: DecisionSpec, budget: int | None,
-          strict: bool = True) -> Iterator[Feedback]:
-    """Set `algorithm` up on `view` and return its feedback handles."""
-    algorithm.setup(view)
-    return _proposals(algorithm, budget, strict)
 

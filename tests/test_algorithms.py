@@ -165,6 +165,16 @@ def test_feedback_requires_proposal(small_spec):
         algo.feedback(ss.DNA([]), 1.0)
 
 
+def test_settled_proposals_leave_nothing_outstanding():
+    algo = RandomSearch(seed=0).setup(abstract_search_space(intv(0, 10**6)))
+    for _ in range(1000):
+        dna = algo.propose()
+        algo.feedback(dna, 0.0)
+    assert not algo._outstanding
+    with pytest.raises(UnknownProposal):
+        algo.feedback(dna, 0.0)
+
+
 def test_public_propose_and_seed_feedback_check_the_dna(small_spec):
     class Broken(ss.SearchAlgorithm):
         def _propose(self):

@@ -108,6 +108,15 @@ def test_sample_strict_mode_rejects_skips(bench):
     next(stream)
     with pytest.raises(FeedbackSkipped):
         next(stream)
+    # the last trial of a budget is settled too, as the last of a space is
+    stream = sample(oneof([1, 2, 3]), RandomSearch(seed=0), budget=2)
+    next(stream)[1](0.0)
+    next(stream)
+    with pytest.raises(FeedbackSkipped):
+        next(stream)
+    with pytest.raises(FeedbackSkipped):
+        for child, feedback in sample(oneof([1, 2, 3]), Exhaustive(), budget=5):
+            pass
 
 
 def test_sample_lenient_mode_feeds_neg_inf(bench):
@@ -117,6 +126,9 @@ def test_sample_lenient_mode_feeds_neg_inf(bench):
     next(stream)
     next(stream)  # the skipped trial silently becomes reward -inf
     assert [entry[2] for entry in algo.population] == [float("-inf")]
+    algo = RegularizedEvolution(5, 1, seed=0)
+    assert len(list(sample(space, algo, budget=3, strict=False))) == 3
+    assert [entry[2] for entry in algo.population] == [float("-inf")] * 3
 
 
 @pytest.mark.parametrize("bad", ["nan", "0.5", True, float("inf"), float("nan")],
@@ -520,6 +532,40 @@ def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
     assert hybrid.oracle_calls == 3 * 4 + 5
     assert len(sampled) == hybrid.oracle_calls + 3  # plus each outer proposal
     assert encoded == [] and validated == []
+
+
+def test_each_reward_is_checked_once(monkeypatch, bench):
+    """The trial step checks each oracle reward and the outer loop each
+    aggregate, once, and feeds the algorithm's hook directly."""
+    space, spec, oracle, reward = bench
+    checked = count_calls(monkeypatch, "check_reward", algorithms)
+    run_joint(space, RegularizedEvolution(4, 2, seed=0), reward, 10)
+    assert len(checked) == 10
+    del checked[:]
+    loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
+    run_factorized(space, op_selector, loop(3), loop(4), reward)
+    assert len(checked) == 3 * 4 + 3
+
+
+@pytest.mark.parametrize("reward, op", [(lambda child, dna: 0.0, 0),
+                                        (lambda child, dna: float(child["a"] == 1), 1),
+                                        (lambda child, dna: float(child["a"] != 0), 1)],
+                         ids=["constant", "one", "tie"])
+def test_hybrid_resumes_the_earliest_highest_aggregate(reward, op):
+    space = {"a": oneof([0, 1, 2], hints="op"), "b": oneof([0, 1, 2, 3], hints="edge")}
+    report = run_hybrid(space, op_selector, SearchLoop(lambda s: Exhaustive(), 3),
+                        SearchLoop(lambda s: RandomSearch(seed=s), 2), 3, reward)
+    phase2 = report.records[3 * 2:]
+    assert len(phase2) == 3
+    assert {record.dna.split("|")[0] for record in phase2} == {str(op)}
+
+
+def test_factorized_overflowing_aggregate_names_the_outer_dna():
+    space = {"a": oneof([0, 1, 2], hints="op"), "b": oneof([0, 1, 2, 3], hints="edge")}
+    loop = SearchLoop(lambda s: Exhaustive(), 2)
+    with pytest.raises(InvalidReward, match=r"^the reward for DNA '0' is NaN or \+inf"):
+        run_factorized(space, op_selector, loop, loop, lambda child, dna: 1e308,
+                       aggregator=AGGREGATORS["mean"])
 
 
 @pytest.mark.parametrize("over", ["space", "spec"])
