@@ -11,10 +11,12 @@ sub-space and its complement.  Inputs are never mutated.
 
 Full and partial materialization compile the space once into a builder and
 run it for every DNA.  The last compiled space is cached by identity (with
-its selector), so a search loop compiles once.  Materialization checks
-nothing: every object in the space checked its fields when it was built or
-rebound, and a spec accepts a hyper value only when every materialization
-of it would be accepted, so every child is valid.
+its selector), so a search loop compiles once.  The builder makes each node
+directly and attaches its children, and an int or float leaf skips the type
+and finiteness checks of ``Primitive``, which a conforming DNA has passed.
+Materialization checks nothing else: every object in the space checked its
+fields when it was built or rebound, and a spec accepts a hyper value only
+when every materialization of it would be accepted, so every child is valid.
 """
 
 from __future__ import annotations
@@ -32,15 +34,8 @@ from .decisions import (
 )
 from .errors import NonconformingDNA
 from .hyper import Categorical, FloatRange, IntRange
-from .values import (
-    HyperValue,
-    ObjectNode,
-    Primitive,
-    Sequence,
-    SymbolicValue,
-    equal,
-    to_symbolic,
-)
+from .values import (HyperValue, Mapping, ObjectNode, Primitive, Sequence, SymbolicValue, equal,
+                     to_symbolic)
 
 _SELECT_ALL: Selector = lambda point: True
 
@@ -107,39 +102,63 @@ def _compile(node, points, selector):
     Hyper values meet `points` (their level of the spec) in pre-order.
     ``build(decisions)`` takes the selected decisions in order from the
     `decisions` iterator.  A categorical compiles a candidate the first time
-    it is chosen.
+    it is chosen.  A node is made as its kind's ``_copy`` makes it, inline:
+    a call per node to a method of its kind costs a sixth of the build.
     """
     if isinstance(node, HyperValue):
         point = next(points)
         if not selector(point):
             return None
-        if isinstance(point, FloatPoint):
-            return lambda decisions: Primitive(float(next(decisions)))
         if not isinstance(node, Categorical):
-            return lambda decisions: Primitive(next(decisions))
-        candidates, subspaces, single = node.candidates, point.subspaces, node.k == 1
-        compiled = {}
+            floating = isinstance(point, FloatPoint)
+            def build_leaf(decisions):
+                leaf = Primitive.__new__(Primitive)
+                leaf._parent = None
+                leaf.value = float(next(decisions)) if floating else next(decisions)
+                return leaf
+            return build_leaf
+        candidates, subspaces = node.candidates, point.subspaces
+        table = [None] * len(candidates)
 
-        def build_choice(decisions):
-            parts = []
-            for choice in next(decisions):
-                index = choice.index
-                if index not in compiled:
-                    compiled[index] = _compile(candidates[index], iter(subspaces[index]), selector)
-                build = compiled[index]
-                parts.append(candidates[index]._copy() if build is None
-                             else build(iter(choice.children)))
-            return parts[0] if single else Sequence(parts)
-        return build_choice
+        def compiled(index):
+            candidate = candidates[index]
+            table[index] = build = _compile(candidate, iter(subspaces[index]), selector) or (
+                lambda decisions: candidate._copy())
+            return build
 
-    builds = []
-    for key, child in node.child_items():
-        build = _compile(child, points, selector)
-        if build is not None:
-            builds.append((key, build))
-    if not builds:
+        if node.k == 1:
+            def build_one(decisions):
+                (choice,) = next(decisions)
+                return (table[choice.index] or compiled(choice.index))(iter(choice.children))
+            return build_one
+        return lambda decisions: Sequence([(table[choice.index] or compiled(choice.index))(
+            iter(choice.children)) for choice in next(decisions)])
+
+    plan = [(key, child, _compile(child, points, selector)) for key, child in node.child_items()]
+    if all(build is None for _, _, build in plan):
         return None
-    return lambda decisions: node._copy({key: build(decisions) for key, build in builds})
+
+    listed = isinstance(node, Sequence)
+    type_def = node.type_def if isinstance(node, ObjectNode) else None
+
+    def build_node(decisions):
+        if listed:
+            fresh = Sequence.__new__(Sequence)
+            fresh._children = store = [None] * len(plan)
+        elif type_def is None:
+            fresh = Mapping.__new__(Mapping)
+            fresh._entries = store = {}
+        else:
+            fresh = ObjectNode.__new__(ObjectNode)
+            fresh.type_def = type_def
+            fresh._fields = store = {}
+        fresh._parent = None
+        for key, child, build in plan:
+            new = child._copy() if build is None else build(decisions)
+            new._parent = (fresh, key)
+            store[key] = new
+        return fresh
+    return build_node
 
 
 # ---------------------------------------------------------------------------

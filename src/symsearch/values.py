@@ -10,9 +10,9 @@ variants, type names, keys and all descendants; ``clone`` produces an
 independent deep copy.  A node belongs to at most one parent: attaching a
 value that already sits in a tree clones it first.  Every kind copies
 itself through one routine, ``_copy``, which takes replacement children by
-key; ``clone`` is the case with none.  A copy re-runs no check, since its
-source already passed them; only replaced categorical candidates are held
-to the constructor's rules.
+key; ``clone`` is the case with none (materialization builds the same slots
+inline).  A copy re-runs no check, since its source already passed them;
+only replaced categorical candidates are held to the constructor's rules.
 
 Manipulation goes through :func:`rebind`, which never mutates its input; it
 returns an edited copy.  Its two forms, a mapping of path edits and a

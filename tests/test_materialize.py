@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import math
 import random
 
 import pytest
 
 import symsearch as ss
 from conftest import Slot
+from test_flows import count_calls
 from symsearch.decisions import (
     DNA,
     CategoricalPoint,
@@ -29,6 +32,9 @@ from symsearch.materialize import (
     materialize_prepared,
 )
 from symsearch.values import ObjectNode
+
+# The module, which the package's `materialize` function shadows.
+materialize_module = importlib.import_module("symsearch.materialize")
 
 
 @pytest.fixture()
@@ -91,6 +97,49 @@ def test_results_are_deterministic_valid_and_distinct(make_generator):
             ss.validate_tree(program)
             seen.add(ss.serialize(program))
         assert len(seen) == ss.space_size(space)
+
+
+def test_leaves_keep_the_type_of_their_point():
+    """An int decision on a float point builds a float; an int point builds
+    an int; a k > 1 choice splices a sequence that parents each part."""
+    space = ss.Sequence([ss.floatv(0.0, 2.0), intv(0, 3),
+                         manyof(2, [ss.Sequence([intv(0, 3)]), 7], distinct=False)])
+    child = materialize(space, DNA([1, 2, [Choice(0, [3]), Choice(1)]]))
+    assert type(child[0].value) is float and child[0].value == 1.0
+    assert type(child[1].value) is int and child[1].value == 2
+    parts = child[2]
+    assert type(parts) is ss.Sequence and parts._parent[0] is child
+    assert [(part._parent[0] is parts, part._parent[1]) for part in parts] == [(True, 0), (True, 1)]
+    assert ss.equal(parts, ss.Sequence([[3], 7]))
+
+
+@pytest.mark.parametrize("decisions", [[True, 1], [0.5, True], [math.nan, 1], [0.5, 4]],
+                         ids=["bool-int", "bool-float", "nan", "out-of-range"])
+def test_materialize_refuses_a_nonconforming_leaf_before_building(monkeypatch, decisions):
+    compiled = count_calls(monkeypatch, "_compile", materialize_module)
+    with pytest.raises(NonconformingDNA):
+        materialize(ss.Sequence([ss.floatv(0.0, 2.0), intv(0, 3)]), DNA(decisions))
+    assert compiled == []
+
+
+def test_a_prepared_space_compiles_its_root_and_each_chosen_candidate_once(monkeypatch):
+    """100 builds of one space compile the root's nodes once and each chosen
+    candidate's nodes once, counted per candidate below."""
+    space = ss.Mapping({
+        "a": oneof([ss.Mapping({"x": intv(0, 3)}), 2, ss.floatv(0.0, 1.0)]),
+        "b": manyof(2, [ss.Sequence([intv(0, 1)]), 5], distinct=False),
+    })
+    nodes = {("a", 0): 2, ("a", 1): 1, ("a", 2): 1, ("b", 0): 2, ("b", 1): 1}
+    spec = abstract_search_space(space)
+    compiled = count_calls(monkeypatch, "_compile", materialize_module)
+    rng, chosen = random.Random(0), set()
+    for _ in range(100):
+        dna = random_dna(spec, rng)
+        materialize_prepared(space, spec, dna)
+        chosen |= {(key, choice.index) for key, decision in zip("ab", dna.decisions)
+                   for choice in decision}
+    assert chosen == set(nodes)
+    assert len(compiled) == 3 + sum(nodes.values())
 
 
 def test_an_object_refuses_a_hyper_value_when_it_is_built():

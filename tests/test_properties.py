@@ -40,7 +40,7 @@ from symsearch.hyper import (Categorical, FloatRange, IntRange, _tuple_weight, f
                              manyof, oneof)
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
-from symsearch.values import ObjectNode, Primitive
+from symsearch.values import HyperValue, ObjectNode, Primitive
 
 SELECTORS = {
     "hint a": lambda p: p.hints == "a",
@@ -91,6 +91,76 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
     sub_space = materialize_partial(space, selected, select)
     assert_fresh_tree(sub_space, space)
     assert ss.equal(materialize(sub_space, complement), child)
+
+
+def substituted(node, points, decisions, select):
+    """`node` with its `select`-ed hyper values substituted, each node rebuilt
+    through ``_copy(replaced)`` around its substituted children and each leaf
+    made by ``Primitive``: the reference the compiled builders must match.
+    `points` (this level of the spec) and `decisions` (the selected ones)
+    are iterators in pre-order."""
+    if isinstance(node, HyperValue):
+        point = next(points)
+        if not select(point):
+            return node._copy()
+        if isinstance(point, FloatPoint):
+            return Primitive(float(next(decisions)))
+        if not isinstance(node, Categorical):
+            return Primitive(next(decisions))
+        parts = [substituted(node.candidates[choice.index], iter(point.subspaces[choice.index]),
+                             iter(choice.children), select)
+                 for choice in next(decisions)]
+        return parts[0] if node.k == 1 else ss.Sequence(parts)
+    return node._copy({key: substituted(child, points, decisions, select)
+                       for key, child in node.child_items()})
+
+
+def assert_same_nodes(built, expected):
+    """`built` equals `expected` node for node: the same class at every
+    position, objects sharing their ``type_def`` object, leaves of the same
+    Python type."""
+    assert ss.equal(built, expected)
+    pairs = [(built, expected)]
+    while pairs:
+        a, b = pairs.pop()
+        assert type(a) is type(b)
+        if isinstance(a, ObjectNode):
+            assert a.type_def is b.type_def
+        if isinstance(a, Primitive):
+            assert type(a.value) is type(b.value)
+        items_a, items_b = list(a.child_items()), list(b.child_items())
+        assert [key for key, _ in items_a] == [key for key, _ in items_b]
+        pairs.extend((x, y) for (_, x), (_, y) in zip(items_a, items_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces=st.lists(seeded_spaces(with_hints=True, with_types=True), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1), integral=st.booleans())
+def test_builders_equal_the_substitution_through_copy(spaces, seed, integral):
+    """Full and partial materialization build what substitution through
+    ``_copy(replaced)`` builds.  Spaces A, B, A take turns and the selector
+    changes every few calls, so the one-entry plan cache recompiles, while
+    the calls in between reuse a plan whose candidates compile as chosen.
+    With `integral`, the top-level float decision is an int."""
+    rng = random.Random(seed)
+    first, second = (with_tuples(space) for space in spaces)
+    for space in (first, second, first):
+        spec = abstract_search_space(space)
+        for selector in [None, *sorted(SELECTORS)]:
+            select = SELECTORS.get(selector, lambda point: True)
+            for _ in range(3):
+                dna = random_dna(spec, rng)
+                if integral:
+                    dna.decisions[-3] = round(dna.decisions[-3])
+                if selector is None:
+                    built = materialize(space, dna)
+                else:
+                    dna = split_dna(spec, dna, select)[0]
+                    built = materialize_partial(space, dna, select)
+                assert built._parent is None
+                assert_same_nodes(built, substituted(space, iter(spec.points),
+                                                     iter(dna.decisions), select))
+                assert_fresh_tree(built, space)
 
 
 @settings(max_examples=200, deadline=None)
