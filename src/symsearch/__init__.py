@@ -22,11 +22,9 @@ from .decisions import (
     encode_dna,
     enumerate_dnas,
     filter_spec,
-    isomorphic,
     merge_dna,
     minimal_dna,
     random_dna,
-    spec_to_json_obj,
     split_dna,
     validate_dna,
 )
@@ -72,7 +70,7 @@ from .schema import (
     TypeDef,
     TypeRegistry,
 )
-from .serialization import deserialize, serialize
+from .serialization import deserialize, isomorphic, serialize, spec_to_json_obj
 from .values import (
     DELETE,
     Delete,

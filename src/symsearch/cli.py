@@ -22,20 +22,13 @@ from itertools import islice
 from pathlib import Path
 
 from .algorithms import Exhaustive, RandomSearch, RegularizedEvolution
-from .decisions import (
-    abstract_search_space,
-    encode_dna,
-    enumerate_dnas,
-    isomorphic,
-    minimal_dna,
-    spec_to_json_obj,
-)
+from .decisions import abstract_search_space, encode_dna, enumerate_dnas, minimal_dna
 from .errors import MalformedDocument, SymsearchError, UnsupportedSpace
 from .flows import AGGREGATORS, SearchLoop, run_factorized, run_hybrid, run_joint, run_separate
 from .hyper import INFINITE, space_size
 from .materialize import infer_dna
 from .oracles import SyntheticNASOracle, TableOracle, build_nasbench_space, dump_table, eval_oracle
-from .serialization import deserialize
+from .serialization import deserialize, isomorphic, spec_to_json_obj
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -467,37 +467,3 @@ def _merge_points(points, selector, sel_iter, comp_iter, tokens):
 def _expect_exhausted(iterator, label):
     for _ in iterator:
         raise NonconformingDNA("<merge>", f"extra {label} decisions beyond the partition")
-
-
-# ---------------------------------------------------------------------------
-# Structural comparison and JSON rendering
-# ---------------------------------------------------------------------------
-
-def isomorphic(a: DecisionSpec, b: DecisionSpec) -> bool:
-    """Same shape as a table file stores it: equal :func:`spec_to_json_obj`
-    renderings but for the ids (kinds, ranges, flags, hints and nesting)."""
-    return ([_point_to_json(p, False) for p in a.points]
-            == [_point_to_json(p, False) for p in b.points])
-
-
-def spec_to_json_obj(spec: DecisionSpec) -> dict:
-    """JSON rendering of a spec: kinds, ranges and nesting only.  Candidate
-    program content never appears here."""
-    return {"points": [_point_to_json(p) for p in spec.points]}
-
-
-def _point_to_json(point, ids: bool = True) -> dict:
-    doc = {"id": point.id} if ids else {}
-    if isinstance(point, CategoricalPoint):
-        doc.update(
-            kind="categorical",
-            k=point.k,
-            n=point.n,
-            distinct=point.distinct,
-            sorted=point.sorted,
-            hints=point.hints,
-            subspaces=[[_point_to_json(p, ids) for p in sub] for sub in point.subspaces],
-        )
-    else:
-        doc.update(kind=point.kind, min=point.min, max=point.max, hints=point.hints)
-    return doc

@@ -76,7 +76,14 @@ class MalformedDocument(SymsearchError):
 # --- hyper values ---
 
 class BadPoint(SymsearchError):
-    """A point that ``hyper``'s point rules refuse; the base of the three below."""
+    """A point that a ``hyper`` point rule refuses, by route `label` and rule `detail`."""
+
+    def __init__(self, label: str, detail: str):
+        super().__init__(label, detail)  # as args, so that a pickled copy rebuilds
+        self.label, self.detail = label, detail
+
+    def __str__(self):
+        return f"{self.label} {self.detail}"
 
 
 class EmptyCandidates(BadPoint):

@@ -109,13 +109,13 @@ def check_categorical(label: str, k, n: int, distinct: bool, hints) -> None:
     ``k >= 1``, and ``k <= n`` when `distinct`.  An error starts with `label`."""
     _check_hints(label, hints)
     if isinstance(k, bool) or not isinstance(k, int):
-        raise BadRange(f"{label} k must be an integer, got {k!r}")
+        raise BadRange(label, f"k must be an integer, got {k!r}")
     if n < 1:
-        raise EmptyCandidates(f"{label} n must be at least 1, got {n!r}")
+        raise EmptyCandidates(label, f"n must be at least 1, got {n!r}")
     if k < 1:
-        raise BadRange(f"{label} k must be at least 1, got {k!r}")
+        raise BadRange(label, f"k must be at least 1, got {k!r}")
     if distinct and k > n:
-        raise KTooLarge(f"{label} k must be at most n, {n!r}, when distinct, got {k!r}")
+        raise KTooLarge(label, f"k must be at most n, {n!r}, when distinct, got {k!r}")
 
 
 def check_range(label: str, integer: bool, min, max, hints) -> None:
@@ -129,21 +129,21 @@ def check_range(label: str, integer: bool, min, max, hints) -> None:
                 isinstance(bound, int) if integer
                 else isinstance(bound, (int, float)) and -_FLOAT_MAX <= bound <= _FLOAT_MAX):
             wanted = "an integer" if integer else "a finite number"
-            raise BadRange(f"{label} {key} must be {wanted}, got {_shown(bound)}")
+            raise BadRange(label, f"{key} must be {wanted}, got {_shown(bound)}")
         if integer:
             try:
                 repr(bound)
             except ValueError:
-                raise BadRange(f"{label} {key} must have at most {sys.get_int_max_str_digits()} "
-                               f"digits, got {_shown(bound)}") from None
+                raise BadRange(label, f"{key} must have at most {sys.get_int_max_str_digits()} "
+                                      f"digits, got {_shown(bound)}") from None
     if min > max:
-        raise BadRange(f"{label} min must be at most max, {_shown(max)}, got {_shown(min)}")
+        raise BadRange(label, f"min must be at most max, {_shown(max)}, got {_shown(min)}")
 
 
 def _check_hints(label: str, hints) -> None:
     """Hints are text or None, so that every route can store them."""
     if hints is not None and not isinstance(hints, str):
-        raise BadPoint(f"{label} hints must be text or null, got {hints!r}")
+        raise BadPoint(label, f"hints must be text or null, got {hints!r}")
 
 
 def _shown(bound) -> str:

@@ -18,8 +18,8 @@ exploit.  Sums run in ascending index order; rewards are exact across
 platforms and lie in [0, 1).
 
 A table oracle is a plain mapping from canonical DNA text to reward, stored
-as JSON {"spec": <decision-spec>, "rewards": {text: reward}}; it requires a
-fully discrete space and rejects unknown keys.
+as JSON {"spec": <decision-spec>, "rewards": {text: reward}} (see
+``serialization``); it requires a fully discrete space.
 """
 
 from __future__ import annotations
@@ -31,28 +31,23 @@ from .decisions import (
     DNA,
     CategoricalPoint,
     DecisionSpec,
-    FloatPoint,
-    IntPoint,
     abstract_search_space,
     decode_dna,
     encode_dna,
     enumerate_dnas,
-    spec_to_json_obj,
 )
 from .errors import (
     BadDimensions,
     ContinuousSpaceForTable,
-    InvalidReward,
     MalformedDocument,
     NonconformingDNA,
     ParseError,
     UnknownKey,
     UnsupportedSpace,
 )
-from .algorithms import check_reward
-from .hyper import check_categorical, check_range, oneof
+from .hyper import oneof
 from .prng import SplitMix64
-from .serialization import _field, _point_rule
+from .serialization import spec_to_json_obj, table_from_json_obj
 from .values import Sequence, SymbolicValue
 
 OP_HINT = "op"
@@ -158,16 +153,7 @@ class TableOracle:
     def load(cls, path) -> "TableOracle":
         try:
             with open(Path(path), "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            if not isinstance(doc, dict):
-                raise MalformedDocument(f"a table must be a JSON object, got {type(doc).__name__}")
-            rewards = {}
-            for key, value in _field(doc, "rewards", dict, "an object", label="table").items():
-                try:
-                    rewards[key] = check_reward(value)
-                except InvalidReward as exc:
-                    raise MalformedDocument(f"reward for key {key!r} {exc}") from None
-            spec = spec_from_json_obj(_field(doc, "spec", dict, "an object", label="table"))
+                spec, rewards = table_from_json_obj(json.load(handle))
         except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         table = cls(spec, rewards)
@@ -192,44 +178,3 @@ def dump_table(space, oracle: SyntheticNASOracle) -> TableOracle:
 def eval_oracle(oracle, dna: DNA, spec: DecisionSpec) -> float:
     """Deterministic reward of one DNA under either oracle kind."""
     return oracle.reward_from_dna(dna, spec)
-
-
-def spec_from_json_obj(doc: dict) -> DecisionSpec:
-    """Parse the JSON rendering produced by ``spec_to_json_obj``.  Ids must
-    be text, hints text or null, ``n`` a JSON integer that counts the
-    subspaces, flags booleans, and ``points`` and each subspace lists of
-    point objects.  A point must be one the hyper constructors allow, by
-    the same rules (``hyper.check_categorical`` and ``check_range``).
-    Anything else raises MalformedDocument."""
-    def parse_points(points, where):
-        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
-            raise MalformedDocument(f"{where} must be a list of point objects, got {points!r}")
-        return [parse_point(p) for p in points]
-
-    def parse_point(obj):
-        kind = _field(obj, "kind", str, "text", label="point")
-        label = f"{kind} point {obj.get('id')!r}"
-        field = lambda key, of, wanted: _field(obj, key, of, wanted, label=label)
-        point_id = field("id", str, "text")
-        hints = obj.get("hints")
-        if kind == "categorical":
-            k, n = field("k", object, "an integer"), field("n", int, "an integer")
-            distinct = field("distinct", bool, "true or false")
-            sorted_ = field("sorted", bool, "true or false")
-            subspaces = [parse_points(sub, f"{label} subspaces[{i}]")
-                         for i, sub in enumerate(field("subspaces", list, "a list"))]
-            if n != len(subspaces):
-                raise MalformedDocument(f"{label} n must equal its number of subspaces, "
-                                        f"{len(subspaces)}, got {n!r}")
-            _point_rule(check_categorical, label, k, n, distinct, hints)
-            return CategoricalPoint(point_id, k, n, distinct, sorted_, subspaces, hints)
-        if kind not in ("int", "float"):
-            raise MalformedDocument(f"unknown decision kind {kind!r}")
-        wanted = "an integer" if kind == "int" else "a finite number"
-        low, high = field("min", object, wanted), field("max", object, wanted)
-        _point_rule(check_range, label, kind == "int", low, high, hints)
-        if kind == "int":
-            return IntPoint(point_id, low, high, hints)
-        return FloatPoint(point_id, float(low), float(high), hints)
-
-    return DecisionSpec(parse_points(doc.get("points"), "spec points"))

@@ -22,7 +22,6 @@ from symsearch.decisions import (
     abstract_search_space,
     enumerate_dnas,
     filter_spec,
-    isomorphic,
     random_dna,
     split_dna,
 )
@@ -37,6 +36,7 @@ from symsearch.oracles import (
     eval_oracle,
     num_edges,
 )
+from symsearch.serialization import isomorphic
 
 MASK = (1 << 64) - 1
 

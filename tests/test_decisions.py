@@ -18,17 +18,16 @@ from symsearch.decisions import (
     encode_dna,
     enumerate_dnas,
     filter_spec,
-    isomorphic,
     merge_dna,
     minimal_dna,
     random_dna,
     random_tuple,
-    spec_to_json_obj,
     split_dna,
     validate_dna,
 )
 from symsearch.errors import ContinuousSpace, NonconformingDNA, ParseError
 from symsearch.hyper import floatv, intv, manyof, oneof, permutate
+from symsearch.serialization import isomorphic, spec_to_json_obj
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ import pytest
 
 import symsearch as ss
 from symsearch.algorithms import Exhaustive, RandomSearch
-from symsearch.decisions import DNA, Choice, abstract_search_space, isomorphic
+from symsearch.decisions import DNA, Choice, abstract_search_space
 from symsearch.eager import (
     EagerContext,
     eager_floatv,
@@ -19,6 +19,7 @@ from symsearch.eager import (
 )
 from symsearch.errors import DecisionStreamMismatch, InvalidReward
 from symsearch.hyper import floatv, intv, oneof
+from symsearch.serialization import isomorphic
 
 
 def test_collection_pass_returns_defaults():

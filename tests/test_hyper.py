@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import sys
 
 import pytest
 
 import symsearch as ss
-from symsearch import hyper
+from symsearch import hyper, serialization
 from symsearch.decisions import abstract_search_space, enumerate_dnas
 from symsearch.eager import eager_floatv, eager_intv, eager_oneof, eager_problem
 from symsearch.errors import (
@@ -21,8 +22,7 @@ from symsearch.errors import (
     MalformedDocument,
 )
 from symsearch.hyper import INFINITE, floatv, intv, manyof, oneof, permutate
-from symsearch.oracles import spec_from_json_obj
-from symsearch.serialization import from_json_obj
+from symsearch.serialization import from_json_obj, spec_from_json_obj
 
 
 def test_constructor_errors():
@@ -108,6 +108,22 @@ def test_copies_of_a_space_run_no_range_check(monkeypatch, types):
     assert repr(copies[3][0]) == "intv(1, 3)" and repr(copies[4][1]) == "floatv(0.0, 1.0)"
 
 
+@pytest.mark.parametrize("value, rule", [
+    (oneof([1, 2, 3]), "check_categorical"),
+    (intv(1, 3), "check_range"),
+    (floatv(0.0, 1.0), "check_range"),
+], ids=["oneof", "intv", "floatv"])
+def test_deserialize_applies_each_point_rule_once(monkeypatch, value, rule):
+    """The hyper reader builds each point through its constructor, which
+    applies the rule; the reader itself applies none."""
+    text, calls, check = ss.serialize(value), [], getattr(hyper, rule)
+    counting = lambda *args: calls.append(args) or check(*args)
+    for module in (hyper, serialization):
+        monkeypatch.setattr(module, rule, counting)
+    assert ss.equal(ss.deserialize(text), value)
+    assert len(calls) == 1
+
+
 def test_the_range_rule_accepts_int_bounds_for_floats_and_equal_bounds():
     assert (floatv(0, 1).min, floatv(0, 1).max) == (0.0, 1.0)
     assert ss.space_size(intv(-3, -3)) == 1
@@ -183,6 +199,7 @@ def test_every_route_refuses_a_bad_point_by_the_same_rule(routes, key):
         with pytest.raises(error, match=f" {key} must ") as caught:
             make()
         message = str(caught.value)
+        assert str(pickle.loads(pickle.dumps(caught.value))) == message  # as from a worker
         reasons.add(message[message.index(f" {key} must "):])
     assert len(reasons) == 1, reasons
 

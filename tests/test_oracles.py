@@ -280,7 +280,18 @@ def test_table_load_takes_repeated_choices_beyond_n(tmp_path):
     (lambda doc: doc["spec"].update(points={}), "spec points must be a list of point objects, got {}"),
     (lambda doc: doc["spec"]["points"][0].update(subspaces=[{}, {}]),
      "categorical point '[0][0]' subspaces[0] must be a list of point objects, got {}"),
-], ids=["rewards-list", "no-rewards", "no-spec", "points-object", "subspace-object"])
+    (lambda doc: doc.update(junk=2), "table has no key 'junk'"),
+    (lambda doc: doc["spec"].update(junk=2), "spec has no key 'junk'"),
+    (lambda doc: doc["spec"]["points"][0].update(bogus=1),
+     "categorical point '[0][0]' has no key 'bogus'"),
+    (lambda doc: doc["spec"]["points"][0]["subspaces"][1].append(
+        {"kind": "int", "id": "i", "min": 0, "max": 3, "hints": None, "step": 1}),
+     "int point 'i' has no key 'step'"),
+    (lambda doc: doc["spec"]["points"].append(
+        {"kind": "float", "id": "f", "min": 0.0, "max": 1.0, "k": 1}),
+     "float point 'f' has no key 'k'"),
+], ids=["rewards-list", "no-rewards", "no-spec", "points-object", "subspace-object",
+        "table-key", "spec-key", "categorical-key", "nested-int-key", "float-key"])
 def test_table_load_names_the_key_and_the_type_of_a_bad_shape(tmp_path, edit, message):
     doc = dump_table(build_nasbench_space(2, 2), SyntheticNASOracle(2, 2, seed=3)).to_json_obj()
     edit(doc)

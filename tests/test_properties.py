@@ -3,6 +3,7 @@ spaces."""
 
 from __future__ import annotations
 
+import json
 import random
 import zlib
 from functools import partial
@@ -26,7 +27,6 @@ from symsearch.decisions import (
     encode_dna,
     enumerate_dnas,
     filter_spec,
-    isomorphic,
     iter_all_points,
     merge_dna,
     minimal_dna,
@@ -40,6 +40,7 @@ from symsearch.hyper import (Categorical, FloatRange, IntRange, _tuple_weight, f
                              manyof, oneof)
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
+from symsearch.serialization import isomorphic, spec_from_json_obj, spec_to_json_obj
 from symsearch.values import HyperValue, ObjectNode, Primitive
 
 SELECTORS = {
@@ -405,15 +406,22 @@ def test_conditioned_spec_is_the_spec_of_the_partial_space(space, seed, selector
 
 
 @settings(max_examples=200, deadline=None)
-@given(space=seeded_spaces(), seed=st.integers(0, 2 ** 32 - 1), with_float=st.booleans())
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       with_float=st.booleans())
 def test_encode_decode_round_trip(space, seed, with_float):
+    """DNA text round-trips, and so does the spec through its JSON text: the
+    stored spec equals the spec, ids included, and reads every DNA alike."""
     if with_float:
         space = ss.Sequence([space, floatv(0.0, 1.0)])
     spec = abstract_search_space(space)
+    stored = spec_from_json_obj(json.loads(json.dumps(spec_to_json_obj(spec))))
+    assert stored == spec
     rng = random.Random(seed)
     dna = random_dna(spec, rng)
     for candidate in (dna, mutate(dna, spec, rng)):
-        assert decode_dna(encode_dna(candidate, spec), spec) == candidate
+        text = encode_dna(candidate, spec)
+        assert decode_dna(text, spec) == candidate
+        assert encode_dna(candidate, stored) == text and decode_dna(text, stored) == candidate
 
 
 def corruptions(points, decisions, enclosing):

@@ -10,6 +10,7 @@ import pytest
 import symsearch as ss
 from symsearch.errors import MalformedDocument, ReservedKey, UnknownType
 from symsearch.hyper import floatv, intv, manyof, oneof, permutate
+from symsearch.serialization import spec_from_json_obj
 
 
 def test_dense_wire_form(types):
@@ -103,6 +104,13 @@ def test_malformed_documents(types):
 def test_unknown_hyper_keys_are_named(document, key):
     with pytest.raises(MalformedDocument, match=f"has no key '{key}'"):
         ss.deserialize(document)
+
+
+@pytest.mark.parametrize("doc", [[], 3, None, "points"])
+def test_a_spec_that_is_not_an_object_is_malformed(doc):
+    with pytest.raises(MalformedDocument,
+                       match=f"^a spec must be a JSON object, got {type(doc).__name__}$"):
+        spec_from_json_obj(doc)
 
 
 @pytest.mark.parametrize("document, message", [
