@@ -25,22 +25,20 @@ from .values import SymbolicValue, path_of, to_symbolic
 
 
 @dataclass
-class IntPoint:
+class _RangePoint:
+    """The body both range kinds share; each names its `kind`."""
+
     id: str
-    min: int
-    max: int
+    min: int | float
+    max: int | float
     hints: str | None = None
 
+
+class IntPoint(_RangePoint):
     kind = "int"
 
 
-@dataclass
-class FloatPoint:
-    id: str
-    min: float
-    max: float
-    hints: str | None = None
-
+class FloatPoint(_RangePoint):
     kind = "float"
 
 

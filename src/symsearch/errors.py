@@ -7,6 +7,21 @@ class SymsearchError(Exception):
     """Base class for every error raised by this package."""
 
 
+class _FieldError(SymsearchError):
+    """An error built from its named `_fields`, in order: its text renders
+    them by `_text` when read, and a pickled copy, as from a ``--jobs``
+    worker, is rebuilt from them."""
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __str__(self):
+        return self._text.format_map(vars(self))
+
+
 # --- symbolic tree construction and manipulation ---
 
 class DuplicateTypeName(SymsearchError):
@@ -21,19 +36,16 @@ class UnknownType(SymsearchError):
     pass
 
 
-class ConstraintViolation(SymsearchError):
-    """A value failed the ValueSpec attached to its field.
+class ConstraintViolation(_FieldError):
+    """A value failed the ValueSpec attached to its field: the refused node,
+    its path and the spec, so callers can report precisely what was rejected."""
 
-    Carries the field path, the spec and the offending value so callers can
-    report precisely what was rejected.
-    """
+    _fields = ("path", "spec", "value", "reason")
+    reason = ""
 
-    def __init__(self, path: str, spec: object, value: object, reason: str = ""):
-        self.path = path
-        self.spec = spec
-        self.value = value
-        detail = f" ({reason})" if reason else ""
-        super().__init__(f"value at {path!r} violates {spec}{detail}: {value!r}")
+    def __str__(self):
+        detail = f" ({self.reason})" if self.reason else ""
+        return f"value at {self.path!r} violates {self.spec}{detail}: {self.value!r}"
 
 
 class MissingRequiredField(SymsearchError):
@@ -75,15 +87,10 @@ class MalformedDocument(SymsearchError):
 
 # --- hyper values ---
 
-class BadPoint(SymsearchError):
+class BadPoint(_FieldError):
     """A point that a ``hyper`` point rule refuses, by route `label` and rule `detail`."""
 
-    def __init__(self, label: str, detail: str):
-        super().__init__(label, detail)  # as args, so that a pickled copy rebuilds
-        self.label, self.detail = label, detail
-
-    def __str__(self):
-        return f"{self.label} {self.detail}"
+    _fields, _text = ("label", "detail"), "{label} {detail}"
 
 
 class EmptyCandidates(BadPoint):
@@ -100,11 +107,8 @@ class KTooLarge(BadPoint):
 
 # --- abstraction layer ---
 
-class NonconformingDNA(SymsearchError):
-    def __init__(self, point_id: str, reason: str):
-        self.point_id = point_id
-        self.reason = reason
-        super().__init__(f"decision at {point_id!r}: {reason}")
+class NonconformingDNA(_FieldError):
+    _fields, _text = ("point_id", "reason"), "decision at {point_id!r}: {reason}"
 
 
 class ParseError(SymsearchError):
@@ -147,13 +151,11 @@ class EmptySelection(SymsearchError):
     pass
 
 
-class DecisionStreamMismatch(SymsearchError):
+class DecisionStreamMismatch(_FieldError):
     """An eager program requested a different decision sequence than the one
     registered during collection, which signals a non-deterministic program."""
 
-    def __init__(self, call_index: int, reason: str):
-        self.call_index = call_index
-        super().__init__(f"eager call #{call_index}: {reason}")
+    _fields, _text = ("call_index", "reason"), "eager call #{call_index}: {reason}"
 
 
 class EmptyRewards(SymsearchError):

@@ -42,8 +42,9 @@ class KeyPath:
 
     segments: tuple = ()
 
-    def render(self) -> str:
-        return reduce(join_segment, self.segments, "")
+    def render(self, prefix: str = "") -> str:
+        """This path's text after `prefix`, the text of the node it starts at."""
+        return reduce(join_segment, self.segments, prefix)
 
     @classmethod
     def parse(cls, text: str) -> "KeyPath":

@@ -21,7 +21,7 @@ from .errors import (
     UnknownType,
 )
 from .hyper import Categorical, FloatRange, IntRange
-from .paths import is_identifier, join_segment
+from .paths import is_identifier
 from .values import (
     HyperValue,
     Mapping as MappingNode,
@@ -29,6 +29,7 @@ from .values import (
     Primitive,
     Sequence as SequenceNode,
     SymbolicValue,
+    _path_within,
     to_symbolic,
 )
 
@@ -40,30 +41,40 @@ class ValueSpec:
         self.nullable = nullable
 
     def check(self, node: SymbolicValue, path: str = "") -> None:
-        if isinstance(node, Primitive) and node.value is None:
-            if self.nullable:
-                return
-            raise ConstraintViolation(path, self, None, "null not allowed")
-        if isinstance(node, HyperValue):
-            self._check_hyper(node, path)
-            return
-        self._check(node, path)
+        """Raise ConstraintViolation unless `node`, at `path`, passes.  Only a
+        failure renders a path: `path`, then the refused node's below `node`."""
+        try:
+            self._check_value(node)
+        except ConstraintViolation as exc:
+            exc.path = _path_within(node, exc.value).render(path)
+            raise
 
-    def _check(self, node: SymbolicValue, path: str) -> None:
+    def _check_value(self, node: SymbolicValue) -> None:
+        """:meth:`check`, rendering no path."""
+        if isinstance(node, Primitive) and node.value is None:
+            if not self.nullable:
+                self._fail(node, "null not allowed")
+        elif isinstance(node, HyperValue):
+            self._check_hyper(node)
+        else:
+            self._check(node)
+
+    def _check(self, node: SymbolicValue) -> None:
         raise NotImplementedError
 
-    def _check_hyper(self, node: HyperValue, path: str) -> None:
+    def _check_hyper(self, node: HyperValue) -> None:
         """Raise unless every value `node` can become passes: each candidate
         of a one-of must; a range or a multi-choice splice passes only a
         spec that overrides this."""
         if not isinstance(node, Categorical):
-            self._fail(path, node, f"range [{node.min}, {node.max}] not accepted")
+            self._fail(node, f"range [{node.min}, {node.max}] not accepted")
         if node.k > 1:
-            self._fail(path, node, "cannot hold a multi-choice splice")
-        _check_each_candidate(self, node, path)
+            self._fail(node, "cannot hold a multi-choice splice")
+        for candidate in node.candidates:
+            self._check_value(candidate)
 
-    def _fail(self, path, node, reason):
-        raise ConstraintViolation(path, self, node, reason)
+    def _fail(self, node, reason):
+        raise ConstraintViolation("", self, node, reason)
 
     def __repr__(self):
         return type(self).__name__
@@ -73,7 +84,7 @@ class Any(ValueSpec):
     def __init__(self):
         super().__init__(nullable=True)
 
-    def check(self, node, path=""):
+    def _check_value(self, node):
         return
 
 
@@ -85,18 +96,18 @@ class _Ranged(ValueSpec):
         self.min = min
         self.max = max
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not (isinstance(node, Primitive) and isinstance(node.value, self._numbers)
                 and not isinstance(node.value, bool)):
-            self._fail(path, node, f"expected {self._expected}")
+            self._fail(node, f"expected {self._expected}")
         if not _within(node.value, self.min, self.max):
-            self._fail(path, node, f"out of range [{self.min}, {self.max}]")
+            self._fail(node, f"out of range [{self.min}, {self.max}]")
 
-    def _check_hyper(self, node, path):
+    def _check_hyper(self, node):
         """A range of an accepted kind passes when both its bounds do."""
         if not (isinstance(node, self._ranges) and _within(node.min, self.min, self.max)
                 and _within(node.max, self.min, self.max)):
-            super()._check_hyper(node, path)
+            super()._check_hyper(node)
 
     def __repr__(self):
         return f"{type(self).__name__}(min={self.min!r}, max={self.max!r})"
@@ -124,11 +135,11 @@ class Text(ValueSpec):
         except re.error as exc:
             raise InvalidSpec(f"bad text pattern {pattern!r}: {exc}") from None
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not (isinstance(node, Primitive) and isinstance(node.value, str)):
-            self._fail(path, node, "expected text")
+            self._fail(node, "expected text")
         if self.pattern is not None and self.pattern.fullmatch(node.value) is None:
-            self._fail(path, node, f"does not match {self.pattern.pattern!r}")
+            self._fail(node, f"does not match {self.pattern.pattern!r}")
 
     def __repr__(self):
         return f"Text(pattern={self.pattern.pattern!r})" if self.pattern else "Text"
@@ -144,9 +155,9 @@ class Enum(ValueSpec):
     def allows(self, value) -> bool:
         return any(type(value) is type(v) and value == v for v in self.values)
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not isinstance(node, Primitive) or not self.allows(node.value):
-            self._fail(path, node, f"not one of {self.values!r}")
+            self._fail(node, f"not one of {self.values!r}")
 
     def __repr__(self):
         return f"Enum({self.values!r})"
@@ -160,11 +171,11 @@ class ObjectOf(ValueSpec):
         super().__init__(nullable)
         self.type_name = type_name
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not isinstance(node, ObjectNode):
-            self._fail(path, node, "expected an object")
+            self._fail(node, "expected an object")
         if self.type_name != ANY_OBJECT and node.type_name != self.type_name:
-            self._fail(path, node, f"expected an object of type {self.type_name!r}")
+            self._fail(node, f"expected an object of type {self.type_name!r}")
 
     def __repr__(self):
         return f"ObjectOf({self.type_name!r})"
@@ -180,21 +191,22 @@ class ListOf(ValueSpec):
         self.min_len = min_len
         self.max_len = max_len
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not isinstance(node, SequenceNode):
-            self._fail(path, node, "expected a sequence")
+            self._fail(node, "expected a sequence")
         if not _within(len(node), self.min_len, self.max_len):
-            self._fail(path, node, f"length outside [{self.min_len}, {self.max_len}]")
-        for i, child in enumerate(node):
-            self.element.check(child, join_segment(path, i))
+            self._fail(node, f"length outside [{self.min_len}, {self.max_len}]")
+        for child in node:
+            self.element._check_value(child)
 
-    def _check_hyper(self, node, path):
+    def _check_hyper(self, node):
         """A multi-choice splice becomes a sequence of its k candidates."""
         if not (isinstance(node, Categorical) and node.k > 1):
-            return super()._check_hyper(node, path)
+            return super()._check_hyper(node)
         if not _within(node.k, self.min_len, self.max_len):
-            self._fail(path, node, f"materializes to a sequence of {node.k}")
-        _check_each_candidate(self.element, node, path)
+            self._fail(node, f"materializes to a sequence of {node.k}")
+        for candidate in node.candidates:
+            self.element._check_value(candidate)
 
     def __repr__(self):
         return f"ListOf({self.element!r})"
@@ -205,11 +217,11 @@ class MapOf(ValueSpec):
         super().__init__(nullable)
         self.value = value
 
-    def _check(self, node, path):
+    def _check(self, node):
         if not isinstance(node, MappingNode):
-            self._fail(path, node, "expected a mapping")
-        for key, child in node.items():
-            self.value.check(child, join_segment(path, key))
+            self._fail(node, "expected a mapping")
+        for _, child in node.items():
+            self.value._check_value(child)
 
     def __repr__(self):
         return f"MapOf({self.value!r})"
@@ -218,13 +230,6 @@ class MapOf(ValueSpec):
 def _within(value, low, high) -> bool:
     """Whether `value` lies inside the optional bounds `low` and `high`."""
     return (low is None or value >= low) and (high is None or value <= high)
-
-
-def _check_each_candidate(spec: ValueSpec, node: Categorical, path: str) -> None:
-    """Check each candidate of `node`, which sits at `path`, against `spec`."""
-    at = join_segment(path, "candidates")
-    for i, candidate in enumerate(node.candidates):
-        spec.check(candidate, join_segment(at, i))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +249,10 @@ class Param:
             raise InvalidSpec(f"parameter {name!r} needs a ValueSpec, got {spec!r}")
         self.name = name
         self.spec = spec
-        if default is _NO_DEFAULT:
-            self.default = None
-            self.has_default = False
-        else:
-            node = to_symbolic(default)
-            spec.check(node, name)
-            self.default = node
-            self.has_default = True
+        self.has_default = default is not _NO_DEFAULT
+        self.default = to_symbolic(default) if self.has_default else None
+        if self.has_default:
+            spec.check(self.default, name)
 
 
 class TypeDef:

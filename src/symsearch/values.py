@@ -733,12 +733,10 @@ def validate_tree(root: SymbolicValue) -> None:
 
 
 def _check_lazily(spec, value: SymbolicValue, top=None) -> None:
-    """``spec.check(value)``, rendering the path of `value` below `top` (its
-    root when None) only when the check fails."""
+    """``spec.check(value)``, whose error takes the refused node's path below
+    `top` (its root when None)."""
     try:
         spec.check(value)
-        return
-    except ConstraintViolation:
-        pass
-    # Outside the handler, so the path-less failure is not chained as context.
-    spec.check(value, _path_within(top, value).render())
+    except ConstraintViolation as exc:
+        exc.path = _path_within(top, exc.value).render()
+        raise

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 import symsearch as ss
 from conftest import strict_json
-from symsearch import cli
+from symsearch import cli, errors, hyper, schema
 
 BASE = [sys.executable, "-m", "symsearch.cli"]
 
@@ -370,6 +371,63 @@ def test_search_separate_flow_with_pivot_file(tmp_path):
     result = run_cli(*args)
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_worker_error_prints_the_same_error_line(tmp_path, jobs):
+    """An error raised in a ``--jobs`` worker crosses back to the parent whole,
+    so the run ends as under ``--jobs 1``: one ``error:`` line, exit 1."""
+    pivot = tmp_path / "bad.json"
+    pivot.write_text("[[9,9,9],[0,0,0]]")
+    result = run_cli("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "2",
+                     "--oracle", "synthetic", "--flow", "separate", "--partition", "op",
+                     "--pivot", str(pivot), "--trials", "3", "--phase2-trials", "3",
+                     "--repeat", "2", "--jobs", jobs)
+    assert result.returncode == 1
+    assert result.stderr == ("error: decision at '<infer>': "
+                             "program does not match the search space\n")
+    assert result.stdout == ""
+
+
+def test_every_error_that_carries_fields_survives_pickling():
+    """Type, fields and text of a pickled copy, as a worker's error comes back."""
+    with pytest.raises(errors.ConstraintViolation) as refused:
+        schema.ListOf(schema.Int(max=3)).check(ss.to_symbolic([1, 9]), "xs")
+    with pytest.raises(errors.BadPoint) as bad_hints:
+        hyper.intv(0, 1, hints=7)
+    with pytest.raises(errors.EmptyCandidates) as empty:
+        hyper.oneof([])
+    with pytest.raises(errors.BadRange) as bad_range:
+        hyper.intv(3, 1)
+    with pytest.raises(errors.KTooLarge) as too_many:
+        hyper.manyof(3, [1, 2])
+    fields = {
+        errors.ConstraintViolation: ("path", "spec", "value", "reason"),
+        errors.BadPoint: ("label", "detail"),
+        errors.NonconformingDNA: ("point_id", "reason"),
+        errors.DecisionStreamMismatch: ("call_index", "reason"),
+    }
+    instances = [
+        refused.value,
+        errors.ConstraintViolation("p", schema.Int(), ss.to_symbolic("v")),
+        bad_hints.value, empty.value, bad_range.value, too_many.value,
+        errors.NonconformingDNA("<infer>", "program does not match the search space"),
+        errors.DecisionStreamMismatch(3, "more decisions requested than registered"),
+    ]
+    assert [str(instances[i]) for i in (1, 6, 7)] == [
+        "value at 'p' violates Int(min=None, max=None): 'v'",
+        "decision at '<infer>': program does not match the search space",
+        "eager call #3: more decisions requested than registered"]
+    carrying = {cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, tuple(fields))}
+    assert carrying == {type(error) for error in instances}
+    for error in instances:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        names = next(names for cls, names in fields.items() if isinstance(error, cls))
+        for name in names:
+            kept, made = getattr(copy, name), getattr(error, name)
+            assert (type(kept), repr(kept)) == (type(made), repr(made)), (error, name)
 
 
 def test_search_hybrid_flow(tmp_path):

@@ -268,16 +268,84 @@ def test_acceptance_matrix_of_every_spec_kind_and_type_def_handles():
     assert bad_element.path == "f.candidates[0]"
 
 
-@pytest.mark.parametrize("spec, node", [
+# Refusals of -1 below the checked node, at each kind of place a spec looks.
+_REFUSALS = pytest.mark.parametrize("spec, node", [
     (schema.Int(min=0), oneof([1, -1])),
     (schema.ListOf(schema.Int(min=0), min_len=2, max_len=2), manyof(2, [1, -1, 2])),
     (schema.ListOf(schema.Int(min=0)), ss.to_symbolic([1, -1])),
     (schema.MapOf(schema.Int(min=0)), ss.to_symbolic({"a": 1, "b": -1})),
     (schema.ListOf(schema.Int(min=0)), ss.to_symbolic([oneof([1, -1])])),
-], ids=["oneof", "splice", "list", "map", "oneof-in-list"])
+    (schema.Int(min=0), oneof([1, oneof([2, -1])])),
+], ids=["oneof", "splice", "list", "map", "oneof-in-list", "oneof-in-oneof"])
+
+
+@_REFUSALS
 def test_a_refusal_at_the_root_names_a_path_that_reaches_the_offending_node(spec, node):
     caught = _refusal(spec, node, "")
     assert ss.get(node, caught.path) is caught.value and caught.value.to_plain() == -1
+
+
+@_REFUSALS
+def test_validate_tree_names_a_path_that_reaches_the_offending_node(spec, node):
+    """The field holding `node` passed a looser spec when it was built."""
+    holder = ss.TypeDef("Holder", [ss.Param("f", schema.Any())])(f=node.clone())
+    holder.type_def.param("f").spec = spec
+    tree = ss.to_symbolic([holder])
+    with pytest.raises(ConstraintViolation) as caught:
+        ss.validate_tree(tree)
+    assert caught.value.path.startswith("[0].f")
+    assert ss.get(tree, caught.value.path) is caught.value.value
+    assert caught.value.value.to_plain() == -1
+
+
+def test_a_refused_null_names_its_node():
+    node = ss.to_symbolic({"a": 1, "b": None})
+    caught = _refusal(schema.MapOf(schema.Int()), node, "m")
+    assert (caught.path, str(caught)) == (
+        "m.b", "value at 'm.b' violates Int(min=None, max=None) (null not allowed): None")
+    assert caught.value is node["b"]
+
+
+def test_a_passing_check_renders_no_path():
+    """The path given to ``check`` is read only when the check fails."""
+    rendered = []
+
+    class Watched(str):
+        def __format__(self, format_spec):
+            rendered.append(str(self))
+            return super().__format__(format_spec)
+
+    passing = [
+        (schema.ListOf(schema.Int(min=0)), ss.to_symbolic([1, 2])),
+        (schema.MapOf(schema.Int(min=0)), ss.to_symbolic({"a": 1, "b": 2})),
+        (schema.Int(min=0), oneof([1, oneof([2, 3])])),
+        (schema.ListOf(schema.Int(min=0)), manyof(2, [1, 2, 3])),
+    ]
+    for spec, node in passing:
+        spec.check(node, Watched("f"))
+    assert rendered == []
+    _refusal(schema.ListOf(schema.Int(min=0)), ss.to_symbolic([1, -1]), Watched("f"))
+    assert rendered == ["f"]
+
+
+def test_a_refused_field_runs_its_check_once(monkeypatch):
+    """``rebind`` and ``validate_tree`` take the refused node's path from its
+    parent links; neither runs the failed check again to render it."""
+    calls = []
+    check = schema.Int._check
+    monkeypatch.setattr(schema.Int, "_check",
+                        lambda self, *args: calls.append(args) or check(self, *args))
+    box = ss.TypeDef("Box", [ss.Param("size", schema.Int(min=0))])(size=5)
+    calls.clear()
+    with pytest.raises(ConstraintViolation, match=r"^value at 'size' violates"):
+        ss.rebind(box, {"size": -1})
+    assert len(calls) == 1
+    box.type_def.param("size").spec.min = 10
+    tree = ss.to_symbolic([box])
+    calls.clear()
+    with pytest.raises(ConstraintViolation, match=r"^value at '\[0\]\.size' violates"):
+        ss.validate_tree(tree)
+    assert len(calls) == 1
 
 
 def test_is_functor_says_whether_instances_are_callable():

@@ -183,6 +183,26 @@ def test_rebind_illegal_directives(trainer):
         ss.rebind(trainer, {"": ss.DELETE})
 
 
+@pytest.mark.parametrize("edits, error, message", [
+    ({"model.nope": 1}, PathNotFound, "no node at 'model.nope'"),
+    ({"model.children[0].filters": ss.Insert(1)}, IllegalDirective,
+     "insert requires a sequence parent at 'model.children[0]'"),
+    ({"model.children[9]": ss.Insert(1)}, IllegalDirective, "insert index 9 out of range 0..2"),
+    ({"": ss.DELETE}, IllegalDirective, "insert/delete cannot target the root"),
+    ({"model.children[7]": ss.DELETE}, IllegalDirective,
+     "delete index out of range at 'model.children[7]'"),
+    ({"model.children[0].filters": ss.DELETE}, IllegalDirective,
+     "delete requires a sequence or mapping parent at 'model.children[0]'"),
+    ({"model.children[2]": ss.Insert(1), "model.children[2].units": 3}, PathNotFound,
+     "no node at 'model.children[2]'"),
+], ids=["set-missing", "insert-under-object", "insert-past-end", "delete-root",
+        "delete-out-of-range", "delete-under-object", "below-insert-after-last"])
+def test_rebind_directive_refusal_texts(trainer, edits, error, message):
+    with pytest.raises(error) as caught:
+        ss.rebind(trainer, edits)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_rebind_revalidates_changed_fields(trainer):
     with pytest.raises(ConstraintViolation) as excinfo:
         ss.rebind(trainer, {"model.children[0].filters": 0})
