@@ -78,10 +78,7 @@ class Categorical(HyperValue):
         new = self._candidates._copy() if replaced is None else replaced["candidates"]
         if replaced is not None:
             _check_candidates(self.k, self.distinct, new, self.hints)
-        if new._parent is not None:
-            new = new._copy()
-        new._parent = (fresh, "candidates")
-        fresh._candidates = new
+        fresh._candidates = fresh._adopt("candidates", new)
         return fresh
 
     def _equals_same_kind(self, other):

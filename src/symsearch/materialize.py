@@ -21,6 +21,8 @@ when every materialization of it would be accepted, so every child is valid.
 
 from __future__ import annotations
 
+import weakref
+
 from .decisions import (
     DNA,
     Choice,
@@ -153,9 +155,10 @@ def _compile(node, points, selector):
             fresh.type_def = type_def
             fresh._fields = store = {}
         fresh._parent = None
+        link = weakref.ref(fresh)
         for key, child, build in plan:
             new = child._copy() if build is None else build(decisions)
-            new._parent = (fresh, key)
+            new._parent = (link, key)
             store[key] = new
         return fresh
     return build_node

@@ -7,12 +7,16 @@ to-be-determined part (see :mod:`symsearch.hyper`).
 
 Trees are value-semantic.  Structural equality (``equal``/``==``) compares
 variants, type names, keys and all descendants; ``clone`` produces an
-independent deep copy.  A node belongs to at most one parent: attaching a
-value that already sits in a tree clones it first.  Every kind copies
-itself through one routine, ``_copy``, which takes replacement children by
-key; ``clone`` is the case with none (materialization builds the same slots
-inline).  A copy re-runs no check, since its source already passed them;
-only replaced categorical candidates are held to the constructor's rules.
+independent deep copy.  The root owns its tree: a node's link to its parent
+is weak, so a dropped tree is freed at once, and a subtree held after its
+root is gone reports no parent and its paths from itself.  A node belongs to
+at most one parent: attaching a value that was ever attached clones it
+first.  A pickled node carries its own subtree and no ancestors.  Every kind
+copies itself through one routine, ``_copy``, which takes replacement
+children by key; ``clone`` is the case with none (materialization builds
+the same slots inline).  A copy re-runs no check, since its source already
+passed them; only replaced categorical candidates are held to the
+constructor's rules.
 
 Manipulation goes through :func:`rebind`, which never mutates its input; it
 returns an edited copy.  Its two forms, a mapping of path edits and a
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -74,10 +79,10 @@ def to_symbolic(value) -> "SymbolicValue":
 class SymbolicValue:
     """Base class for all tree nodes."""
 
-    __slots__ = ("_parent",)
+    __slots__ = ("_parent", "__weakref__")
 
     def __init__(self):
-        self._parent = None  # (parent node, key) or None
+        self._parent = None  # (weak reference to the parent node, key) or None
 
     # -- tree structure -------------------------------------------------
 
@@ -90,21 +95,34 @@ class SymbolicValue:
         raise PathNotFound(f"{type(self).__name__} has no child {key!r}")
 
     def _adopt(self, key, child) -> "SymbolicValue":
-        """Attach `child` under `key`, cloning it if it already has a parent."""
+        """Attach `child` under `key`, cloning it if it was ever attached."""
         node = to_symbolic(child)
         if node._parent is not None:
             node = node.clone()
-        node._parent = (self, key)
+        node._parent = (weakref.ref(self), key)
         return node
+
+    def __getstate__(self):
+        """Each slot of the kind, not the base's link: a pickle holds no ancestors."""
+        return {name: getattr(self, name) for cls in type(self).__mro__[:-2]
+                for name in cls.__dict__.get("__slots__", ())}
+
+    def __setstate__(self, state):
+        for name, value in (("_parent", None), *state.items()):
+            setattr(self, name, value)
+        for key, child in self.child_items():
+            child._parent = (weakref.ref(self), key)
 
     # -- value semantics -------------------------------------------------
 
     def clone(self) -> "SymbolicValue":
         return self._copy()
 
+    __copy__ = clone  # a shallow copy would take the children from their parent
+
     def _copy(self, replaced: dict | None = None) -> "SymbolicValue":
         """A fresh copy of this node, taking each child from `replaced` (by
-        key) when present there, cloned only if it already has a parent, and
+        key) when present there, cloned only if it was ever attached, and
         cloning it otherwise.  The source already passed every check, so
         nothing is re-checked but the rules a categorical keeps for replaced
         candidates."""
@@ -183,13 +201,8 @@ class Sequence(SymbolicValue):
     def _copy(self, replaced=None):
         fresh = Sequence.__new__(Sequence)
         fresh._parent = None
-        fresh._children = children = []
-        for i, child in enumerate(self._children):
-            new = child._copy() if replaced is None or i not in replaced else replaced[i]
-            if new._parent is not None:
-                new = new._copy()
-            new._parent = (fresh, i)
-            children.append(new)
+        fresh._children = _copy_children(fresh, [None] * len(self._children),
+                                         enumerate(self._children), replaced)
         return fresh
 
     def _equals_same_kind(self, other):
@@ -243,13 +256,7 @@ class Mapping(SymbolicValue):
     def _copy(self, replaced=None):
         fresh = Mapping.__new__(Mapping)
         fresh._parent = None
-        fresh._entries = entries = {}
-        for key, child in self._entries.items():
-            new = child._copy() if replaced is None or key not in replaced else replaced[key]
-            if new._parent is not None:
-                new = new._copy()
-            new._parent = (fresh, key)
-            entries[key] = new
+        fresh._entries = _copy_children(fresh, {}, self._entries.items(), replaced)
         return fresh
 
     def _equals_same_kind(self, other):
@@ -325,13 +332,7 @@ class ObjectNode(SymbolicValue):
         fresh = ObjectNode.__new__(ObjectNode)
         fresh._parent = None
         fresh.type_def = self.type_def
-        fresh._fields = fields = {}
-        for name, child in self._fields.items():
-            new = child._copy() if replaced is None or name not in replaced else replaced[name]
-            if new._parent is not None:
-                new = new._copy()
-            new._parent = (fresh, name)
-            fields[name] = new
+        fresh._fields = _copy_children(fresh, {}, self._fields.items(), replaced)
         return fresh
 
     def _equals_same_kind(self, other):
@@ -387,6 +388,19 @@ class ObjectNode(SymbolicValue):
         return f"{self.type_name}({inner})"
 
 
+def _copy_children(fresh, store, items, replaced):
+    """`store` (an empty dict, or a list as long as `items`) filled by key with
+    the children that ``_copy`` gives `fresh` from `items`, linked to it."""
+    link = weakref.ref(fresh)
+    for key, child in items:
+        new = child._copy() if replaced is None or key not in replaced else replaced[key]
+        if new._parent is not None:
+            new = new._copy()
+        new._parent = (link, key)
+        store[key] = new
+    return store
+
+
 class HyperValue(SymbolicValue):
     """Marker base for to-be-determined nodes; concrete kinds live in
     :mod:`symsearch.hyper`."""
@@ -434,7 +448,8 @@ def has(x: SymbolicValue, path: "KeyPath | str") -> bool:
 
 
 def parent_of(node: SymbolicValue) -> SymbolicValue | None:
-    return None if node._parent is None else node._parent[0]
+    """The node's parent, or None at a root (as a subtree is once its parent is gone)."""
+    return None if node._parent is None else node._parent[0]()
 
 
 def path_of(node: SymbolicValue) -> KeyPath:
@@ -445,9 +460,9 @@ def _path_within(top, node) -> KeyPath:
     """Path of `node` below its ancestor `top`, or below its root when `top`
     is None."""
     segments = []
-    while node is not top and node._parent is not None:
-        node, segment = node._parent
-        segments.append(segment)
+    while node is not top and (link := node._parent) is not None and (parent := link[0]()) is not None:
+        segments.append(link[1])
+        node = parent
     return KeyPath(tuple(reversed(segments)))
 
 

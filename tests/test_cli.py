@@ -430,6 +430,18 @@ def test_every_error_that_carries_fields_survives_pickling():
             assert (type(kept), repr(kept)) == (type(made), repr(made)), (error, name)
 
 
+def test_a_refusal_inside_a_tree_that_cannot_be_pickled_survives_pickling():
+    """A refused node pickles without its ancestors, so a refusal inside a
+    tree whose functor's `impl` is a lambda crosses a process boundary."""
+    f_type = ss.TypeDef("F", [ss.Param("x", schema.Int())], impl=lambda x: x)
+    g_type = ss.TypeDef("G", [ss.Param("f", schema.ObjectOf("F")), ss.Param("n", schema.Int(min=0))])
+    with pytest.raises(errors.ConstraintViolation) as refused:
+        ss.rebind(g_type(f=f_type(x=1), n=1), {"n": -1})
+    copy = pickle.loads(pickle.dumps(refused.value))
+    assert type(copy) is errors.ConstraintViolation and str(copy) == str(refused.value)
+    assert copy.path == "n" and copy.value == -1 and ss.parent_of(copy.value) is None
+
+
 def test_search_hybrid_flow(tmp_path):
     result = run_cli("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
                      "--oracle", "synthetic", "--algo", "regevo", "--flow", "hybrid",

@@ -108,8 +108,8 @@ def test_leaves_keep_the_type_of_their_point():
     assert type(child[0].value) is float and child[0].value == 1.0
     assert type(child[1].value) is int and child[1].value == 2
     parts = child[2]
-    assert type(parts) is ss.Sequence and parts._parent[0] is child
-    assert [(part._parent[0] is parts, part._parent[1]) for part in parts] == [(True, 0), (True, 1)]
+    assert type(parts) is ss.Sequence and parts._parent[0]() is child
+    assert [(part._parent[0]() is parts, part._parent[1]) for part in parts] == [(True, 0), (True, 1)]
     assert ss.equal(parts, ss.Sequence([[3], 7]))
 
 

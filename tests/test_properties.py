@@ -3,8 +3,10 @@ spaces."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 import zlib
 from functools import partial
 
@@ -67,7 +69,8 @@ def assert_fresh_tree(tree, space):
         assert id(node) not in space_nodes
         top = node
         while top._parent is not None:
-            parent, segment = top._parent
+            link, segment = top._parent
+            parent = link()
             assert parent.get_child(segment) is top
             top = parent
         assert top is tree
@@ -92,6 +95,43 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
     sub_space = materialize_partial(space, selected, select)
     assert_fresh_tree(sub_space, space)
     assert ss.equal(materialize(sub_space, complement), child)
+
+
+def assert_freed_when_dropped(make):
+    """The tree `make()` returns is freed by reference counting alone as soon
+    as it is dropped, its root and a deepest node both: it holds no
+    reference cycle, so the cyclic collector (off here) has nothing to find."""
+    gc.disable()
+    try:
+        tree = make()
+        deepest = max((node for _, node in ss.walk(tree)), key=lambda node: len(ss.path_of(node).segments))
+        refs = weakref.ref(tree), weakref.ref(deepest)
+        del tree, deepest
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rng=st.randoms(use_true_random=False),
+       selector=st.sampled_from(sorted(SELECTORS)))
+def test_no_route_that_makes_a_tree_leaves_cyclic_garbage(seed, rng, selector):
+    """Constructors (the generator behind `seeded_spaces`), clone,
+    materialize, materialize_partial, both forms of rebind and deserialize
+    each make a tree that dropping frees at once."""
+    generate = lambda: SpaceGenerator(random.Random(seed), with_hints=True, with_types=True).space()
+    space = generate()
+    spec = abstract_search_space(space)
+    dna = random_dna(spec, rng)
+    select = SELECTORS[selector]
+    selected = split_dna(spec, dna, select)[0] if not filter_spec(spec, select).is_empty else DNA([])
+    wrapper = ss.Mapping({"tree": space.clone(), "x": 0})
+    for make in (generate, space.clone, lambda: materialize(space, dna),
+                 lambda: materialize_partial(space, selected, select),
+                 lambda: ss.rebind(wrapper, {"x": 1}),
+                 lambda: ss.rebind(wrapper, lambda path, value, parent: 1 if path == "x" else None),
+                 lambda: ss.deserialize(ss.serialize(space), HOLDERS)):
+        assert_freed_when_dropped(make)
 
 
 def substituted(node, points, decisions, select):

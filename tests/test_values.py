@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
@@ -17,6 +20,7 @@ from symsearch.errors import (
     PathNotFound,
     ReservedKey,
 )
+from symsearch.paths import KeyPath
 from symsearch.values import Mapping, Primitive
 
 
@@ -526,3 +530,75 @@ def test_functor_impl_gets_plain_views(types):
 def test_non_functor_not_callable(types):
     with pytest.raises(TypeError):
         types.Dense(10)()
+
+
+# -- ownership: weak parent links, freeing and pickling ----------------------------
+
+def typed_space(types):
+    return ss.Mapping({
+        "model": types.Sequential(children=[ss.oneof([
+            types.Conv(filters=ss.oneof([8, 16, 32]), kernel_size=ss.intv(1, 7)),
+            types.Dense(units=ss.intv(8, 64)), types.Identity()], hints="op") for _ in range(4)]),
+        "optimizer": types.Adam(learning_rate=ss.floatv(1e-4, 1e-2)),
+    })
+
+
+def test_a_search_over_a_typed_space_leaves_no_cyclic_garbage(types):
+    """A joint and a factorized search, a clone and a deserialize leave the
+    cyclic collector nothing to free: every tree they drop was freed at once."""
+    space = typed_space(types)
+    reward = lambda child, dna: float(len(ss.query(child, ".*")))
+    gc.collect()
+    gc.disable()
+    try:
+        ss.run_joint(space, ss.RegularizedEvolution(16, 4, seed=0), reward, 40, seed=0)
+        ss.run_factorized(space, lambda point: point.hints == "op",
+                          ss.SearchLoop(lambda s: ss.RegularizedEvolution(3, 2, seed=s), 4, seed=0),
+                          ss.SearchLoop(lambda s: ss.RegularizedEvolution(5, 2, seed=s), 20, seed=0),
+                          reward)
+        ss.clone(space)
+        ss.deserialize(ss.serialize(space), types.registry)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+def test_a_subtree_held_after_its_root_is_gone_is_a_root(types):
+    """The root owns its tree: once it is gone, a held subtree has no parent
+    and its paths start at itself.  It was attached once, so attaching it
+    again attaches a clone, while a node never attached is attached itself."""
+    space = typed_space(types)
+    child = ss.materialize(space, ss.random_dna(ss.abstract_search_space(space), random.Random(0)))
+    model = child["model"]
+    assert ss.parent_of(model) is child and ss.path_of(model) == KeyPath(("model",))
+    del child
+    assert ss.parent_of(model) is None and ss.path_of(model) == KeyPath()
+    layer = model["children"][3]
+    assert ss.parent_of(ss.parent_of(layer)) is model
+    assert ss.path_of(layer).render() == "children[3]"
+    held = ss.Sequence([model])
+    assert held[0] is not model and held[0] == model and ss.parent_of(model) is None
+    fresh = ss.clone(model)
+    outer = ss.Sequence([fresh])
+    assert outer[0] is fresh and ss.parent_of(fresh) is outer
+
+
+@pytest.mark.parametrize("path", ["model", "model.children[0]", "optimizer", "model.children[1].candidates"])
+@pytest.mark.parametrize("copier", [lambda node: pickle.loads(pickle.dumps(node)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_node_pickled_from_inside_a_tree_comes_back_as_a_root(types, path, copier):
+    """A pickled node carries its own subtree and no ancestors: the copy is a
+    root equal to the node, and every node below it links to its parent.  So
+    does a copy from the `copy` module, and the original keeps its children."""
+    for tree in (typed_space(types), ss.materialize(typed_space(types), ss.random_dna(
+            ss.abstract_search_space(typed_space(types)), random.Random(1)))):
+        if not ss.has(tree, path):
+            continue
+        node = ss.get(tree, path)
+        made = copier(node)
+        assert made == node and ss.parent_of(made) is None and ss.path_of(made) == KeyPath()
+        for below, descendant in ss.walk(made):
+            assert ss.get(made, below) is descendant and ss.path_of(descendant) == below
+            if not below.is_root:
+                assert ss.parent_of(descendant) is ss.get(made, below.parent)
+        assert all(ss.parent_of(child) is node for _, child in node.child_items())
