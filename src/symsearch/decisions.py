@@ -16,11 +16,13 @@ values.  The canonical text form flattens decisions in pre-order joined by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from random import Random
 from typing import Callable, Iterator
 
 from .errors import ContinuousSpace, NonconformingDNA, ParseError
 from .hyper import Categorical, FloatRange, IntRange
+from .paths import join_segment
 from .values import SymbolicValue, path_of, to_symbolic
 
 
@@ -100,26 +102,31 @@ def iter_all_points(points) -> Iterator:
 def abstract_search_space(space) -> DecisionSpec:
     """Extract the decision points of a search space, pre-order, with
     conditional nesting; a deterministic tree yields an empty spec."""
-    return DecisionSpec(_extract(to_symbolic(space)))
+    space = to_symbolic(space)
+    return DecisionSpec(_extract(space, path_of(space).render()))
 
 
-def _extract(node: SymbolicValue) -> list:
+def _extract(node: SymbolicValue, path: str) -> list:
+    """The points at and below `node`, whose rendered path is `path`: each
+    child's path is its parent's joined with one segment."""
     if isinstance(node, Categorical):
+        candidates = join_segment(path, "candidates")
         return [CategoricalPoint(
-            id=path_of(node).render(),
+            id=path,
             k=node.k,
             n=node.num_candidates,
             distinct=node.distinct,
             sorted=node.sorted,
-            subspaces=[_extract(c) for c in node.candidates],
+            subspaces=[_extract(c, join_segment(candidates, i))
+                       for i, c in enumerate(node.candidates)],
             hints=node.hints,
         )]
     if isinstance(node, (IntRange, FloatRange)):
         point = IntPoint if isinstance(node, IntRange) else FloatPoint
-        return [point(path_of(node).render(), node.min, node.max, node.hints)]
+        return [point(path, node.min, node.max, node.hints)]
     points = []
-    for _, child in node.child_items():
-        points.extend(_extract(child))
+    for key, child in node.child_items():
+        points.extend(_extract(child, join_segment(path, key)))
     return points
 
 
@@ -421,47 +428,166 @@ def _condition_points(points, decisions, selector, out):
 
 def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA,
               tokens: list | None = None) -> DNA:
-    """Inverse of :func:`split_dna`, sharing the decisions it need not rebuild.
-    It appends the merged DNA's canonical tokens to `tokens`, which join with
-    ``|`` into its :func:`encode_dna` text when both halves conform."""
-    sel_iter = iter(selected.decisions)
-    comp_iter = iter(complement.decisions)
+    """Inverse of :func:`split_dna`, sharing the decisions it need not rebuild:
+    the merge plan of `selected` compiled and filled once.  It appends the
+    merged DNA's canonical tokens to `tokens`, which join with ``|`` into its
+    :func:`encode_dna` text when both halves conform."""
+    holes, template, fill = _compile_merge(spec, selector, selected)
+    decisions = _fitting(complement, len(holes))
+    if tokens is not None:
+        for entry in template:
+            if type(entry) is str:
+                tokens.append(entry)
+            else:
+                _emit(holes[entry], decisions[entry], tokens)
+    return DNA(fill(decisions))
+
+
+def _merge_plan(spec: DecisionSpec, selector: Selector,
+                selected: DNA) -> tuple[DecisionSpec, Callable[[DNA, str], tuple[DNA, str]]]:
+    """The merge of complements into the fixed `selected`, compiled once.
+
+    Returns the spec :func:`condition_spec` names and ``merge(complement,
+    text)``, which takes a DNA of that spec with its canonical text and
+    returns the merged DNA with its own: the complement's decisions fill
+    the plan's holes, and `text` is spliced between the selection's fixed
+    tokens.  Only a complement categorical whose candidates hold decisions
+    writes its tokens again.
+    """
+    holes, template, fill = _compile_merge(spec, selector, selected)
+    splice = _splice_plan(holes, template)
+    count = len(holes)
+
+    def merge(complement: DNA, text: str) -> tuple[DNA, str]:
+        decisions = _fitting(complement, count)
+        return DNA(fill(decisions)), splice(decisions, text)
+    return DecisionSpec(holes), merge
+
+
+def _compile_merge(spec, selector, selected):
+    """Walk `spec` and `selected` once, with one `selector` call per point
+    reached.  Returns the complement points (the plan's holes), the merged
+    tokens (fixed text, or the index of a hole) and ``fill(complement
+    decisions)``, which builds the merged decisions.  A merged DNA shares
+    each hole's decision with the complement and each decision list that
+    holds no hole with the plan."""
+    holes: list = []
+    template: list = []
+    decisions = iter(selected.decisions)
     try:
-        decisions = _merge_points(spec.points, selector, sel_iter, comp_iter,
-                                  [] if tokens is None else tokens)
-        _expect_exhausted(sel_iter, "selected")
-        _expect_exhausted(comp_iter, "complement")
+        fill = _plan_points(spec.points, selector, decisions, holes, template)
+        _expect_exhausted(decisions)
     except StopIteration:
         raise NonconformingDNA("<merge>", "decision lists do not match the partition") from None
-    return DNA(decisions)
+    if not callable(fill):  # no hole: each merge copies the selection
+        fill = lambda complement, fixed=fill: fixed.copy()
+    return holes, template, fill
 
 
-def _merge_points(points, selector, sel_iter, comp_iter, tokens):
-    out = []
+def _fitting(complement: DNA, count: int) -> list:
+    """The complement's decisions, if there are `count` of them."""
+    decisions = complement.decisions
+    if len(decisions) < count:
+        raise NonconformingDNA("<merge>", "decision lists do not match the partition")
+    if len(decisions) > count:
+        raise NonconformingDNA("<merge>", "extra complement decisions beyond the partition")
+    return decisions
+
+
+def _plan_points(points, selector, decisions, holes, template):
+    """One level of the merged decisions: the list itself when it holds no
+    hole, else a function that builds it from the complement's decisions."""
+    base, slots, builds = [], [], []
     for point in points:
         if not selector(point):
-            out.append(next(comp_iter))
-            _emit(point, out[-1], tokens)
+            slots.append((len(base), len(holes)))
+            template.append(len(holes))
+            holes.append(point)
+            base.append(None)
             continue
-        decision = next(sel_iter)
+        decision = next(decisions)
         if isinstance(point, CategoricalPoint):
-            rebuilt = []
-            for choice in decision:
-                tokens.append(str(choice.index))
+            built = []  # (slot, index, fill) of each choice that holds a hole
+            for slot, choice in enumerate(decision):
+                template.append(str(choice.index))
                 subspace = point.subspaces[choice.index]
                 if subspace or choice.children != []:  # else nothing to merge: keep it
-                    child_sel = iter(choice.children)
-                    choice = Choice(choice.index, _merge_points(subspace, selector, child_sel,
-                                                                comp_iter, tokens))
-                    _expect_exhausted(child_sel, "selected")
-                rebuilt.append(choice)
-            out.append(rebuilt)
+                    children = iter(choice.children)
+                    fill = _plan_points(subspace, selector, children, holes, template)
+                    _expect_exhausted(children)
+                    if callable(fill):  # else `choice` is its own merge
+                        built.append((slot, choice.index, fill))
+            if built:
+                builds.append((len(base), partial(_fill_choices, decision, built)))
         else:
-            tokens.append(_token(point, decision))
-            out.append(decision)
+            template.append(_token(point, decision))
+        base.append(decision)
+    return _level(base, slots, builds)
+
+
+def _fill_choices(choices, built, complement):
+    out = choices.copy()
+    for slot, index, fill in built:
+        out[slot] = Choice(index, fill(complement))
     return out
 
 
-def _expect_exhausted(iterator, label):
-    for _ in iterator:
-        raise NonconformingDNA("<merge>", f"extra {label} decisions beyond the partition")
+def _level(base, slots, builds):
+    """`base` when it has no slot to fill, else its builder: the complement
+    decision of each ``(position, hole)`` slot and the value of each
+    ``(position, build)`` go into a copy of `base`."""
+    if not slots and not builds:
+        return base
+
+    def fill(complement):
+        out = base.copy()
+        for position, hole in slots:
+            out[position] = complement[hole]
+        for position, build in builds:
+            out[position] = build(complement)
+        return out
+    return fill
+
+
+def _splice_plan(holes, template):
+    """The text splice of a merge plan: ``splice(complement, text)`` joins
+    the fixed text with the complement's text, cut into runs of holes whose
+    token count is fixed.  A categorical hole whose candidates hold
+    decisions writes its own tokens, and the cut skips as many."""
+    pieces = []  # fixed text, a run's token count, or a (hole, point) that writes itself
+    for entry in template:
+        if type(entry) is str:
+            if pieces and type(pieces[-1]) is str:
+                pieces[-1] += "|" + entry
+            else:
+                pieces.append(entry)
+            continue
+        point = holes[entry]
+        if isinstance(point, CategoricalPoint) and any(point.subspaces):
+            pieces.append((entry, point))
+            continue
+        count = point.k if isinstance(point, CategoricalPoint) else 1
+        if pieces and type(pieces[-1]) is int:
+            pieces[-1] += count
+        else:
+            pieces.append(count)
+
+    def splice(complement, text):
+        parts, out, at = text.split("|"), [], 0
+        for piece in pieces:
+            if type(piece) is str:
+                out.append(piece)
+            elif type(piece) is int:
+                out.extend(parts[at:at + piece])
+                at += piece
+            else:
+                written = len(out)
+                _emit(piece[1], complement[piece[0]], out)
+                at += len(out) - written
+        return "|".join(out)
+    return splice
+
+
+def _expect_exhausted(selected):
+    for _ in selected:
+        raise NonconformingDNA("<merge>", "extra selected decisions beyond the partition")

@@ -30,7 +30,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -38,10 +38,9 @@ from .decisions import (
     DNA,
     DecisionSpec,
     Selector,
+    _merge_plan,
     abstract_search_space,
-    condition_spec,
     filter_spec,
-    merge_dna,
     split_dna,
     validate_dna,
 )
@@ -86,8 +85,15 @@ def _json_reward(reward: float | None) -> float | None:
     return None if reward == -math.inf else reward
 
 
-# One compact encoder for every log line; json.dumps would build one per call.
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+def _json_number(value) -> str:
+    """A record's number, or None, as ``json.dumps(value, allow_nan=False)``
+    writes it: ``repr`` for a plain int or finite float, so only another
+    value (a bool, NaN) meets the encoder."""
+    if value is None:
+        return "null"
+    if type(value) is int or type(value) is float and -math.inf < value < math.inf:
+        return repr(value)
+    return json.dumps(value, allow_nan=False)
 
 
 @dataclass
@@ -128,9 +134,15 @@ class FlowReport:
 
     def write_jsonl(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(_LINE_ENCODER.encode(record.to_json_obj()))
-                handle.write("\n")
+            for record in self.records:  # to_json_obj's line, made without the dict
+                handle.write(
+                    f'{{"trial_index":{_json_number(record.trial_index)},'
+                    f'"outer_index":{_json_number(record.outer_index)},'
+                    f'"inner_index":{_json_number(record.inner_index)},'
+                    f'"dna":{encode_basestring_ascii(record.dna)},'
+                    f'"reward":{_json_number(_json_reward(record.reward))},'
+                    f'"best_so_far":{_json_number(_json_reward(record.best_so_far))},'
+                    f'"wall_ms":{_json_number(record.wall_ms)}}}\n')
 
     def write_summary(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
@@ -202,26 +214,24 @@ def _proposals(algorithm: SearchAlgorithm, budget: int | None) -> Iterator[tuple
 
 def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, oracle: RewardFn,
                 build: Callable[[DNA], SymbolicValue] | None = None,
-                merge: Callable[[DNA, list], DNA] | None = None,
+                merge: Callable[[DNA, str], tuple[DNA, str]] | None = None,
                 outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
     """The trial step of every flow, over the set-up `algorithm`'s proposals.
 
-    For each proposal: map the loop DNA to the full-space DNA with
-    ``merge(dna, tokens)``, which appends that DNA's canonical tokens to
-    `tokens` (without ``merge`` the proposal's DNA and text serve as they
-    are), build its child if there is a ``build``, call the oracle once,
-    feed the reward back and append a TrialRecord with the running best.  A
-    reward that :func:`check_reward` refuses raises InvalidReward naming the
-    trial's DNA.  Trials are numbered ``offset + i``, or as inner trials
-    ``i`` of ``outer_index``.  Returns the (loop DNA, reward) pairs.
+    For each proposal: map the loop DNA and its text to the full-space DNA
+    and its canonical text with ``merge(dna, text)`` (without ``merge`` the
+    proposal's DNA and text serve as they are), build its child if there is
+    a ``build``, call the oracle once, feed the reward back and append a
+    TrialRecord with the running best.  A reward that :func:`check_reward`
+    refuses raises InvalidReward naming the trial's DNA.  Trials are
+    numbered ``offset + i``, or as inner trials ``i`` of ``outer_index``.
+    Returns the (loop DNA, reward) pairs.
     """
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
     results = []
     for index, (dna, dna_text) in enumerate(_proposals(algorithm, budget)):
-        tokens = []
-        full = dna if merge is None else merge(dna, tokens)
-        text = dna_text if merge is None else "|".join(tokens)
+        full, text = (dna, dna_text) if merge is None else merge(dna, dna_text)
         child = None if build is None else build(full)
         reward = oracle(child, full)
         try:
@@ -320,19 +330,23 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
 
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)
-    results = _run_trials(
-        report, phase_a.build().setup(fspec), phase_a.trials, oracle, build,
-        lambda dna, tokens: merge_dna(spec, selector, dna, pivot_complement, tokens))
+    # Phase A's selection changes every trial, so its plan swaps the roles:
+    # the pivot's complement is fixed and the holes are `fspec`'s points.  A
+    # selected point nested under a complement categorical is not one of
+    # them, so it stays fixed with its categorical.
+    ids = {point.id for point in fspec.points}
+    _, merge = _merge_plan(spec, lambda point: point.id not in ids, pivot_complement)
+    results = _run_trials(report, phase_a.build().setup(fspec), phase_a.trials, oracle, build,
+                          merge)
     if not results:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
     best_selected = max(results, key=lambda result: result[1])[0]
 
-    rest = condition_spec(spec, selector, best_selected)
+    rest, merge = _merge_plan(spec, selector, best_selected)
     if rest.is_empty:
         return report  # the selection covered everything
-    _run_trials(
-        report, phase_b.build().setup(rest), phase_b.trials, oracle, build,
-        partial(merge_dna, spec, selector, best_selected), offset=phase_a.trials)
+    _run_trials(report, phase_b.build().setup(rest), phase_b.trials, oracle, build, merge,
+                offset=phase_a.trials)
     return report
 
 
@@ -361,9 +375,8 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials
     outer_algorithm = outer.build().setup(fspec)
     best = None  # (aggregate, merge, inner algorithm); the earliest wins a tie
     for outer_index, (dna, text) in enumerate(_proposals(outer_algorithm, outer.trials)):
-        sub_spec = condition_spec(spec, selector, dna)
+        sub_spec, merge = _merge_plan(spec, selector, dna)
         inner_algorithm = inner.build(outer_index).setup(sub_spec)
-        merge = partial(merge_dna, spec, selector, dna)
         results = _run_trials(report, inner_algorithm, inner.trials, oracle, build, merge,
                               outer_index=outer_index)
         aggregate = reward_for(text, aggregator([reward for _, reward in results]))

@@ -13,6 +13,7 @@ from symsearch.decisions import (
     CategoricalPoint,
     Choice,
     IntPoint,
+    _merge_plan,
     abstract_search_space,
     decode_dna,
     encode_dna,
@@ -355,10 +356,16 @@ def test_split_merge_roundtrip(make_generator):
     ([], [1], "do not match the partition"),
 ])
 def test_merge_refuses_halves_that_do_not_fit_the_partition(selected, complement, reason):
+    """A merge plan refuses extra selected decisions as it compiles and a
+    complement of the wrong length as it merges, as :func:`merge_dna` does."""
     spec = abstract_search_space(ss.Sequence([oneof([1, 2]), intv(0, 3)]))
-    with pytest.raises(NonconformingDNA, match=reason):
-        merge_dna(spec, lambda p: isinstance(p, CategoricalPoint), DNA(selected),
-                  DNA(complement))
+    select = lambda p: isinstance(p, CategoricalPoint)
+    with pytest.raises(NonconformingDNA, match=reason) as refused:
+        merge_dna(spec, select, DNA(selected), DNA(complement))
+    with pytest.raises(NonconformingDNA) as planned:
+        _, merge = _merge_plan(spec, select, DNA(selected))
+        merge(DNA(complement), "|".join(map(str, complement)))
+    assert str(planned.value) == str(refused.value)
 
 
 def test_isomorphic_ignores_ids():

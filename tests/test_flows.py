@@ -15,7 +15,8 @@ import symsearch as ss
 from conftest import strict_json
 from symsearch import algorithms, cli, decisions
 from symsearch.algorithms import Exhaustive, RandomSearch, RegularizedEvolution, SearchAlgorithm
-from symsearch.decisions import DNA, Choice, abstract_search_space, enumerate_dnas, minimal_dna
+from symsearch.decisions import (DNA, Choice, abstract_search_space, decode_dna, enumerate_dnas,
+                                 minimal_dna)
 from symsearch.errors import (
     DoubleFeedback,
     EmptyRewards,
@@ -355,6 +356,24 @@ def test_separate_rejects_cross_nested_partition(types):
                      lambda child, dna: 0.0)
 
 
+def test_separate_phase_a_fills_only_the_selected_top_level_points():
+    """Phase A splices each selection into the pivot's text; a selected
+    point nested under a complement categorical keeps the pivot's value."""
+    space = ss.Sequence([oneof([ss.Sequence([ss.intv(0, 3, hints="a")]), 7], hints="a"),
+                         oneof([ss.Sequence([ss.intv(0, 2, hints="a")]), 5], hints="b"),
+                         ss.intv(0, 4, hints="a")])
+    spec = abstract_search_space(space)
+    pivot = DNA([[Choice(0, [0])], [Choice(0, [2])], 0])
+    report = run_separate(spec, lambda p: p.hints == "a", pivot,
+                          SearchLoop(lambda s: RandomSearch(seed=s), 8, seed=0),
+                          SearchLoop(lambda s: RandomSearch(seed=s), 0, seed=0),
+                          lambda child, dna: 0.0)
+    texts = [record.dna for record in report.records]
+    assert len(texts) == 8 and len(set(texts)) > 1
+    for text in texts:
+        assert decode_dna(text, spec).decisions[1] == pivot.decisions[1]  # canonical, too
+
+
 def test_separate_empty_phase_a_raises(bench):
     space, spec, oracle, reward = bench
     pivot = materialize(space, minimal_dna(spec))
@@ -534,6 +553,30 @@ def test_merged_flows_encode_once_per_trial(monkeypatch, bench):
     assert encoded == [] and validated == []
 
 
+@pytest.mark.parametrize("flow", ["factorized", "hybrid"])
+def test_selector_calls_do_not_grow_with_the_inner_budget(bench, flow):
+    """Each outer trial compiles its merge once, so the inner trials call
+    the selector no more."""
+    space, spec, oracle, reward = bench
+
+    def selector_calls(inner_trials):
+        calls = []
+
+        def selector(point):
+            calls.append(point)
+            return op_selector(point)
+
+        loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
+        for problem in (space, spec):
+            if flow == "factorized":
+                run_factorized(problem, selector, loop(3), loop(inner_trials), reward)
+            else:
+                run_hybrid(problem, selector, loop(3), loop(inner_trials), 5, reward)
+        return len(calls)
+
+    assert selector_calls(4) == selector_calls(8)
+
+
 def test_each_reward_is_checked_once(monkeypatch, bench):
     """The trial step checks each oracle reward and the outer loop each
     aggregate, once, and feeds the algorithm's hook directly."""
@@ -690,6 +733,52 @@ def test_factorized_outer_reward_is_aggregated(bench):
 
 
 # -- report serialization -----------------------------------------------------------------
+
+def test_log_lines_are_the_compact_json_of_each_record(tmp_path, bench):
+    """Every flow's log, null rewards and inner indices included, is the
+    compact strict JSON of each record's ``to_json_obj``; a caller-set
+    ``wall_ms`` is written as the encoder writes it, and NaN is refused."""
+    space, spec, oracle, reward = bench
+    rewards = iter(range(10 ** 6))
+    sometimes_infeasible = lambda child, dna: (float("-inf") if next(rewards) % 3 == 0
+                                              else reward(child, dna))
+    loop = lambda trials: SearchLoop(lambda s: RandomSearch(seed=s), trials, seed=0)
+    pivot = materialize(space, minimal_dna(spec))
+    reports = [
+        run_joint(space, RandomSearch(seed=0), sometimes_infeasible, 6, seed=0),
+        run_separate(space, op_selector, pivot, loop(3), loop(3), sometimes_infeasible),
+        run_factorized(spec, op_selector, loop(2), loop(3), sometimes_infeasible),
+        run_hybrid(space, op_selector, loop(2), loop(3), 3, sometimes_infeasible),
+        run_joint(space, RandomSearch(seed=0), lambda child, dna: float("-inf"), 2),
+    ]
+    encoded = lambda record: json.dumps(record.to_json_obj(), separators=(",", ":"),
+                                        allow_nan=False)
+    log = tmp_path / "run.jsonl"
+    for report in reports:
+        report.write_jsonl(log)
+        assert log.read_bytes() == "".join(encoded(r) + "\n" for r in report.records).encode()
+    records = [record for report in reports for record in report.records]
+    assert any(record.reward == float("-inf") for record in records)
+    assert any(record.inner_index is not None for record in records)
+
+    report = reports[0]
+    report.write_jsonl(log)
+    line = log.read_text().splitlines()[0]
+    report.records[0].note = "not a field"  # a line holds the declared fields only
+    report.write_jsonl(log)
+    assert log.read_text().splitlines()[0] == line
+    del report.records[0].note
+    for wall_ms in (7, 2.5, True, 10 ** 20, -0.0, 1e-7):
+        report.records[0].wall_ms = wall_ms
+        report.write_jsonl(log)
+        first = log.read_text().splitlines()[0]
+        assert first == encoded(report.records[0])
+        assert first.endswith(f',"wall_ms":{json.dumps(wall_ms)}}}')
+    for wall_ms in (float("nan"), float("inf")):
+        report.records[0].wall_ms = wall_ms
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.write_jsonl(log)
+
 
 def test_jsonl_and_summary_roundtrip(tmp_path, bench):
     space, spec, oracle, reward = bench

@@ -23,6 +23,7 @@ from symsearch.decisions import (
     Choice,
     FloatPoint,
     IntPoint,
+    _merge_plan,
     abstract_search_space,
     condition_spec,
     decode_dna,
@@ -43,7 +44,7 @@ from symsearch.hyper import (Categorical, FloatRange, IntRange, _tuple_weight, f
 from symsearch.materialize import infer_dna, materialize, materialize_partial
 from symsearch.paths import KeyPath
 from symsearch.serialization import isomorphic, spec_from_json_obj, spec_to_json_obj
-from symsearch.values import HyperValue, ObjectNode, Primitive
+from symsearch.values import HyperValue, ObjectNode, Primitive, path_of
 
 SELECTORS = {
     "hint a": lambda p: p.hints == "a",
@@ -247,6 +248,73 @@ def test_merge_writes_the_text_of_the_merged_dna(space, seed, selector, with_flo
     tokens = []
     merged = merge_dna(spec, select, *split_dna(spec, dna, select), tokens)
     assert "|".join(tokens) == encode_dna(merged, spec)
+
+
+def with_counted(space):
+    """`space` followed, once per hint, by a categorical whose candidates
+    hold 2 decisions or none between two points of the other hint; so under
+    every selector but "categorical" a complement categorical whose token
+    count varies sits between fixed tokens."""
+    def counted(outer, inner):
+        return [intv(0, 1, hints=outer),
+                oneof([ss.Sequence([intv(0, 3), intv(0, 3)]), 1], hints=inner),
+                intv(0, 1, hints=outer)]
+    return ss.Sequence([space, *counted("a", "b"), *counted("b", "a")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
+       selector=st.sampled_from(sorted(SELECTORS)), with_float=st.booleans(),
+       integral=st.booleans(), counted=st.booleans())
+def test_merge_plan_splices_the_complement_text(space, seed, selector, with_float, integral,
+                                                counted):
+    """A plan compiled from one selection merges each complement of it, fed
+    with its canonical text, into the DNA that splits into the two halves,
+    and returns that DNA's canonical text.  With `integral`, the top-level
+    float decision is an int, which a float token still spells as a float."""
+    space = with_counted(space) if counted else space
+    spec = abstract_search_space(with_floats(space) if with_float else space)
+    select = SELECTORS[selector]
+    rng = random.Random(seed)
+    dna = random_dna(spec, rng)
+    if with_float and integral:
+        dna.decisions[-2] = round(dna.decisions[-2])
+    selected, complement = split_dna(spec, dna, select)
+    rest, merge = _merge_plan(spec, select, selected)
+    assert rest == condition_spec(spec, select, selected)
+    complements = [complement] + [random_dna(rest, rng) for _ in range(3)]
+    merges = [merge(c, encode_dna(c, rest)) for c in complements]  # none may change another
+    assert merges[0] == (dna, encode_dna(dna, spec))
+    for complement, (merged, text) in zip(complements, merges):
+        assert split_dna(spec, merged, select) == (selected, complement)
+        assert text == encode_dna(merged, spec)
+
+
+def reference_points(node) -> list:
+    """The decision points of `node` as extraction first made them: each id
+    rendered by walking up from its hyper value to the root."""
+    if isinstance(node, Categorical):
+        return [CategoricalPoint(path_of(node).render(), node.k, node.num_candidates,
+                                 node.distinct, node.sorted,
+                                 [reference_points(c) for c in node.candidates], node.hints)]
+    if isinstance(node, (IntRange, FloatRange)):
+        point = IntPoint if isinstance(node, IntRange) else FloatPoint
+        return [point(path_of(node).render(), node.min, node.max, node.hints)]
+    return [p for _, child in node.child_items() for p in reference_points(child)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=seeded_spaces(with_hints=True, with_types=True), key=st.sampled_from(["k", 0]))
+def test_extracted_ids_are_the_rendered_paths(space, key):
+    """Each point id is its hyper value's rendered path, also when the space
+    is a subtree of a larger tree, whose ids start with the subtree's path."""
+    assert abstract_search_space(space).points == reference_points(space)
+    outer = ss.Mapping({"outer": ss.Sequence([ss.Mapping({key: space}) if key == "k" else space,
+                                              intv(0, 1)])})
+    subtree = outer["outer"][0]
+    points = abstract_search_space(subtree).points
+    assert points == reference_points(subtree)
+    assert all(point.id.startswith("outer[0]") for point in iter_all_points(points))
 
 
 def reference_mutate(dna, spec, rng):
