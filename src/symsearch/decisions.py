@@ -16,7 +16,6 @@ values.  The canonical text form flattens decisions in pre-order joined by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from random import Random
 from typing import Callable, Iterator
 
@@ -372,12 +371,14 @@ def _minimal_decision(point):
 # ---------------------------------------------------------------------------
 
 def split_dna(spec: DecisionSpec, dna: DNA, selector: Selector) -> tuple[DNA, DNA]:
-    """Split a full DNA into (selected, complement) parts.
+    """Split a full DNA into (selected, complement) parts; raises
+    NonconformingDNA unless `dna` conforms to `spec`.
 
     The selected part conforms to ``filter_spec(spec, selector)``.  The
     complement lists the decisions of surviving hyper values in the pre-order
     they occupy after partial materialization.
     """
+    validate_dna(dna, spec)
     selected, complement = _split_points(spec.points, dna.decisions, selector)
     return DNA(selected), DNA(complement)
 
@@ -402,45 +403,22 @@ def _split_points(points, decisions, selector):
 
 def condition_spec(spec: DecisionSpec, selector: Selector, selected: DNA) -> DecisionSpec:
     """The spec left when the selected points are fixed to `selected`, a DNA
-    of ``filter_spec(spec, selector)``.
+    of ``filter_spec(spec, selector)``: the holes of its merge plan.
 
     It lists the complement points in the pre-order in which
     :func:`split_dna` emits complement decisions, so it is isomorphic to the
     spec of the partially materialized space.  Its points are those of
-    `spec`, ids included.
+    `spec`, ids included.  A selection that does not fit the partition
+    raises NonconformingDNA, as in :func:`merge_dna`.
     """
-    points: list = []
-    _condition_points(spec.points, iter(selected.decisions), selector, points)
-    return DecisionSpec(points)
+    return DecisionSpec(_compile_merge(spec, selector, selected)[0])
 
 
-def _condition_points(points, decisions, selector, out):
-    for point in points:
-        if not selector(point):
-            out.append(point)
-        elif isinstance(point, CategoricalPoint):
-            for choice in next(decisions):
-                _condition_points(point.subspaces[choice.index], iter(choice.children),
-                                  selector, out)
-        else:
-            next(decisions)
-
-
-def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA,
-              tokens: list | None = None) -> DNA:
+def merge_dna(spec: DecisionSpec, selector: Selector, selected: DNA, complement: DNA) -> DNA:
     """Inverse of :func:`split_dna`, sharing the decisions it need not rebuild:
-    the merge plan of `selected` compiled and filled once.  It appends the
-    merged DNA's canonical tokens to `tokens`, which join with ``|`` into its
-    :func:`encode_dna` text when both halves conform."""
-    holes, template, fill = _compile_merge(spec, selector, selected)
-    decisions = _fitting(complement, len(holes))
-    if tokens is not None:
-        for entry in template:
-            if type(entry) is str:
-                tokens.append(entry)
-            else:
-                _emit(holes[entry], decisions[entry], tokens)
-    return DNA(fill(decisions))
+    the merge plan of `selected` compiled and filled once."""
+    holes, _, fill = _compile_merge(spec, selector, selected)
+    return DNA(fill(_fitting(complement, len(holes))))
 
 
 def _merge_plan(spec: DecisionSpec, selector: Selector,
@@ -450,38 +428,48 @@ def _merge_plan(spec: DecisionSpec, selector: Selector,
     Returns the spec :func:`condition_spec` names and ``merge(complement,
     text)``, which takes a DNA of that spec with its canonical text and
     returns the merged DNA with its own: the complement's decisions fill
-    the plan's holes, and `text` is spliced between the selection's fixed
-    tokens.  Only a complement categorical whose candidates hold decisions
-    writes its tokens again.
+    the plan's holes, and `text`, cut into runs of holes whose token count
+    is fixed, is spliced between the selection's fixed tokens.  Only a
+    complement categorical whose candidates hold decisions writes its tokens
+    again, and the cut skips as many.
     """
-    holes, template, fill = _compile_merge(spec, selector, selected)
-    splice = _splice_plan(holes, template)
+    holes, pieces, fill = _compile_merge(spec, selector, selected)
     count = len(holes)
 
     def merge(complement: DNA, text: str) -> tuple[DNA, str]:
         decisions = _fitting(complement, count)
-        return DNA(fill(decisions)), splice(decisions, text)
+        parts, out, at = text.split("|"), [], 0
+        for piece in pieces:
+            if type(piece) is str:
+                out.append(piece)
+            elif type(piece) is int:
+                out.extend(parts[at:at + piece])
+                at += piece
+            else:
+                written = len(out)
+                _emit(piece[1], decisions[piece[0]], out)
+                at += len(out) - written
+        return DNA(fill(decisions)), "|".join(out)
     return DecisionSpec(holes), merge
 
 
 def _compile_merge(spec, selector, selected):
     """Walk `spec` and `selected` once, with one `selector` call per point
-    reached.  Returns the complement points (the plan's holes), the merged
-    tokens (fixed text, or the index of a hole) and ``fill(complement
+    reached.  Returns the complement points (the plan's holes), the pieces
+    of the merged text (see :func:`_plan_points`) and ``fill(complement
     decisions)``, which builds the merged decisions.  A merged DNA shares
     each hole's decision with the complement and each decision list that
     holds no hole with the plan."""
-    holes: list = []
-    template: list = []
+    holes, pieces = [], []
     decisions = iter(selected.decisions)
     try:
-        fill = _plan_points(spec.points, selector, decisions, holes, template)
+        fill = _plan_points(spec.points, selector, decisions, holes, pieces)
         _expect_exhausted(decisions)
     except StopIteration:
         raise NonconformingDNA("<merge>", "decision lists do not match the partition") from None
     if not callable(fill):  # no hole: each merge copies the selection
         fill = lambda complement, fixed=fill: fixed.copy()
-    return holes, template, fill
+    return holes, pieces, fill
 
 
 def _fitting(complement: DNA, count: int) -> list:
@@ -494,48 +482,58 @@ def _fitting(complement: DNA, count: int) -> list:
     return decisions
 
 
-def _plan_points(points, selector, decisions, holes, template):
+def _plan_points(points, selector, decisions, holes, pieces):
     """One level of the merged decisions: the list itself when it holds no
-    hole, else a function that builds it from the complement's decisions."""
+    hole, else a function that builds it from the complement's decisions.
+
+    It appends the level's text to `pieces`: fixed text, the token count of
+    a run of holes, or the ``(hole, point)`` of a categorical hole whose
+    candidates hold decisions, which writes its own tokens."""
     base, slots, builds = [], [], []
     for point in points:
         if not selector(point):
             slots.append((len(base), len(holes)))
-            template.append(len(holes))
+            if isinstance(point, CategoricalPoint) and any(point.subspaces):
+                pieces.append((len(holes), point))
+            else:
+                _add_piece(pieces, point.k if isinstance(point, CategoricalPoint) else 1)
             holes.append(point)
             base.append(None)
             continue
         decision = next(decisions)
         if isinstance(point, CategoricalPoint):
-            built = []  # (slot, index, fill) of each choice that holds a hole
+            built = []  # (slot, build) of each choice that holds a hole
             for slot, choice in enumerate(decision):
-                template.append(str(choice.index))
+                _add_piece(pieces, str(choice.index))
                 subspace = point.subspaces[choice.index]
                 if subspace or choice.children != []:  # else nothing to merge: keep it
                     children = iter(choice.children)
-                    fill = _plan_points(subspace, selector, children, holes, template)
+                    fill = _plan_points(subspace, selector, children, holes, pieces)
                     _expect_exhausted(children)
                     if callable(fill):  # else `choice` is its own merge
-                        built.append((slot, choice.index, fill))
+                        built.append((slot, lambda complement, index=choice.index, fill=fill:
+                                      Choice(index, fill(complement))))
             if built:
-                builds.append((len(base), partial(_fill_choices, decision, built)))
+                builds.append((len(base), _level(decision, [], built)))
         else:
-            template.append(_token(point, decision))
+            _add_piece(pieces, _token(point, decision))
         base.append(decision)
     return _level(base, slots, builds)
 
 
-def _fill_choices(choices, built, complement):
-    out = choices.copy()
-    for slot, index, fill in built:
-        out[slot] = Choice(index, fill(complement))
-    return out
+def _add_piece(pieces, piece):
+    """Append fixed text or a run's token count, joined to the last piece
+    when that is of the same kind."""
+    if pieces and type(pieces[-1]) is type(piece):
+        pieces[-1] += "|" + piece if type(piece) is str else piece
+    else:
+        pieces.append(piece)
 
 
 def _level(base, slots, builds):
-    """`base` when it has no slot to fill, else its builder: the complement
-    decision of each ``(position, hole)`` slot and the value of each
-    ``(position, build)`` go into a copy of `base`."""
+    """`base`, a decision or choice list, when it has no slot to fill, else
+    its builder: the complement decision of each ``(position, hole)`` slot
+    and the value of each ``(position, build)`` go into a copy of `base`."""
     if not slots and not builds:
         return base
 
@@ -547,45 +545,6 @@ def _level(base, slots, builds):
             out[position] = build(complement)
         return out
     return fill
-
-
-def _splice_plan(holes, template):
-    """The text splice of a merge plan: ``splice(complement, text)`` joins
-    the fixed text with the complement's text, cut into runs of holes whose
-    token count is fixed.  A categorical hole whose candidates hold
-    decisions writes its own tokens, and the cut skips as many."""
-    pieces = []  # fixed text, a run's token count, or a (hole, point) that writes itself
-    for entry in template:
-        if type(entry) is str:
-            if pieces and type(pieces[-1]) is str:
-                pieces[-1] += "|" + entry
-            else:
-                pieces.append(entry)
-            continue
-        point = holes[entry]
-        if isinstance(point, CategoricalPoint) and any(point.subspaces):
-            pieces.append((entry, point))
-            continue
-        count = point.k if isinstance(point, CategoricalPoint) else 1
-        if pieces and type(pieces[-1]) is int:
-            pieces[-1] += count
-        else:
-            pieces.append(count)
-
-    def splice(complement, text):
-        parts, out, at = text.split("|"), [], 0
-        for piece in pieces:
-            if type(piece) is str:
-                out.append(piece)
-            elif type(piece) is int:
-                out.extend(parts[at:at + piece])
-                at += piece
-            else:
-                written = len(out)
-                _emit(piece[1], complement[piece[0]], out)
-                at += len(out) - written
-        return "|".join(out)
-    return splice
 
 
 def _expect_exhausted(selected):

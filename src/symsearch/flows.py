@@ -39,9 +39,9 @@ from .decisions import (
     DecisionSpec,
     Selector,
     _merge_plan,
+    _split_points,
     abstract_search_space,
     filter_spec,
-    split_dna,
     validate_dna,
 )
 from .errors import (
@@ -326,7 +326,7 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
         raise UnsupportedSpace("over a decision spec the pivot must be a full-space DNA")
     else:
         pivot = infer_dna(space, pivot)
-    _, pivot_complement = split_dna(spec, pivot, selector)
+    pivot_complement = DNA(_split_points(spec.points, pivot.decisions, selector)[1])
 
     budgets = {"phase_a_trials": phase_a.trials, "phase_b_trials": phase_b.trials}
     report = FlowReport("separate", budgets, phase_a.seed)

@@ -12,9 +12,11 @@ from symsearch.decisions import (
     DNA,
     CategoricalPoint,
     Choice,
+    DecisionSpec,
     IntPoint,
     _merge_plan,
     abstract_search_space,
+    condition_spec,
     decode_dna,
     encode_dna,
     enumerate_dnas,
@@ -357,7 +359,9 @@ def test_split_merge_roundtrip(make_generator):
 ])
 def test_merge_refuses_halves_that_do_not_fit_the_partition(selected, complement, reason):
     """A merge plan refuses extra selected decisions as it compiles and a
-    complement of the wrong length as it merges, as :func:`merge_dna` does."""
+    complement of the wrong length as it merges, as :func:`merge_dna` does;
+    :func:`condition_spec` refuses the same selections with the same text
+    and returns the spec of any other."""
     spec = abstract_search_space(ss.Sequence([oneof([1, 2]), intv(0, 3)]))
     select = lambda p: isinstance(p, CategoricalPoint)
     with pytest.raises(NonconformingDNA, match=reason) as refused:
@@ -366,6 +370,29 @@ def test_merge_refuses_halves_that_do_not_fit_the_partition(selected, complement
         _, merge = _merge_plan(spec, select, DNA(selected))
         merge(DNA(complement), "|".join(map(str, complement)))
     assert str(planned.value) == str(refused.value)
+    if selected == [[Choice(1, [])]]:  # the selection fits; the complement does not
+        assert condition_spec(spec, select, DNA(selected)) == DecisionSpec(spec.points[1:])
+    else:
+        with pytest.raises(NonconformingDNA) as conditioned:
+            condition_spec(spec, select, DNA(selected))
+        assert str(conditioned.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("decisions", [
+    [],
+    [[Choice(0, [1])]],
+    [[Choice(0, [1])], 2, 3],
+    [[Choice(0, [])], 2],
+], ids=["empty", "too-short", "too-long", "missing-children"])
+def test_split_refuses_a_dna_that_does_not_conform(decisions):
+    """:func:`split_dna` checks its DNA, so it drops no decision and makes
+    no half from a DNA that is short of one."""
+    spec = abstract_search_space(ss.Sequence([oneof([intv(0, 3), 2]), intv(0, 3)]))
+    select = lambda p: isinstance(p, CategoricalPoint)
+    assert split_dna(spec, DNA([[Choice(0, [1])], 2]), select) == (DNA([[Choice(0, [])]]),
+                                                                     DNA([1, 2]))
+    with pytest.raises(NonconformingDNA):
+        split_dna(spec, DNA(decisions), select)
 
 
 def test_isomorphic_ignores_ids():

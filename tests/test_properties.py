@@ -233,23 +233,6 @@ def with_floats(space):
                         oneof([floatv(0.0, 2.0, hints="b"), 1], hints="a")])
 
 
-@settings(max_examples=200, deadline=None)
-@given(space=seeded_spaces(with_hints=True), seed=st.integers(0, 2 ** 32 - 1),
-       selector=st.sampled_from(sorted(SELECTORS)), with_float=st.booleans(),
-       integral=st.booleans())
-def test_merge_writes_the_text_of_the_merged_dna(space, seed, selector, with_float, integral):
-    """With `integral`, the top-level float decision is an int, which a
-    float token still spells as a float."""
-    spec = abstract_search_space(with_floats(space) if with_float else space)
-    select = SELECTORS[selector]
-    dna = random_dna(spec, random.Random(seed))
-    if with_float and integral:
-        dna.decisions[-2] = round(dna.decisions[-2])
-    tokens = []
-    merged = merge_dna(spec, select, *split_dna(spec, dna, select), tokens)
-    assert "|".join(tokens) == encode_dna(merged, spec)
-
-
 def with_counted(space):
     """`space` followed, once per hint, by a categorical whose candidates
     hold 2 decisions or none between two points of the other hint; so under
