@@ -229,7 +229,8 @@ def _mutated(points, decisions, site, rng: Random, tokens, at: int, active):
     the decisions walked, None, at)`` when the site lies beyond them, else
     ``(-1, rebuilt, at)``: `rebuilt` copies only the lists on the path to the
     site, or is None if the resample kept it.  A new decision is checked and
-    spliced into `tokens`, and `active[0]` gains its change, unless None."""
+    spliced into `tokens`, and `active[0]` gains its change, unless None: a
+    categorical's, over its switched slots (a kept slot keeps its Choice)."""
     for i, (point, decision) in enumerate(zip(points, decisions)):
         if not site:
             new = _resample(point, decision, rng)
@@ -241,7 +242,10 @@ def _mutated(points, decisions, site, rng: Random, tokens, at: int, active):
                 _encode_points([point], [new], fresh, None)
                 tokens[at:at + len(old)] = fresh
             if active is not None and isinstance(point, CategoricalPoint):
-                active[0] += _count_active([point], [new]) - _count_active([point], [decision])
+                for now, was in zip(new, decision):  # no closure: `point` stays a fast local
+                    if now is not was:
+                        active[0] += (_count_active(point.subspaces[now.index], now.children)
+                                      - _count_active(point.subspaces[was.index], was.children))
             return -1, [*decisions[:i], new, *decisions[i + 1:]], at
         site -= 1
         if not isinstance(point, CategoricalPoint):

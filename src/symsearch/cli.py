@@ -211,10 +211,10 @@ def run_search_once(args, run_index: int) -> dict:
 
 def cmd_search(args, parser) -> int:
     _check_search_flags(args, parser)
-    if args.jobs == 1 or args.repeat == 1:
+    if (workers := min(args.jobs, args.repeat)) == 1:  # a pool may start every worker at once
         summaries = [run_search_once(args, i) for i in range(args.repeat)]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_search_once, args, i) for i in range(args.repeat)]
             summaries = [f.result() for f in futures]
     for summary in summaries:

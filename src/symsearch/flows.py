@@ -15,12 +15,12 @@ sub-space being the spec conditioned on a selection (``condition_spec``):
 * hybrid     - factorized phase, then resume the best sub-space with its
                retained inner algorithm state; a * b + c calls.
 
-Every driver runs its trials through one trial step, ``_run_trials``.
-Reward functions are called as ``oracle(child, dna)`` with the trial's
-full-space DNA, so tabular oracles keyed by canonical text work in every
-flow.  Given a symbolic space, a driver builds each child once, from the
-root space with that DNA; given a ``DecisionSpec`` (the CLI's problem, or
-``eager.eager_problem``'s), it builds none and calls ``oracle(None, dna)``.
+Every driver searches a ``(spec, reward)`` pair through one trial step,
+``_run_trials``, which calls ``reward(None, dna)`` with the trial's full-space
+DNA (so tabular oracles keyed by canonical text work in every flow) and keeps
+its record and nothing else.  A ``DecisionSpec`` (the CLI's problem, or
+``eager.eager_problem``'s) takes the caller's oracle as its reward; over a
+symbolic space the reward builds each child and calls ``oracle(child, dna)``.
 The separate flow's pivot may be a full-space DNA, and must be one over a spec.
 """
 
@@ -212,28 +212,25 @@ def _proposals(algorithm: SearchAlgorithm, budget: int | None) -> Iterator[tuple
         yield proposal
 
 
-def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, oracle: RewardFn,
-                build: Callable[[DNA], SymbolicValue] | None = None,
+def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, reward_fn: RewardFn,
                 merge: Callable[[DNA, str], tuple[DNA, str]] | None = None,
-                outer_index: int | None = None, offset: int = 0) -> list[tuple[DNA, float]]:
+                outer_index: int | None = None, offset: int = 0) -> DNA | None:
     """The trial step of every flow, over the set-up `algorithm`'s proposals.
 
     For each proposal: map the loop DNA and its text to the full-space DNA
     and its canonical text with ``merge(dna, text)`` (without ``merge`` the
-    proposal's DNA and text serve as they are), build its child if there is
-    a ``build``, call the oracle once, feed the reward back and append a
-    TrialRecord with the running best.  A reward that :func:`check_reward`
-    refuses raises InvalidReward naming the trial's DNA.  Trials are
-    numbered ``offset + i``, or as inner trials ``i`` of ``outer_index``.
-    Returns the (loop DNA, reward) pairs.
+    proposal's DNA and text serve as they are), call ``reward_fn(None, full)``
+    once, feed the reward back and append a TrialRecord with the running
+    best; a reward that :func:`check_reward` refuses raises InvalidReward
+    naming the DNA.  Trials are numbered ``offset + i``, or as inner trials
+    ``i`` of ``outer_index``.  Returns the call's first best loop DNA, or None.
     """
     records = report.records
     best = records[-1].best_so_far if records else float("-inf")
-    results = []
+    top_dna = top = None
     for index, (dna, dna_text) in enumerate(_proposals(algorithm, budget)):
         full, text = (dna, dna_text) if merge is None else merge(dna, dna_text)
-        child = None if build is None else build(full)
-        reward = oracle(child, full)
+        reward = reward_fn(None, full)
         try:
             reward = check_reward(reward)
         except InvalidReward as exc:
@@ -241,6 +238,8 @@ def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, ora
                                 f"{exc}") from None
         algorithm._feedback(dna, dna_text, reward)
         best = max(best, reward)
+        if top_dna is None or reward > top:
+            top_dna, top = dna, reward
         records.append(TrialRecord(
             trial_index=len(records),
             outer_index=offset + index if outer_index is None else outer_index,
@@ -249,8 +248,7 @@ def _run_trials(report: FlowReport, algorithm: SearchAlgorithm, budget: int, ora
             reward=reward,
             best_so_far=best,
         ))
-        results.append((dna, reward))
-    return results
+    return top_dna
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +296,9 @@ class SearchLoop:
 def run_joint(space, algorithm: SearchAlgorithm, oracle: RewardFn, trials: int,
               seed: int | None = None) -> FlowReport:
     """Optimize the whole space in a single loop."""
-    spec, build = _problem(space)
+    spec, reward = _problem(space, oracle)
     report = FlowReport("joint", {"trials": trials}, seed)
-    _run_trials(report, algorithm.setup(spec), trials, oracle, build)
+    _run_trials(report, algorithm.setup(spec), trials, reward)
     return report
 
 
@@ -315,14 +313,14 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     points must form disjoint top-level groups (no point of one group nested
     inside the other).
     """
-    spec, build = _problem(space)
+    spec, reward = _problem(space, oracle)
     fspec = _selection(spec, selector)
     if fspec.points != [point for point in spec.points if selector(point)]:
         raise UnsupportedSpace("separate flow requires every point nested under a selected "
                                "point to be selected too")
     if isinstance(pivot, DNA):
         validate_dna(pivot, spec)
-    elif build is None:
+    elif isinstance(space, DecisionSpec):
         raise UnsupportedSpace("over a decision spec the pivot must be a full-space DNA")
     else:
         pivot = infer_dna(space, pivot)
@@ -336,16 +334,14 @@ def run_separate(space, selector: Selector, pivot, phase_a: SearchLoop,
     # them, so it stays fixed with its categorical.
     ids = {point.id for point in fspec.points}
     _, merge = _merge_plan(spec, lambda point: point.id not in ids, pivot_complement)
-    results = _run_trials(report, phase_a.build().setup(fspec), phase_a.trials, oracle, build,
-                          merge)
-    if not results:
+    best_selected = _run_trials(report, phase_a.build().setup(fspec), phase_a.trials, reward, merge)
+    if best_selected is None:
         raise EmptyRewards("phase A ran no trials, so there is no best selection to fix")
-    best_selected = max(results, key=lambda result: result[1])[0]
 
     rest, merge = _merge_plan(spec, selector, best_selected)
     if rest.is_empty:
         return report  # the selection covered everything
-    _run_trials(report, phase_b.build().setup(rest), phase_b.trials, oracle, build, merge,
+    _run_trials(report, phase_b.build().setup(rest), phase_b.trials, reward, merge,
                 offset=phase_a.trials)
     return report
 
@@ -365,7 +361,7 @@ def run_hybrid(space, selector: Selector, outer: SearchLoop, inner: SearchLoop,
 
 def _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials=None):
     """The factorized flow; with ``phase2_trials`` it is the hybrid flow."""
-    spec, build = _problem(space)
+    spec, reward = _problem(space, oracle)
     fspec = _selection(spec, selector)
     budgets = {"outer_trials": outer.trials, "inner_trials": inner.trials}
     if phase2_trials is not None:
@@ -377,26 +373,26 @@ def _factorized(space, selector, outer, inner, oracle, aggregator, phase2_trials
     for outer_index, (dna, text) in enumerate(_proposals(outer_algorithm, outer.trials)):
         sub_spec, merge = _merge_plan(spec, selector, dna)
         inner_algorithm = inner.build(outer_index).setup(sub_spec)
-        results = _run_trials(report, inner_algorithm, inner.trials, oracle, build, merge,
-                              outer_index=outer_index)
-        aggregate = reward_for(text, aggregator([reward for _, reward in results]))
+        start = len(report.records)
+        _run_trials(report, inner_algorithm, inner.trials, reward, merge, outer_index=outer_index)
+        aggregate = reward_for(text, aggregator([r.reward for r in report.records[start:]]))
         outer_algorithm._feedback(dna, text, aggregate)
         if best is None or aggregate > best[0]:
             best = (aggregate, merge, inner_algorithm)
 
     if phase2_trials is not None and best is not None:
-        _run_trials(report, best[2], phase2_trials, oracle, build, best[1], offset=outer.trials)
+        _run_trials(report, best[2], phase2_trials, reward, best[1], offset=outer.trials)
     return report
 
 
-def _problem(space) -> tuple[DecisionSpec, Callable[[DNA], SymbolicValue] | None]:
-    """A search problem: its decision spec and the builder that makes a
-    child from a full-space DNA.  A spec has no builder."""
+def _problem(space, oracle: RewardFn) -> tuple[DecisionSpec, RewardFn]:
+    """A search problem: its decision spec and the reward of a full-space
+    DNA, which over a space builds the child and passes it to `oracle`."""
     if isinstance(space, DecisionSpec):
-        return space, None
+        return space, oracle
     space = to_symbolic(space)
     spec = abstract_search_space(space)
-    return spec, lambda dna: materialize_prepared(space, spec, dna)
+    return spec, lambda child, dna: oracle(materialize_prepared(space, spec, dna), dna)
 
 
 def _selection(spec: DecisionSpec, selector: Selector) -> DecisionSpec:

@@ -35,7 +35,7 @@ class Categorical(HyperValue):
     plain one-of; ``k == n`` with distinct and unsorted searches permutations.
     """
 
-    __slots__ = ("k", "distinct", "sorted", "hints", "_candidates")
+    __slots__ = ("k", "distinct", "sorted", "hints", "_candidates", "__weakref__")
 
     def __init__(self, k: int, candidates, distinct: bool = True,
                  sorted: bool = False, hints: str | None = None):

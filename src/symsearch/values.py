@@ -77,9 +77,9 @@ def to_symbolic(value) -> "SymbolicValue":
 
 
 class SymbolicValue:
-    """Base class for all tree nodes."""
+    """Base class for all tree nodes; a kind that can be a parent adds ``__weakref__``."""
 
-    __slots__ = ("_parent", "__weakref__")
+    __slots__ = ("_parent",)
 
     def __init__(self):
         self._parent = None  # (weak reference to the parent node, key) or None
@@ -105,7 +105,7 @@ class SymbolicValue:
     def __getstate__(self):
         """Each slot of the kind, not the base's link: a pickle holds no ancestors."""
         return {name: getattr(self, name) for cls in type(self).__mro__[:-2]
-                for name in cls.__dict__.get("__slots__", ())}
+                for name in cls.__dict__.get("__slots__", ()) if name != "__weakref__"}
 
     def __setstate__(self, state):
         for name, value in (("_parent", None), *state.items()):
@@ -184,7 +184,7 @@ class Primitive(SymbolicValue):
 class Sequence(SymbolicValue):
     """An ordered list of child nodes, addressed by index."""
 
-    __slots__ = ("_children",)
+    __slots__ = ("_children", "__weakref__")
 
     def __init__(self, children: Iterable = ()):
         super().__init__()
@@ -230,7 +230,7 @@ class Mapping(SymbolicValue):
     """A mapping with identifier-text keys, kept in sorted key order so that
     traversal, equality and serialization agree on one canonical order."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "__weakref__")
 
     def __init__(self, entries: dict | Iterable = ()):
         super().__init__()
@@ -297,7 +297,7 @@ class ObjectNode(SymbolicValue):
     is a functor (callable), is missing.  No field is adopted before all pass.
     """
 
-    __slots__ = ("type_def", "_fields")
+    __slots__ = ("type_def", "_fields", "__weakref__")
 
     def __init__(self, type_def, fields: dict):
         super().__init__()

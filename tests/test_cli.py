@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import pickle
 import subprocess
@@ -147,6 +148,38 @@ def test_search_repeat_runs(tmp_path):
         for i in range(3):
             (tmp_path / f"r.{i}.summary.json").unlink()
     assert not (tmp_path / "r.summary.json").exists()
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and
+    runs each submitted call in this process, so it starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_jobs_above_repeat_make_one_worker_per_run(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert cli.main(["search", "--builtin", "nasbench", "--nodes", "2", "--ops", "2",
+                     "--oracle", "synthetic", "--trials", "3", "--repeat", "2",
+                     "--jobs", "100000"]) == 0
+    assert RecordingPool.sizes == [2]
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [s["run_index"] for s in summaries] == [0, 1]
 
 
 def test_dump_table_then_search_reproduces(tmp_path):

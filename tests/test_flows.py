@@ -8,6 +8,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -681,6 +682,40 @@ def test_separate_over_a_spec_needs_a_dna_pivot(bench):
                      reward)
     with pytest.raises(NonconformingDNA):
         run_separate(spec, op_selector, DNA([]), loop, loop, reward)
+
+
+# -- memory ---------------------------------------------------------------------------
+
+MEMORY_FLOWS = {  # 5,000 trials each on nasbench 5x3
+    "joint": lambda spec, make, reward: run_joint(spec, make(0), reward, 5000, seed=0),
+    "separate": lambda spec, make, reward: run_separate(
+        spec, op_selector, minimal_dna(spec), SearchLoop(make, 2500),
+        SearchLoop(make, 2500, seed=1), reward),
+    "factorized": lambda spec, make, reward: run_factorized(
+        spec, op_selector, SearchLoop(make, 50), SearchLoop(make, 100), reward),
+    "hybrid": lambda spec, make, reward: run_hybrid(
+        spec, op_selector, SearchLoop(make, 10), SearchLoop(make, 50), 4500, reward),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(MEMORY_FLOWS))
+def test_a_run_holds_its_records_and_no_other_per_trial_state(flow):
+    """A run's traced peak is less than a fifth above what it still holds
+    once it returns (its records): no trial leaves anything else behind
+    until the run ends."""
+    space = build_nasbench_space(5, 3)
+    spec = abstract_search_space(space)
+    oracle = SyntheticNASOracle(5, 3, seed=0)
+    reward = lambda child, dna: eval_oracle(oracle, dna, spec)
+    make = lambda seed: RegularizedEvolution(25, 5, seed=seed)
+    tracemalloc.start()
+    try:
+        report = MEMORY_FLOWS[flow](spec, make, reward)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.oracle_calls == 5000
+    assert peak < 1.2 * held, f"peak {peak} bytes against {held} held"
 
 
 # -- aggregation -----------------------------------------------------------------------

@@ -100,15 +100,17 @@ def test_materialize_is_valid_decomposable_and_fresh(space, rng, selector):
 
 def assert_freed_when_dropped(make):
     """The tree `make()` returns is freed by reference counting alone as soon
-    as it is dropped, its root and a deepest node both: it holds no
-    reference cycle, so the cyclic collector (off here) has nothing to find."""
+    as it is dropped, its root and a deepest parent both: it holds no
+    reference cycle, so the cyclic collector (off here) has nothing to find.
+    A leaf is no weak reference target, and holds nothing but a weak link."""
     gc.disable()
     try:
         tree = make()
-        deepest = max((node for _, node in ss.walk(tree)), key=lambda node: len(ss.path_of(node).segments))
-        refs = weakref.ref(tree), weakref.ref(deepest)
-        del tree, deepest
-        assert [ref() for ref in refs] == [None, None]
+        parents = [node for _, node in ss.walk(tree) if hasattr(node, "__weakref__")]
+        deepest = max(parents, key=lambda node: len(ss.path_of(node).segments), default=None)
+        refs = [weakref.ref(node) for node in (tree, deepest) if hasattr(node, "__weakref__")]
+        del tree, deepest, parents
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -6,6 +6,8 @@ import copy
 import gc
 import pickle
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -581,6 +583,21 @@ def test_a_subtree_held_after_its_root_is_gone_is_a_root(types):
     fresh = ss.clone(model)
     outer = ss.Sequence([fresh])
     assert outer[0] is fresh and ss.parent_of(fresh) is outer
+
+
+def test_only_a_kind_that_can_be_a_parent_is_a_weak_reference_target():
+    """Children link to their parent weakly, so a container carries the
+    ``__weakref__`` slot; a leaf, which is never a parent, is 8 bytes smaller."""
+    F = ss.TypeDef("WeakF", [ss.Param("x", schema.Int())])
+    nodes = [ss.to_symbolic([1]), ss.to_symbolic({"a": 1}), F(x=1), ss.oneof([1, 2]),
+             ss.manyof(2, [1, 2, 3]), ss.to_symbolic(1), ss.intv(0, 3), ss.floatv(0.0, 1.0)]
+    assert [hasattr(node, "__weakref__") for node in nodes] == [True] * 5 + [False] * 3
+    assert all(weakref.ref(node)() is node for node in nodes[:5])
+    for leaf in nodes[5:]:
+        with pytest.raises(TypeError):
+            weakref.ref(leaf)
+    # Both kinds hold their link and one slot of their own; only the list adds the slot.
+    assert sys.getsizeof(nodes[0]) - sys.getsizeof(nodes[5]) == 8
 
 
 @pytest.mark.parametrize("path", ["model", "model.children[0]", "optimizer", "model.children[1].candidates"])
