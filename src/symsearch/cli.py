@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .oracles import SyntheticNASOracle, TableOracle, build_nasbench_space, dump
 from .serialization import deserialize, isomorphic, spec_to_json_obj
 
 
+@cache  # built on the first call; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symsearch", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

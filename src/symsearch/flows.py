@@ -123,13 +123,14 @@ class FlowReport:
         return None if best is None else best.dna
 
     def summary_dict(self) -> dict:
+        best = self.best_record  # one scan for both fields
         return {
             "flow": self.flow,
             "budgets": self.budgets,
             "seed": self.seed,
             "oracle_calls": self.oracle_calls,
-            "best_dna": self.best_dna,
-            "best_reward": _json_reward(self.best_reward),
+            "best_dna": None if best is None else best.dna,
+            "best_reward": None if best is None else _json_reward(best.reward),
         }
 
     def write_jsonl(self, path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import json
 import pickle
@@ -180,6 +181,43 @@ def test_jobs_above_repeat_make_one_worker_per_run(monkeypatch, capsys):
     assert RecordingPool.sizes == [2]
     summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [s["run_index"] for s in summaries] == [0, 1]
+
+
+def test_main_builds_one_parser_and_carries_no_state_between_calls(tmp_path, monkeypatch,
+                                                                    capsys):
+    """Calls in one process share the parser; a usage error, a runtime
+    error and an overridden default leave nothing for the next call."""
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    search = ["search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+              "--oracle", "synthetic", "--oracle-seed", "4", "--algo", "regevo",
+              "--trials", "40", "--seed", "2"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(search + ["--tournament", "0"])
+    assert exit_info.value.code == 2
+    assert "--tournament must be between 1 and --population" in capsys.readouterr().err
+    assert cli.main(["search", "--builtin", "nasbench", "--oracle", "table",
+                     "--table", str(tmp_path / "missing.json"), "--trials", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(search + ["--population", "7", "--out", str(tmp_path / "p.jsonl")]) == 0
+    assert cli.main(search + ["--out", str(tmp_path / "a.jsonl")]) == 0
+    assert len(parsers) == 4 and all(parser is parsers[0] for parser in parsers)
+    assert parsers[0] is cli.build_parser()
+    stdout = capsys.readouterr().out.splitlines()[-1]
+
+    fresh = run_cli(*search, "--out", str(tmp_path / "b.jsonl"))
+    assert fresh.returncode == 0 and fresh.stdout.splitlines() == [stdout]
+    for name in ("{}.jsonl", "{}.summary.json"):
+        assert ((tmp_path / name.format("a")).read_bytes()
+                == (tmp_path / name.format("b")).read_bytes())
+    assert ((tmp_path / "p.jsonl").read_bytes()  # the population flag changed the search
+            != (tmp_path / "a.jsonl").read_bytes())
 
 
 def test_dump_table_then_search_reproduces(tmp_path):

@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -29,7 +30,10 @@ from symsearch.errors import (
 )
 from symsearch.flows import (
     AGGREGATORS,
+    FlowReport,
     SearchLoop,
+    TrialRecord,
+    _json_reward,
     run_factorized,
     run_hybrid,
     run_joint,
@@ -830,3 +834,34 @@ def test_jsonl_and_summary_roundtrip(tmp_path, bench):
     summary = json.loads(log.with_suffix(".summary.json").read_text())
     assert summary["oracle_calls"] == 5
     assert summary["best_reward"] == report.best_reward
+
+
+class CountingRecords(list):
+    """A records list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("rewards, best", [([1.0, 3.0, 0.5, 3.0], ("dna1", 3.0)),
+                                           ([-math.inf] * 3, ("dna0", None)),
+                                           ([], (None, None))],
+                         ids=["tie", "infeasible", "empty"])
+def test_summary_scans_the_records_once_for_the_same_values(tmp_path, rewards, best):
+    """A tie goes to the first record, an all-infeasible best is null and an
+    empty report has no best."""
+    records = CountingRecords(TrialRecord(i, i, None, f"dna{i}", reward, max(rewards[:i + 1]))
+                              for i, reward in enumerate(rewards))
+    report = FlowReport("joint", {"trials": 4}, 0, records)
+    summary = report.summary_dict()
+    assert records.walks == 1
+    assert summary["best_dna"] == report.best_dna
+    assert summary["best_reward"] == _json_reward(report.best_reward)
+    assert (summary["best_dna"], summary["best_reward"]) == best
+    path = tmp_path / "run.summary.json"
+    report.write_summary(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
