@@ -95,12 +95,13 @@ def load_space(args):
 
 
 def load_document(path: str):
-    """The symbolic JSON file at `path`; one not in UTF-8 is MalformedDocument."""
+    """The symbolic JSON file at `path`; a refusal of its contents names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return deserialize(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path} is not UTF-8 text: {exc}") from None
-    return deserialize(text)
+    except SymsearchError as exc:
+        raise MalformedDocument(f"{path}: {exc}") from None
 
 
 def cmd_inspect(args, parser) -> int:

@@ -581,24 +581,30 @@ class _Edit:
 
 
 def _plan(x: SymbolicValue, edits: dict) -> _Edit:
-    """`edits` checked against `x` and compiled into a trie of `_Edit`s."""
+    """`edits` checked against `x` in mapping order and compiled into a trie of
+    `_Edit`s; the descent that places a path is its one walk in `x`."""
     plan = [(as_path(path), d if isinstance(d, (Set, Insert, Delete)) else Set(d))
             for path, d in edits.items()]
-    for path, directive in plan:
-        _validate_directive(x, path, directive)
     top = _Edit(x)
     for index, (path, directive) in enumerate(plan):
-        edit = top
-        for key in path.segments:
+        is_set = isinstance(directive, Set)
+        if path.is_root and not is_set:
+            raise IllegalDirective("insert/delete cannot target the root")
+        edit, last = top, len(path.segments) - 1
+        for depth, key in enumerate(path.segments):
+            if depth == last and not is_set:
+                _check_splice(edit.node, path, directive)
             sub = edit.below.get(key)
             if sub is None:
                 try:
                     child = edit.node.get_child(key)
                 except PathNotFound:
-                    child = None  # an Insert after the last element
+                    child = None  # an Insert after the last element, or a refused path
                 sub = edit.below[key] = _Edit(child)
             edit = sub
-        if isinstance(directive, Set):
+            if edit.node is None and not (depth == last and isinstance(directive, Insert)):
+                raise PathNotFound(f"no node at {KeyPath(path.segments[: depth + 1]).render()!r}")
+        if is_set:
             edit.order = (2, -len(path.segments), index)
         else:
             edit.order = (0 if isinstance(directive, Insert) else 1, 0, index)
@@ -606,27 +612,19 @@ def _plan(x: SymbolicValue, edits: dict) -> _Edit:
     return top
 
 
-def _validate_directive(x, path, directive):
-    if isinstance(directive, Set):
-        get(x, path)  # raises PathNotFound when unresolvable
-        return
-    if path.is_root:
-        raise IllegalDirective("insert/delete cannot target the root")
-    parent = get(x, path.parent)
+def _check_splice(parent, path: KeyPath, directive) -> None:
+    """Raise unless the Insert or Delete at `path` fits the original `parent`;
+    the descent then finds a mapping's missing key as it finds any other."""
     key = path.last
     if isinstance(directive, Insert):
         if not isinstance(parent, Sequence) or type(key) is not int:
             raise IllegalDirective(f"insert requires a sequence parent at {path.parent.render()!r}")
         if not 0 <= key <= len(parent):
             raise IllegalDirective(f"insert index {key} out of range 0..{len(parent)}")
-        return
-    # Delete
-    if isinstance(parent, Sequence):
+    elif isinstance(parent, Sequence):
         if type(key) is not int or not 0 <= key < len(parent):
             raise IllegalDirective(f"delete index out of range at {path.render()!r}")
-    elif isinstance(parent, Mapping):
-        get(x, path)
-    else:
+    elif not isinstance(parent, Mapping):
         raise IllegalDirective(f"delete requires a sequence or mapping parent at {path.parent.render()!r}")
 
 

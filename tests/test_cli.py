@@ -589,6 +589,28 @@ def test_a_file_that_is_not_utf8_is_a_runtime_error_naming_it(tmp_path, flag):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("broken", ["space", "pivot"])
+def test_a_refused_space_or_pivot_file_is_named_in_the_error(tmp_path, capsys, broken):
+    """With both ``--space`` and ``--pivot`` given, the one error line says
+    which file's contents were refused."""
+    space = ss.build_nasbench_space(3, 3)
+    files = {"space": tmp_path / "space.json", "pivot": tmp_path / "pivot.json"}
+    files["space"].write_text(ss.serialize(space))
+    files["pivot"].write_text(ss.serialize(ss.materialize(space, ss.minimal_dna(ss.abstract_search_space(space)))))
+    table = tmp_path / "table.json"
+    assert cli.main(["dump-table", "--builtin", "nasbench", "--nodes", "3", "--ops", "3", "--out", str(table)]) == 0
+    args = ["search", "--space", str(files["space"]), "--oracle", "table", "--table", str(table),
+            "--flow", "separate", "--partition", "op", "--trials", "2", "--phase2-trials", "2",
+            "--pivot", str(files["pivot"])]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    files[broken].write_text("")
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {files[broken]}: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("depth", [900, 3000])
 def test_deeply_nested_space_is_runtime_error(tmp_path, depth):
     space_file = tmp_path / "deep.json"

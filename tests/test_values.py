@@ -6,13 +6,16 @@ import copy
 import gc
 import pickle
 import random
+import re
 import sys
 import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symsearch as ss
-from symsearch import schema
+from symsearch import schema, values
 from symsearch.errors import (
     BindingConflict,
     ConstraintViolation,
@@ -21,9 +24,10 @@ from symsearch.errors import (
     MissingRequiredField,
     PathNotFound,
     ReservedKey,
+    SymsearchError,
 )
-from symsearch.paths import KeyPath
-from symsearch.values import Mapping, Primitive
+from symsearch.paths import KeyPath, as_path
+from symsearch.values import Delete, Insert, Mapping, Primitive, Sequence, Set, _Edit, get
 
 
 # -- construction and equality ------------------------------------------------
@@ -225,6 +229,178 @@ def test_rebind_set_then_get_leaves_siblings(trainer):
     assert ss.get(rebound, "model.children[0].filters") == 16
     assert ss.equal(rebound["model"]["children"][1], before["model"]["children"][1])
     assert ss.equal(rebound["augment_policy"], before["augment_policy"])
+
+
+# -- rebind: one descent resolves and checks each path -------------------------
+
+# The rules as they stood when `rebind` walked every edit path from the root
+# with `get` before a second descent built the plan: `_reference_validate_directive`
+# is that check word for word, and `_reference_plan` that plan.  Patched in
+# for `values._plan`, they give what the two-walk rebind raised or returned.
+
+def _reference_validate_directive(x, path, directive):
+    if isinstance(directive, Set):
+        get(x, path)  # raises PathNotFound when unresolvable
+        return
+    if path.is_root:
+        raise IllegalDirective("insert/delete cannot target the root")
+    parent = get(x, path.parent)
+    key = path.last
+    if isinstance(directive, Insert):
+        if not isinstance(parent, Sequence) or type(key) is not int:
+            raise IllegalDirective(f"insert requires a sequence parent at {path.parent.render()!r}")
+        if not 0 <= key <= len(parent):
+            raise IllegalDirective(f"insert index {key} out of range 0..{len(parent)}")
+        return
+    # Delete
+    if isinstance(parent, Sequence):
+        if type(key) is not int or not 0 <= key < len(parent):
+            raise IllegalDirective(f"delete index out of range at {path.render()!r}")
+    elif isinstance(parent, Mapping):
+        get(x, path)
+    else:
+        raise IllegalDirective(f"delete requires a sequence or mapping parent at {path.parent.render()!r}")
+
+
+def _reference_plan(x, edits):
+    plan = [(as_path(path), d if isinstance(d, (Set, Insert, Delete)) else Set(d))
+            for path, d in edits.items()]
+    for path, directive in plan:
+        _reference_validate_directive(x, path, directive)
+    top = _Edit(x)
+    for index, (path, directive) in enumerate(plan):
+        edit = top
+        for key in path.segments:
+            sub = edit.below.get(key)
+            if sub is None:
+                try:
+                    child = edit.node.get_child(key)
+                except PathNotFound:
+                    child = None  # an Insert after the last element
+                sub = edit.below[key] = _Edit(child)
+            edit = sub
+        if isinstance(directive, Set):
+            edit.order = (2, -len(path.segments), index)
+        else:
+            edit.order = (0 if isinstance(directive, Insert) else 1, 0, index)
+        edit.directive = directive
+    return top
+
+
+Box = ss.TypeDef("RebindBox", [ss.Param("item", schema.Any()), ss.Param("size", schema.Int(min=0))])
+
+# Keys that miss, keys of the wrong kind for a mapping or a sequence, and
+# keys that some nodes have.
+EDIT_KEYS = ("a", "b", "zz", "item", "size", "candidates", 0, 1, 2, 3)
+
+
+def random_tree(rng, depth=0):
+    """A small tree, whose root is never a primitive."""
+    roll = rng.random()
+    if depth == 3 or (depth and roll < 0.3):
+        return rng.choice([0, 1, "t", None])
+    if roll < 0.55:
+        return [random_tree(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if roll < 0.75:
+        return {key: random_tree(rng, depth + 1) for key in rng.sample("abc", rng.randint(0, 3))}
+    if roll < 0.9:
+        return Box(item=random_tree(rng, depth + 1), size=rng.randint(0, 2))
+    return ss.oneof([rng.randint(0, 9), [rng.randint(10, 19), rng.randint(20, 29)]])
+
+
+def random_directive(rng, node):
+    roll = rng.random()
+    value = rng.choice([-1, node.clone()]) if roll < 0.15 else random_tree(rng, 2)
+    if roll < 0.3:
+        return value  # a bare value is a Set
+    return ss.DELETE if roll < 0.6 else ss.Insert(value) if roll < 0.8 else ss.Set(value)
+
+
+def random_edits(rng, tree) -> dict:
+    """One to four edits at paths that exist, miss, cross a primitive, name
+    the root, or sit at or below an Insert after a sequence's last element."""
+    nodes = list(ss.walk(tree))
+    edits = {}
+    for _ in range(rng.randint(1, 4)):
+        path, node = rng.choice(nodes)
+        roll = rng.random()
+        if roll < 0.35:
+            path = path.child(rng.choice(EDIT_KEYS))
+            if rng.random() < 0.3:
+                path = path.child(rng.choice(EDIT_KEYS))
+        elif roll < 0.5 and isinstance(node, Sequence):
+            path = path.child(len(node) + rng.choice([0, 0, 1]))
+            edits[path] = ss.Insert(random_tree(rng, 2))
+            path = path.child(rng.choice(EDIT_KEYS))
+        elif roll < 0.55:
+            path = KeyPath()
+        edits[path.render() if rng.random() < 0.5 else path] = random_directive(rng, node)
+    return edits
+
+
+def rebind_outcome(tree, edits):
+    try:
+        return "returned", ss.serialize(ss.rebind(tree, edits))
+    except SymsearchError as exc:
+        return type(exc), str(exc)
+
+
+def reference_outcome(tree, edits):
+    with mock.patch.object(values, "_plan", _reference_plan):
+        return rebind_outcome(tree, edits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rebind_refuses_and_returns_as_the_two_walk_check_did(seed):
+    """`rebind`'s one descent per path raises the error class and message the
+    separate `get` walks raised, for the first refused edit in mapping
+    order, or returns the tree they let through."""
+    rng = random.Random(seed)
+    tree = ss.to_symbolic(random_tree(rng))
+    edits = random_edits(rng, tree)
+    assert rebind_outcome(tree, edits) == reference_outcome(tree, edits)
+
+
+def test_rebind_matches_the_two_walk_check_on_fixed_seeds_that_reach_every_refusal():
+    """The property above over a fixed run of seeds, which between them meet
+    every rule: each refusal text of the reference (quoted paths and numbers
+    blanked), a refused field, and trees returned."""
+    texts = set()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        tree = ss.to_symbolic(random_tree(rng))
+        edits = random_edits(rng, tree)
+        kind, text = outcome = reference_outcome(tree, edits)
+        assert rebind_outcome(tree, edits) == outcome, seed
+        texts.add("returned" if kind == "returned" else re.sub(r"'[^']*'|\d+", "#", text))
+    assert texts >= {
+        "returned", "no node at #", "insert/delete cannot target the root",
+        "insert requires a sequence parent at #", "insert index # out of range #..#",
+        "delete index out of range at #", "delete requires a sequence or mapping parent at #",
+        "value at # violates Int(min=#, max=None) (out of range [#, None]): -#"}
+
+
+@pytest.mark.parametrize("edits, walked", [
+    ({"optimizer.learning_rate": 0.02, "model.children[5]": ss.Set(None)}, 5),
+    ({"model.children[8]": ss.Insert(None)}, 3),
+    ({"model.children[2]": ss.DELETE}, 3),
+    ({"model.children[1].units": 5, "model.children[2].units": 6, "model.children[1]": ss.Insert(None)}, 6),
+], ids=["two-sets", "insert-after-last", "delete", "shared-prefix"])
+def test_a_mapping_rebind_calls_get_child_once_per_trie_edge(types, monkeypatch, edits, walked):
+    """Each edge of the edit trie is resolved once, by the descent that
+    places it; no separate walk from the root checks a path first."""
+    layers = [types.Dense(units=units) for units in range(1, 9)]
+    tree = ss.Mapping({"model": types.Sequential(children=layers),
+                       "optimizer": types.Adam(learning_rate=0.01)})
+    keys = []
+    for cls in (values.SymbolicValue, Sequence, Mapping, values.ObjectNode):
+        def counted(self, key, resolve=cls.__dict__["get_child"]):
+            keys.append(key)
+            return resolve(self, key)
+        monkeypatch.setattr(cls, "get_child", counted)
+    ss.rebind(tree, edits)
+    assert len(keys) == walked
 
 
 # -- rebind: transform form ------------------------------------------------------
