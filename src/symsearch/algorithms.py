@@ -239,6 +239,7 @@ def _mutated(points, decisions, site, rng: Random, tokens, at: int, active):
             if tokens is not None:
                 old, fresh = [], []
                 _emit(point, decision, old)
+                # Checks `new` (test_a_mutation_checks_its_resampled_decision): not a redundant encode.
                 _encode_points([point], [new], fresh, None)
                 tokens[at:at + len(old)] = fresh
             if active is not None and isinstance(point, CategoricalPoint):

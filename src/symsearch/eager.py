@@ -125,6 +125,7 @@ def eager_oneof(candidates, hints: str | None = None):
             values.append(candidate)
             point.subspaces.append(sub)
         return values[0]
+    # Inline on purpose: a prologue helper, _take here and a merged intv/floatv ran eager-program ×0.91.
     cursor = ctx._cursor
     points = ctx._points
     if cursor >= len(points):

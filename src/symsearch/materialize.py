@@ -9,14 +9,15 @@ Partial materialization substitutes only the selected decision points and
 copies every other hyper value verbatim, which is how a space splits into a
 sub-space and its complement.  Inputs are never mutated.
 
-Full and partial materialization compile the space once into a builder and
-run it for every DNA.  The last compiled space is cached by identity (with
-its selector), so a search loop compiles once.  The builder makes each node
-directly and attaches its children, and an int or float leaf skips the type
-and finiteness checks of ``Primitive``, which a conforming DNA has passed.
-Materialization checks nothing else: every object in the space checked its
-fields when it was built or rebound, and a spec accepts a hyper value only
-when every materialization of it would be accepted, so every child is valid.
+Full and partial materialization compile the space once, every candidate
+included, into a read-only builder and run it for every DNA.  The last
+compiled space is cached by identity (with its selector), so a search loop
+compiles once.  The builder makes each node directly and attaches its
+children, and an int or float leaf skips the type and finiteness checks of
+``Primitive``, which a conforming DNA has passed.  Materialization checks
+nothing else: every object in the space checked its fields when it was built
+or rebound, and a spec accepts a hyper value only when every materialization
+of it would be accepted, so every child is valid.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def _compile(node, points, selector):
 
     Hyper values meet `points` (their level of the spec) in pre-order.
     ``build(decisions)`` takes the selected decisions in order from the
-    `decisions` iterator.  A categorical compiles a candidate the first time
-    it is chosen.  A node is made as its kind's ``_copy`` makes it, inline:
-    a call per node to a method of its kind costs a sixth of the build.
+    `decisions` iterator.  A categorical compiles every candidate with itself,
+    so a compiled plan is read-only.  Nodes are made as their kinds' ``_copy``
+    makes them, inline: a method call per node costs a sixth of the build.
     """
     if isinstance(node, HyperValue):
         point = next(points)
@@ -119,22 +120,16 @@ def _compile(node, points, selector):
                 leaf.value = float(next(decisions)) if floating else next(decisions)
                 return leaf
             return build_leaf
-        candidates, subspaces = node.candidates, point.subspaces
-        table = [None] * len(candidates)
-
-        def compiled(index):
-            candidate = candidates[index]
-            table[index] = build = _compile(candidate, iter(subspaces[index]), selector) or (
-                lambda decisions: candidate._copy())
-            return build
-
+        builders = [_compile(candidate, iter(subspace), selector)
+                    or (lambda decisions, candidate=candidate: candidate._copy())
+                    for candidate, subspace in zip(node.candidates, point.subspaces)]
         if node.k == 1:
             def build_one(decisions):
                 (choice,) = next(decisions)
-                return (table[choice.index] or compiled(choice.index))(iter(choice.children))
+                return builders[choice.index](iter(choice.children))
             return build_one
-        return lambda decisions: Sequence([(table[choice.index] or compiled(choice.index))(
-            iter(choice.children)) for choice in next(decisions)])
+        return lambda decisions: Sequence([builders[choice.index](iter(choice.children))
+                                           for choice in next(decisions)])
 
     plan = [(key, child, _compile(child, points, selector)) for key, child in node.child_items()]
     if all(build is None for _, _, build in plan):
@@ -218,7 +213,7 @@ def _match_tree(space_node, prog_node):
 
 
 def _match_categorical(node: Categorical, prog):
-    if node.k == 1:
+    if node.k == 1:  # not _assign_slots: that ran tree-edit ×0.94, op_us_p90 ×1.15
         for index, candidate in enumerate(node.candidates):
             sub = _match_tree(candidate, prog)
             if sub is not None:

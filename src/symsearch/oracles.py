@@ -156,6 +156,8 @@ class TableOracle:
                 spec, rewards = table_from_json_obj(json.load(handle))
         except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
+        except RecursionError:
+            raise MalformedDocument(f"bad table file {path}: document is nested too deeply") from None
         table = cls(spec, rewards)
         for key in rewards:
             try:

@@ -226,6 +226,18 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+_ONE_CANDIDATE = ('{"kind": "categorical", "id": "c", "k": 1, "n": 1, "distinct": true, '
+                  '"sorted": false, "hints": null, "subspaces": [[')
+
+# Table files nested past the recursion limit: a spec value of 3,000 nested
+# lists, and 900 one-candidate categoricals each nested in the one before.
+DEEP_TABLES = {
+    "brackets": '{"spec": ' + "[" * 3000 + "]" * 3000 + ', "rewards": {}}',
+    "subspace-chain": ('{"spec": {"points": [' + _ONE_CANDIDATE * 900 + "]]}" * 900
+                       + ']}, "rewards": {}}'),
+}
+
+
 @pytest.fixture()
 def make_generator():
     def factory(seed: int, **kwargs) -> SpaceGenerator:

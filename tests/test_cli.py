@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import symsearch as ss
-from conftest import strict_json
+from conftest import DEEP_TABLES, strict_json
 from symsearch import cli, errors, hyper, schema
 
 BASE = [sys.executable, "-m", "symsearch.cli"]
@@ -572,19 +572,22 @@ def test_malformed_hyper_document_is_runtime_error(tmp_path, document):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("flag", ["--space", "--pivot"])
+@pytest.mark.parametrize("flag", ["--space", "--pivot", "--table"])
 def test_a_file_that_is_not_utf8_is_a_runtime_error_naming_it(tmp_path, flag):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe[\x001\x00]\x00")
+    search = ("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3", "--trials", "2")
     if flag == "--space":
         args = ("inspect", "--space", str(bad))
+    elif flag == "--pivot":
+        args = (*search, "--oracle", "synthetic", "--flow", "separate", "--partition", "op",
+                "--phase2-trials", "2", "--pivot", str(bad))
     else:
-        args = ("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
-                "--oracle", "synthetic", "--flow", "separate", "--partition", "op",
-                "--trials", "2", "--phase2-trials", "2", "--pivot", str(bad))
+        args = (*search, "--oracle", "table", "--table", str(bad))
     result = run_cli(*args)
     assert result.returncode == 1
-    assert result.stderr.startswith(f"error: {bad} is not UTF-8 text")
+    assert result.stderr.startswith(f"error: bad table file {bad}: 'utf-8' codec can't decode"
+                                    if flag == "--table" else f"error: {bad} is not UTF-8 text")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     assert result.stdout == ""
 
@@ -622,3 +625,14 @@ def test_deeply_nested_space_is_runtime_error(tmp_path, depth):
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TABLES))
+def test_deeply_nested_table_is_runtime_error(tmp_path, name):
+    table = tmp_path / "deep.json"
+    table.write_text(DEEP_TABLES[name])
+    result = run_cli("search", "--builtin", "nasbench", "--nodes", "3", "--ops", "3",
+                     "--oracle", "table", "--table", str(table), "--trials", "1")
+    assert result.returncode == 1
+    assert result.stderr == f"error: bad table file {table}: document is nested too deeply\n"
+    assert result.stdout == ""

@@ -122,9 +122,10 @@ def test_materialize_refuses_a_nonconforming_leaf_before_building(monkeypatch, d
     assert compiled == []
 
 
-def test_a_prepared_space_compiles_its_root_and_each_chosen_candidate_once(monkeypatch):
-    """100 builds of one space compile the root's nodes once and each chosen
-    candidate's nodes once, counted per candidate below."""
+def test_a_prepared_space_compiles_its_root_and_each_candidate_once(monkeypatch):
+    """The first of 100 builds of one space compiles the root's nodes and
+    every candidate's nodes, counted per candidate below, and the other 99
+    compile nothing."""
     space = ss.Mapping({
         "a": oneof([ss.Mapping({"x": intv(0, 3)}), 2, ss.floatv(0.0, 1.0)]),
         "b": manyof(2, [ss.Sequence([intv(0, 1)]), 5], distinct=False),
@@ -132,13 +133,11 @@ def test_a_prepared_space_compiles_its_root_and_each_chosen_candidate_once(monke
     nodes = {("a", 0): 2, ("a", 1): 1, ("a", 2): 1, ("b", 0): 2, ("b", 1): 1}
     spec = abstract_search_space(space)
     compiled = count_calls(monkeypatch, "_compile", materialize_module)
-    rng, chosen = random.Random(0), set()
-    for _ in range(100):
-        dna = random_dna(spec, rng)
-        materialize_prepared(space, spec, dna)
-        chosen |= {(key, choice.index) for key, decision in zip("ab", dna.decisions)
-                   for choice in decision}
-    assert chosen == set(nodes)
+    rng = random.Random(0)
+    materialize_prepared(space, spec, random_dna(spec, rng))
+    assert len(compiled) == 3 + sum(nodes.values())
+    for _ in range(99):
+        materialize_prepared(space, spec, random_dna(spec, rng))
     assert len(compiled) == 3 + sum(nodes.values())
 
 

@@ -38,6 +38,8 @@ from symsearch.oracles import (
 )
 from symsearch.prng import SplitMix64, mix64
 
+from conftest import DEEP_TABLES
+
 
 MASK = (1 << 64) - 1
 
@@ -299,6 +301,15 @@ def test_table_load_names_the_key_and_the_type_of_a_bad_shape(tmp_path, edit, me
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedDocument, match=rf"bad table file .*: {re.escape(message)}$"):
         TableOracle.load(path)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TABLES))
+def test_table_load_refuses_a_table_nested_too_deeply(tmp_path, name):
+    path = tmp_path / "table.json"
+    path.write_text(DEEP_TABLES[name])
+    with pytest.raises(MalformedDocument) as caught:
+        TableOracle.load(path)
+    assert str(caught.value) == f"bad table file {path}: document is nested too deeply"
 
 
 def test_table_unknown_key():

@@ -184,7 +184,7 @@ def test_builders_equal_the_substitution_through_copy(spaces, seed, integral):
     """Full and partial materialization build what substitution through
     ``_copy(replaced)`` builds.  Spaces A, B, A take turns and the selector
     changes every few calls, so the one-entry plan cache recompiles, while
-    the calls in between reuse a plan whose candidates compile as chosen.
+    the calls in between reuse a plan that compiled every candidate.
     With `integral`, the top-level float decision is an int."""
     rng = random.Random(seed)
     first, second = (with_tuples(space) for space in spaces)
