@@ -24,6 +24,7 @@ from .decisions import (
     IntPoint,
     _emit,
     _encode_points,
+    _plan,
     encode_dna,
     enumerate_dnas,
     random_decisions,
@@ -176,7 +177,11 @@ class RegularizedEvolution(SearchAlgorithm):
             tokens = []
             return random_dna(self.spec, self.rng, tokens), "|".join(tokens)
         contenders = self.rng.sample(list(self.population), self.tournament_size)
-        _, parent, _, text, count = max(contenders, key=lambda entry: (entry[2], -entry[0]))
+        best = contenders[0]  # the highest reward, and the earliest member on a tie
+        for entry in contenders:
+            if entry[2] > best[2] or entry[2] == best[2] and entry[0] < best[0]:
+                best = entry
+        _, parent, _, text, count = best
         tokens, active = text.split("|"), [count]
         child = mutate(parent, self.spec, self.rng, tokens=tokens, active=active)
         self._counted = child, active[0]
@@ -207,8 +212,8 @@ def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None
     total = _count_active(spec.points, dna.decisions) if active is None else active[0]
     if not total:
         return dna
-    _, decisions, _ = _mutated(spec.points, dna.decisions, rng.randrange(total), rng,
-                               tokens, 0, active)
+    _, decisions, _ = _mutate_level(_plan(spec), dna.decisions, rng.randrange(total), rng,
+                                    tokens, 0, active)
     return dna if decisions is None else DNA(decisions)
 
 
@@ -223,47 +228,62 @@ def _count_active(points, decisions) -> int:
     return total
 
 
-def _mutated(points, decisions, site, rng: Random, tokens, at: int, active):
-    """Walk `decisions` in pre-order to their `site`-th active decision and
-    resample it, counting in `at` the `tokens` walked.  Returns ``(site less
-    the decisions walked, None, at)`` when the site lies beyond them, else
-    ``(-1, rebuilt, at)``: `rebuilt` copies only the lists on the path to the
-    site, or is None if the resample kept it.  A new decision is checked and
-    spliced into `tokens`, and `active[0]` gains its change, unless None: a
+def _mutate_level(plan, decisions, site, rng: Random, tokens, at: int, active):
+    """Find the `site`-th active decision of `decisions`, whose level `plan`
+    is from ``decisions._compile``, and resample it, counting in `at` the
+    `tokens` passed: a flat level jumps to its site, and a walk passes a
+    flat subspace before the site whole.  Returns ``(site less the decisions
+    passed, None, at)`` when the site lies beyond them, else ``(-1, rebuilt,
+    at)``: `rebuilt` copies only the lists on the path to the site, or is
+    None if the resample kept it.  A new decision is checked and spliced
+    into `tokens`, and `active[0]` gains its change, unless None: a
     categorical's, over its switched slots (a kept slot keeps its Choice)."""
-    for i, (point, decision) in enumerate(zip(points, decisions)):
-        if not site:
-            new = _resample(point, decision, rng)
-            if new is decision:
-                return -1, None, at
-            if tokens is not None:
-                old, fresh = [], []
-                _emit(point, decision, old)
-                # Checks `new` (test_a_mutation_checks_its_resampled_decision): not a redundant encode.
-                _encode_points([point], [new], fresh, None)
-                tokens[at:at + len(old)] = fresh
-            if active is not None and isinstance(point, CategoricalPoint):
-                for now, was in zip(new, decision):  # no closure: `point` stays a fast local
-                    if now is not was:
-                        active[0] += (_count_active(point.subspaces[now.index], now.children)
-                                      - _count_active(point.subspaces[was.index], was.children))
-            return -1, [*decisions[:i], new, *decisions[i + 1:]], at
-        site -= 1
-        if not isinstance(point, CategoricalPoint):
-            at += 1
-            continue
-        for slot, choice in enumerate(decision):
-            at += 1
-            if subspace := point.subspaces[choice.index]:
-                site, children, at = _mutated(subspace, choice.children, site, rng, tokens,
-                                              at, active)
+    entries, offsets = plan
+    if offsets is not None:
+        if site >= len(entries):
+            return site - len(entries), None, at + offsets[-1]
+        i, at = site, at + offsets[site]
+    else:
+        for i, (_, _, _, _, _, subplans) in enumerate(entries):
+            if not site:
+                break
+            site -= 1
+            if subplans is None:  # a range
+                at += 1
+                continue
+            for slot, choice in enumerate(decision := decisions[i]):
+                at += 1
+                if (sub := subplans[choice.index]) is None:
+                    continue
+                if sub[1] is not None and site >= len(sub[0]):
+                    site, at = site - len(sub[0]), at + sub[1][-1]
+                    continue
+                site, children, at = _mutate_level(sub, choice.children, site, rng, tokens,
+                                                   at, active)
                 if site < 0:
                     if children is None:
                         return -1, None, at
                     new = list(decision)
                     new[slot] = Choice(choice.index, children)
                     return -1, [*decisions[:i], new, *decisions[i + 1:]], at
-    return site, None, at
+        else:
+            return site, None, at
+    _, point, _, _, _, subplans = entries[i]
+    new = _resample(point, decision := decisions[i], rng)
+    if new is decision:
+        return -1, None, at
+    if tokens is not None:
+        old, fresh = [], []
+        _emit(point, decision, old)
+        # Checks `new` (test_a_mutation_checks_its_resampled_decision): not a redundant encode.
+        _encode_points([point], [new], fresh, None)
+        tokens[at:at + len(old)] = fresh
+    if active is not None and offsets is None and subplans is not None:
+        for now, was in zip(new, decision):  # no closure: `point` stays a fast local
+            if now is not was:
+                active[0] += (_count_active(point.subspaces[now.index], now.children)
+                              - _count_active(point.subspaces[was.index], was.children))
+    return -1, [*decisions[:i], new, *decisions[i + 1:]], at
 
 
 def _resample(point, decision, rng: Random):
@@ -283,6 +303,10 @@ def _resample(point, decision, rng: Random):
     # Categorical: resample the whole index tuple, unless it is the only feasible one.
     if point.n == 1 or (point.distinct and point.sorted and point.k == point.n):
         return decision
+    if point.k == 1:  # the draws of random_tuple
+        while (index := rng.randrange(point.n)) == decision[0].index:
+            pass
+        return [Choice(index, random_decisions(point.subspaces[index], rng, []))]
     current = [c.index for c in decision]
     while True:
         indices = random_tuple(point, rng)

@@ -99,7 +99,7 @@ def load_document(path: str):
     try:
         return deserialize(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"{path} is not UTF-8 text: {exc}") from None
+        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from None
     except SymsearchError as exc:
         raise MalformedDocument(f"{path}: {exc}") from None
 

@@ -16,6 +16,7 @@ values.  The canonical text form flattens decisions in pre-order joined by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from random import Random
 from typing import Callable, Iterator
 
@@ -320,23 +321,80 @@ def _feasible_indices(n: int, distinct: bool, is_sorted: bool, prefix):
 def random_dna(spec: DecisionSpec, rng: Random, tokens: list | None = None) -> DNA:
     """Sample a conforming DNA: categorical tuples uniform over feasible
     tuples, ints uniform inclusive, floats uniform over [min, max].  It
-    appends the DNA's :func:`encode_dna` tokens to `tokens` as it draws."""
-    return DNA(random_decisions(spec.points, rng, [] if tokens is None else tokens))
+    appends the DNA's :func:`encode_dna` tokens to `tokens` as it draws,
+    through the spec's proposal plan (see :func:`_plan`)."""
+    return DNA(_draw(_plan(spec)[0], rng, [] if tokens is None else tokens))
 
 
 def random_decisions(points, rng: Random, tokens: list) -> list:
-    out = []
+    """The decisions :func:`random_dna` would draw for `points`, through a
+    plan compiled for them: for a subspace, whose spec's plan is not at hand."""
+    return _draw(_compile(points)[0], rng, tokens) if points else []
+
+
+# A proposal plan: a spec's points compiled once, per level one table entry
+# per point, so that a draw or a mutation dispatches on no type.
+_ONE, _MANY, _INT, _FLOAT = range(4)
+_PLANS: list = []  # (spec, plan) of the last four specs drawn from, the latest first
+
+
+def _plan(spec: DecisionSpec) -> tuple:
+    """The plan of `spec`, found by identity (a factorized flow alternates
+    its outer and inner specs) or compiled.  A spec is read-only once a
+    proposal has been drawn from it."""
+    if _PLANS and _PLANS[0][0] is spec:
+        return _PLANS[0][1]
+    entry = next((entry for entry in _PLANS if entry[0] is spec), None) or (
+        spec, _compile(spec.points))
+    _PLANS[:] = [entry, *(other for other in _PLANS if other is not entry)][:4]
+    return entry[1]
+
+
+def _compile(points) -> tuple:
+    """One level's plan, ``(entries, offsets)``.  A categorical's entry is
+    ``(kind, point, n, n.bit_length(), token of each index, plan of each
+    candidate's subspace or None)``, a range's ``(kind, point, None, ...)``.
+    A flat level, whose points hold no nested decisions, has each point's
+    token offset and its token count last in `offsets`; others have None."""
+    entries, widths = [], []
     for point in points:
         if isinstance(point, CategoricalPoint):
-            out.append([])
-            for i in random_tuple(point, rng):
-                tokens.append(str(i))
-                out[-1].append(Choice(i, random_decisions(sub, rng, tokens)
-                                      if (sub := point.subspaces[i]) else []))
+            subplans = [_compile(sub) if sub else None for sub in point.subspaces]
+            entries.append((_ONE if point.k == 1 else _MANY, point, point.n,
+                            point.n.bit_length(), [str(i) for i in range(point.n)], subplans))
+            widths.append(None if any(subplans) else point.k)
         else:
-            out.append(rng.randint(point.min, point.max) if isinstance(point, IntPoint)
-                       else rng.uniform(point.min, point.max))
-            tokens.append(_token(point, out[-1]))
+            entries.append((_INT if isinstance(point, IntPoint) else _FLOAT, point,
+                            None, None, None, None))
+            widths.append(1)
+    return entries, None if None in widths else list(accumulate(widths, initial=0))
+
+
+def _draw(entries, rng: Random, tokens: list) -> list:
+    """Decisions drawn through a level's entries.  A one-of draws its index
+    by ``getrandbits`` as ``rng.randrange(n)`` does, redrawing an index that
+    is not below n, so both leave `rng` in the same state."""
+    out = []
+    for kind, point, n, bits, strings, subplans in entries:
+        if kind == _ONE:
+            index = rng.getrandbits(bits)
+            while index >= n:
+                index = rng.getrandbits(bits)
+            tokens.append(strings[index])
+            sub = subplans[index]
+            out.append([Choice(index, _draw(sub[0], rng, tokens) if sub else [])])
+        elif kind == _MANY:
+            out.append(choices := [])
+            for index in random_tuple(point, rng):
+                tokens.append(strings[index])
+                sub = subplans[index]
+                choices.append(Choice(index, _draw(sub[0], rng, tokens) if sub else []))
+        elif kind == _INT:
+            out.append(value := rng.randint(point.min, point.max))
+            tokens.append(str(value))
+        else:
+            out.append(value := rng.uniform(point.min, point.max))
+            tokens.append(repr(float(value)))
     return out
 
 

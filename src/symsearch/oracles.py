@@ -154,6 +154,8 @@ class TableOracle:
         try:
             with open(Path(path), "r", encoding="utf-8") as handle:
                 spec, rewards = table_from_json_obj(json.load(handle))
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"bad table file {path}: not UTF-8 text: {exc}") from None
         except (OSError, ValueError, TypeError, MalformedDocument) as exc:
             raise MalformedDocument(f"bad table file {path}: {exc}") from None
         except RecursionError:

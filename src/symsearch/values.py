@@ -596,10 +596,13 @@ def _plan(x: SymbolicValue, edits: dict) -> _Edit:
                 _check_splice(edit.node, path, directive)
             sub = edit.below.get(key)
             if sub is None:
-                try:
-                    child = edit.node.get_child(key)
-                except PathNotFound:
-                    child = None  # an Insert after the last element, or a refused path
+                if depth == last and isinstance(directive, Insert) and key == len(edit.node):
+                    child = None  # an Insert after the last element, which _check_splice let by
+                else:
+                    try:
+                        child = edit.node.get_child(key)
+                    except PathNotFound:
+                        child = None  # a refused path
                 sub = edit.below[key] = _Edit(child)
             edit = sub
             if edit.node is None and not (depth == last and isinstance(directive, Insert)):

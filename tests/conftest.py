@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import symsearch as ss
 from symsearch import schema
@@ -217,6 +217,14 @@ class SpaceGenerator:
 
     def continuous_candidate(self, depth: int = 0):
         return floatv(0.0, float(self.rng.randint(1, 5)), hints=self.hint())
+
+
+def seeded_spaces(**options):
+    """SpaceGenerator seeded with a drawn integer.  Its trees are as varied
+    as the generator makes them, while hypothesis-made randoms mostly give
+    trees with one decision point or none."""
+    return st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: SpaceGenerator(random.Random(seed), **options).space())
 
 
 def strict_json(text: str):

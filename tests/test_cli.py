@@ -586,8 +586,8 @@ def test_a_file_that_is_not_utf8_is_a_runtime_error_naming_it(tmp_path, flag):
         args = (*search, "--oracle", "table", "--table", str(bad))
     result = run_cli(*args)
     assert result.returncode == 1
-    assert result.stderr.startswith(f"error: bad table file {bad}: 'utf-8' codec can't decode"
-                                    if flag == "--table" else f"error: {bad} is not UTF-8 text")
+    prefix = f"bad table file {bad}" if flag == "--table" else str(bad)
+    assert result.stderr.startswith(f"error: {prefix}: not UTF-8 text: 'utf-8' codec can't decode")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     assert result.stdout == ""
 

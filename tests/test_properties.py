@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
-from conftest import HOLDERS, SpaceGenerator
+from conftest import HOLDERS, SpaceGenerator, seeded_spaces
 from symsearch import algorithms
 from symsearch.algorithms import RegularizedEvolution, _resample, mutate
 from symsearch.decisions import (
@@ -52,14 +52,6 @@ SELECTORS = {
     "categorical": lambda p: isinstance(p, CategoricalPoint),
     "range": lambda p: not isinstance(p, CategoricalPoint),
 }
-
-
-def seeded_spaces(**options):
-    """SpaceGenerator seeded with a drawn integer.  Its trees are as varied
-    as the generator makes them, while hypothesis-made randoms mostly give
-    trees with one decision point or none."""
-    return st.integers(0, 2 ** 32 - 1).map(
-        lambda seed: SpaceGenerator(random.Random(seed), **options).space())
 
 
 def assert_fresh_tree(tree, space):

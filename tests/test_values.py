@@ -383,13 +383,14 @@ def test_rebind_matches_the_two_walk_check_on_fixed_seeds_that_reach_every_refus
 
 @pytest.mark.parametrize("edits, walked", [
     ({"optimizer.learning_rate": 0.02, "model.children[5]": ss.Set(None)}, 5),
-    ({"model.children[8]": ss.Insert(None)}, 3),
+    ({"model.children[8]": ss.Insert(None)}, 2),
     ({"model.children[2]": ss.DELETE}, 3),
     ({"model.children[1].units": 5, "model.children[2].units": 6, "model.children[1]": ss.Insert(None)}, 6),
 ], ids=["two-sets", "insert-after-last", "delete", "shared-prefix"])
 def test_a_mapping_rebind_calls_get_child_once_per_trie_edge(types, monkeypatch, edits, walked):
     """Each edge of the edit trie is resolved once, by the descent that
-    places it; no separate walk from the root checks a path first."""
+    places it; no separate walk from the root checks a path first, and an
+    Insert after the last element resolves no node."""
     layers = [types.Dense(units=units) for units in range(1, 9)]
     tree = ss.Mapping({"model": types.Sequential(children=layers),
                        "optimizer": types.Adam(learning_rate=0.01)})
@@ -401,6 +402,26 @@ def test_a_mapping_rebind_calls_get_child_once_per_trie_edge(types, monkeypatch,
         monkeypatch.setattr(cls, "get_child", counted)
     ss.rebind(tree, edits)
     assert len(keys) == walked
+
+
+def test_an_insert_after_the_last_element_asks_get_child_nothing_that_raises(types, monkeypatch):
+    """An Insert whose index is the sequence's length needs no node there,
+    so no `get_child` call builds a PathNotFound; the rebind still inserts."""
+    layers = [types.Dense(units=units) for units in range(1, 9)]
+    tree = ss.Mapping({"model": types.Sequential(children=layers), "tail": ss.Sequence([1, 2])})
+    raised = []
+    for cls in (values.SymbolicValue, Sequence, Mapping, values.ObjectNode):
+        def watched(self, key, resolve=cls.__dict__["get_child"]):
+            try:
+                return resolve(self, key)
+            except PathNotFound:
+                raised.append(key)
+                raise
+        monkeypatch.setattr(cls, "get_child", watched)
+    rebound = ss.rebind(tree, {"model.children[8]": ss.Insert(types.Identity()),
+                               "tail[2]": ss.Insert(3), "tail[0]": ss.Insert(0)})
+    assert raised == []
+    assert len(rebound["model"]["children"]) == 9 and list(rebound["tail"]) == [0, 1, 2, 3]
 
 
 # -- rebind: transform form ------------------------------------------------------
