@@ -176,7 +176,7 @@ class RegularizedEvolution(SearchAlgorithm):
         if self._feedback_count < self.population_size:
             tokens = []
             return random_dna(self.spec, self.rng, tokens), "|".join(tokens)
-        contenders = self.rng.sample(list(self.population), self.tournament_size)
+        contenders = self.rng.sample(self.population, self.tournament_size)
         best = contenders[0]  # the highest reward, and the earliest member on a tie
         for entry in contenders:
             if entry[2] > best[2] or entry[2] == best[2] and entry[0] < best[0]:

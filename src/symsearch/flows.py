@@ -147,8 +147,16 @@ class FlowReport:
 
     def write_summary(self, path) -> None:
         with open(Path(path), "w", encoding="utf-8") as handle:
-            json.dump(self.summary_dict(), handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
+            handle.write(_indented(self.summary_dict()) + "\n")
+
+
+def _indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` of a summary (dicts and
+    scalars), without the pure-Python encoder an indent runs, which leaves a cycle per call."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value, allow_nan=False)
+    return "{" + ",".join(f"{indent}  {json.dumps(key)}: {_indented(value[key], indent + '  ')}"
+                          for key in sorted(value)) + indent + "}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .values import (
     Primitive,
     Sequence,
     SymbolicValue,
-    equal,
+    _equal,
     to_symbolic,
     walk,
 )
@@ -84,7 +84,7 @@ class Categorical(HyperValue):
     def _equals_same_kind(self, other):
         return (self.k == other.k and self.distinct == other.distinct
                 and self.sorted == other.sorted and self.hints == other.hints
-                and equal(self._candidates, other._candidates))
+                and _equal(self._candidates, other._candidates))
 
     def __repr__(self):
         flags = f", k={self.k}, distinct={self.distinct}, sorted={self.sorted}"

@@ -37,8 +37,7 @@ from .decisions import (
 )
 from .errors import NonconformingDNA
 from .hyper import Categorical, FloatRange, IntRange
-from .values import (HyperValue, Mapping, ObjectNode, Primitive, Sequence, SymbolicValue, equal,
-                     to_symbolic)
+from .values import HyperValue, Mapping, ObjectNode, Primitive, Sequence, SymbolicValue, to_symbolic
 
 _SELECT_ALL: Selector = lambda point: True
 
@@ -194,17 +193,21 @@ def _match_tree(space_node, prog_node):
     if type(space_node) is not type(prog_node):
         return None
     if isinstance(space_node, Primitive):
-        return [] if equal(space_node, prog_node) else None
-    if isinstance(space_node, ObjectNode) and space_node.type_name != prog_node.type_name:
+        return [] if space_node._equals_same_kind(prog_node) else None
+    if isinstance(space_node, ObjectNode) and space_node.type_def.type_name != prog_node.type_def.type_name:
         return None
-    space_items = list(space_node.child_items())
-    prog_items = list(prog_node.child_items())
-    if len(space_items) != len(prog_items):
-        return None
-    decisions = []
-    for (seg_a, child_a), (seg_b, child_b) in zip(space_items, prog_items):
-        if seg_a != seg_b:
+    if isinstance(space_node, Sequence):
+        mine, theirs = space_node._children, prog_node._children
+        if len(mine) != len(theirs):
             return None
+    else:  # keyed children: the same keys, in the same order
+        mine, theirs = ((space_node._fields, prog_node._fields) if isinstance(space_node, ObjectNode)
+                        else (dict(space_node.child_items()), dict(prog_node.child_items())))
+        if list(mine) != list(theirs):
+            return None
+        mine, theirs = mine.values(), theirs.values()
+    decisions = []
+    for child_a, child_b in zip(mine, theirs):
         sub = _match_tree(child_a, child_b)
         if sub is None:
             return None
@@ -214,14 +217,14 @@ def _match_tree(space_node, prog_node):
 
 def _match_categorical(node: Categorical, prog):
     if node.k == 1:  # not _assign_slots: that ran tree-edit ×0.94, op_us_p90 ×1.15
-        for index, candidate in enumerate(node.candidates):
+        for index, candidate in enumerate(node._candidates._children):
             sub = _match_tree(candidate, prog)
             if sub is not None:
                 return [[Choice(index, sub)]]
         return None
-    if not isinstance(prog, Sequence) or len(prog) != node.k:
+    if not isinstance(prog, Sequence) or len(prog._children) != node.k:
         return None
-    choices = _assign_slots(node, list(prog), [])
+    choices = _assign_slots(node, prog._children, [])
     return None if choices is None else [choices]
 
 
@@ -232,7 +235,7 @@ def _assign_slots(node: Categorical, parts, prefix):
     if slot == len(parts):
         return []
     for index in _feasible_indices(node.num_candidates, node.distinct, node.sorted, prefix):
-        sub = _match_tree(node.candidates[index], parts[slot])
+        sub = _match_tree(node._candidates._children[index], parts[slot])
         if sub is None:
             continue
         rest = _assign_slots(node, parts, prefix + [index])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 from .algorithms import check_reward
 from .decisions import CategoricalPoint, DecisionSpec, FloatPoint, IntPoint
@@ -39,15 +40,15 @@ def serialize(x) -> str:
 def to_json_obj(node: SymbolicValue):
     if isinstance(node, Primitive):
         return node.value
-    if isinstance(node, Sequence):
-        return [to_json_obj(c) for c in node]
-    if isinstance(node, Mapping):
-        return {k: to_json_obj(v) for k, v in node.items()}
     if isinstance(node, ObjectNode):
-        doc = {"_type": node.type_name}
-        for key, child in node.child_items():
+        doc = {"_type": node.type_def.type_name}
+        for key, child in node._fields.items():
             doc[key] = to_json_obj(child)
         return doc
+    if isinstance(node, Sequence):
+        return [to_json_obj(c) for c in node._children]
+    if isinstance(node, Mapping):
+        return {k: to_json_obj(v) for k, v in node._entries.items()}
     if isinstance(node, Categorical):
         doc = {"_hyper": _categorical_form(node)}
         if doc["_hyper"] == "manyof":
@@ -94,10 +95,24 @@ def _finite(text: str) -> float:
 
 
 def from_json_obj(doc, registry: TypeRegistry | None = None) -> SymbolicValue:
-    if isinstance(doc, (bool, int, float, str)) or doc is None:
+    """The tree `doc` describes.  JSON's own text, integers, booleans and null
+    pass no check, nor do a list's fresh children; a float must be finite."""
+    kind = type(doc)
+    if kind is str or kind is int or kind is bool or doc is None:
+        leaf = Primitive.__new__(Primitive)
+        leaf._parent = None
+        leaf.value = doc
+        return leaf
+    if isinstance(doc, (bool, int, float, str)):
         return Primitive(doc)
     if isinstance(doc, list):
-        return Sequence([from_json_obj(item, registry) for item in doc])
+        node = Sequence.__new__(Sequence)
+        node._parent = None
+        node._children = children = [from_json_obj(item, registry) for item in doc]
+        link = weakref.ref(node)
+        for index, child in enumerate(children):
+            child._parent = (link, index)
+        return node
     if not isinstance(doc, dict):
         raise MalformedDocument(f"unsupported JSON value {doc!r}")
     if "_hyper" in doc:

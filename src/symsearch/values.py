@@ -27,11 +27,12 @@ to fire on its way, so no path is walked again.  Inquiry is served by
 :func:`get`, :func:`query`, :func:`parent_of` and :func:`path_of`.
 
 Paths are rendered as text only where text is needed.  A child's key is its
-path segment.  :func:`query` and the transform carry the parent's text down
-and append each child's key by the one-segment rule of
-:mod:`symsearch.paths`; :func:`walk` yields :class:`KeyPath` values;
-:func:`validate_tree` and the re-check after a rebind render a path only for
-the error they raise.
+path segment.  :func:`query` (a loop over a stack of child iterators) and the
+transform (a recursion) carry the parent's text down and append each child's
+key by the one-segment rule of :mod:`symsearch.paths`; :func:`walk` yields
+:class:`KeyPath` values; :func:`validate_tree` and the re-check after a rebind
+render a path only for the error they raise.  Equality, serialization and DNA
+inference read each container kind's own storage, not its ``child_items()``.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class SymbolicValue:
             node = to_symbolic(other)
         except TypeError:
             return NotImplemented
-        return equal(self, node)
+        return _equal(self, node)
 
     __hash__ = None  # structural equality makes nodes unhashable
 
@@ -205,11 +206,6 @@ class Sequence(SymbolicValue):
                                          enumerate(self._children), replaced)
         return fresh
 
-    def _equals_same_kind(self, other):
-        if len(self._children) != len(other._children):
-            return False
-        return all(equal(a, b) for a, b in zip(self._children, other._children))
-
     def to_plain(self):
         return [c.to_plain() for c in self._children]
 
@@ -258,11 +254,6 @@ class Mapping(SymbolicValue):
         fresh._parent = None
         fresh._entries = _copy_children(fresh, {}, self._entries.items(), replaced)
         return fresh
-
-    def _equals_same_kind(self, other):
-        if self._entries.keys() != other._entries.keys():
-            return False
-        return all(equal(v, other._entries[k]) for k, v in self._entries.items())
 
     def to_plain(self):
         return {k: v.to_plain() for k, v in self._entries.items()}
@@ -334,13 +325,6 @@ class ObjectNode(SymbolicValue):
         fresh.type_def = self.type_def
         fresh._fields = _copy_children(fresh, {}, self._fields.items(), replaced)
         return fresh
-
-    def _equals_same_kind(self, other):
-        if self.type_def.type_name != other.type_def.type_name:
-            return False
-        if self._fields.keys() != other._fields.keys():
-            return False
-        return all(equal(v, other._fields[k]) for k, v in self._fields.items())
 
     def is_bound(self, name: str) -> bool:
         return name in self._fields
@@ -414,13 +398,37 @@ class HyperValue(SymbolicValue):
 
 def equal(a, b) -> bool:
     """Structural equality over coerced symbolic values."""
-    a = to_symbolic(a)
-    b = to_symbolic(b)
+    return _equal(to_symbolic(a), to_symbolic(b))
+
+
+def _equal(a: SymbolicValue, b: SymbolicValue) -> bool:
+    """`equal` of two nodes: of one kind, with a container's type name, keys
+    and children equal; another kind compares by its ``_equals_same_kind``."""
     if a is b:
         return True
     if type(a) is not type(b):
         return False
-    return a._equals_same_kind(b)
+    if isinstance(a, Sequence):
+        if len(a._children) != len(b._children):
+            return False
+        for x, y in zip(a._children, b._children):
+            if not _equal(x, y):
+                return False
+        return True
+    if isinstance(a, ObjectNode):
+        if a.type_def.type_name != b.type_def.type_name:
+            return False
+        mine, theirs = a._fields, b._fields
+    elif isinstance(a, Mapping):
+        mine, theirs = a._entries, b._entries
+    else:
+        return a._equals_same_kind(b)
+    if mine.keys() != theirs.keys():
+        return False
+    for key, x in mine.items():
+        if not _equal(x, theirs[key]):
+            return False
+    return True
 
 
 def clone(x) -> SymbolicValue:
@@ -493,13 +501,19 @@ def query(x: SymbolicValue, selector) -> dict:
         match = selector
     else:
         raise InvalidPattern(f"selector must be pattern text or a predicate, got {selector!r}")
-    found = {}
-    stack = [("", x, parent_of(x))]
+    found = {"": x} if match("", x, parent_of(x)) else {}
+    stack = [("", x, iter(x.child_items()))]
     while stack:
-        text, node, parent = stack.pop()
-        if match(text, node, parent):
-            found[text] = node
-        stack.extend(reversed([(join_segment(text, key), child, node) for key, child in node.child_items()]))
+        text, node, items = stack[-1]
+        for key, child in items:
+            path = join_segment(text, key)
+            if match(path, child, node):
+                found[path] = child
+            if type(child) is not Primitive:  # descend; `items` resumes after it
+                stack.append((path, child, iter(child.child_items())))
+                break
+        else:
+            stack.pop()
     return found
 
 
@@ -643,7 +657,7 @@ def _apply(edit: _Edit, checks: list, hooks: list) -> tuple:
     node, directive = edit.node, edit.directive
     if isinstance(directive, Set):
         new = to_symbolic(directive.value)
-        if equal(node, new):
+        if _equal(node, new):
             return node, None
         return new.clone(), edit.order
     replaced, firsts, spliced = {}, [], False
@@ -696,7 +710,7 @@ def _transform(node, text, parent, fn, checks, hooks, clock) -> tuple:
             firsts.append(first)
     current, first = (node, None) if replaced is None else _rebuilt(node, replaced, firsts, checks, hooks)
     returned = fn(text, current, parent)
-    if returned is None or returned is current or equal(new := to_symbolic(returned), current):
+    if returned is None or returned is current or _equal(new := to_symbolic(returned), current):
         return current, first
     del checks[checked:], hooks[hooked:]  # found in the copy that `new` replaces
     return new, next(clock)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -865,3 +866,34 @@ def test_summary_scans_the_records_once_for_the_same_values(tmp_path, rewards, b
     report.write_summary(path)
     assert path.read_text(encoding="utf-8") == json.dumps(
         summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("budgets", [{}, {"trials": 4}, {"outer_trials": 2, "inner_trials": 3,
+                                                          "phase2_trials": 5}])
+@pytest.mark.parametrize("seed", [None, 0, 2 ** 70])
+@pytest.mark.parametrize("dna, rewards", [
+    (None, []),
+    ("0|1", [0.5, 2.5e-310, 1e300]),
+    ("a\"b\\c\nd\té\x01", [-0.0]),
+    ("3", [-math.inf, -math.inf]),
+], ids=["empty", "numbers", "escaped-text", "infeasible"])
+def test_a_summary_is_written_as_json_dump_writes_it_and_leaves_no_cycle(tmp_path, budgets, seed,
+                                                                         dna, rewards):
+    """`write_summary` writes what ``json.dump(..., indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline write, for a null seed, a best DNA text
+    that needs escaping and a best reward written as null, with no
+    reference cycle left for the collector."""
+    records = [TrialRecord(i, i, None, dna, reward, max(rewards[:i + 1]))
+               for i, reward in enumerate(rewards)]
+    report = FlowReport("joint", budgets, seed, records)
+    expected = io.StringIO()
+    json.dump(report.summary_dict(), expected, indent=2, sort_keys=True, allow_nan=False)
+    path = tmp_path / "run.summary.json"
+    gc.collect()
+    gc.disable()
+    try:
+        report.write_summary(path)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
