@@ -22,12 +22,11 @@ from .decisions import (
     DecisionSpec,
     FloatPoint,
     IntPoint,
+    _draw,
     _emit,
     _encode_points,
-    _plan,
     encode_dna,
     enumerate_dnas,
-    random_decisions,
     random_dna,
     random_tuple,
 )
@@ -212,7 +211,7 @@ def mutate(dna: DNA, spec: DecisionSpec, rng: Random, tokens: list | None = None
     total = _count_active(spec.points, dna.decisions) if active is None else active[0]
     if not total:
         return dna
-    _, decisions, _ = _mutate_level(_plan(spec), dna.decisions, rng.randrange(total), rng,
+    _, decisions, _ = _mutate_level(spec._plan, dna.decisions, rng.randrange(total), rng,
                                     tokens, 0, active)
     return dna if decisions is None else DNA(decisions)
 
@@ -269,7 +268,7 @@ def _mutate_level(plan, decisions, site, rng: Random, tokens, at: int, active):
         else:
             return site, None, at
     _, point, _, _, _, subplans = entries[i]
-    new = _resample(point, decision := decisions[i], rng)
+    new = _resample(point, decision := decisions[i], rng, subplans)
     if new is decision:
         return -1, None, at
     if tokens is not None:
@@ -286,7 +285,7 @@ def _mutate_level(plan, decisions, site, rng: Random, tokens, at: int, active):
     return -1, [*decisions[:i], new, *decisions[i + 1:]], at
 
 
-def _resample(point, decision, rng: Random):
+def _resample(point, decision, rng: Random, subplans):
     if isinstance(point, IntPoint):
         span = point.max - point.min + 1
         if span == 1:
@@ -306,12 +305,12 @@ def _resample(point, decision, rng: Random):
     if point.k == 1:  # the draws of random_tuple
         while (index := rng.randrange(point.n)) == decision[0].index:
             pass
-        return [Choice(index, random_decisions(point.subspaces[index], rng, []))]
+        return [Choice(index, _draw(sub[0], rng, []) if (sub := subplans[index]) else [])]
     current = [c.index for c in decision]
     while True:
         indices = random_tuple(point, rng)
         if indices != current:
             break
     return [decision[slot] if slot < len(decision) and decision[slot].index == index
-            else Choice(index, random_decisions(point.subspaces[index], rng, []))
+            else Choice(index, _draw(sub[0], rng, []) if (sub := subplans[index]) else [])
             for slot, index in enumerate(indices)]

@@ -16,6 +16,7 @@ values.  The canonical text form flattens decisions in pre-order joined by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 from random import Random
 from typing import Callable, Iterator
@@ -62,15 +63,22 @@ Selector = Callable[["CategoricalPoint | IntPoint | FloatPoint"], bool]
 
 @dataclass
 class DecisionSpec:
+    """Read-only once walked: `is_continuous` and the proposal plan are
+    computed on first use and kept on the spec, out of equality and repr."""
+
     points: list = field(default_factory=list)
 
     @property
     def is_empty(self) -> bool:
         return not self.points
 
-    @property
+    @cached_property
     def is_continuous(self) -> bool:
         return any(isinstance(p, FloatPoint) for p in iter_all_points(self.points))
+
+    @cached_property
+    def _plan(self) -> tuple:  # see _compile
+        return _compile(self.points)
 
 
 @dataclass
@@ -322,32 +330,13 @@ def random_dna(spec: DecisionSpec, rng: Random, tokens: list | None = None) -> D
     """Sample a conforming DNA: categorical tuples uniform over feasible
     tuples, ints uniform inclusive, floats uniform over [min, max].  It
     appends the DNA's :func:`encode_dna` tokens to `tokens` as it draws,
-    through the spec's proposal plan (see :func:`_plan`)."""
-    return DNA(_draw(_plan(spec)[0], rng, [] if tokens is None else tokens))
-
-
-def random_decisions(points, rng: Random, tokens: list) -> list:
-    """The decisions :func:`random_dna` would draw for `points`, through a
-    plan compiled for them: for a subspace, whose spec's plan is not at hand."""
-    return _draw(_compile(points)[0], rng, tokens) if points else []
+    through the spec's proposal plan."""
+    return DNA(_draw(spec._plan[0], rng, [] if tokens is None else tokens))
 
 
 # A proposal plan: a spec's points compiled once, per level one table entry
 # per point, so that a draw or a mutation dispatches on no type.
 _ONE, _MANY, _INT, _FLOAT = range(4)
-_PLANS: list = []  # (spec, plan) of the last four specs drawn from, the latest first
-
-
-def _plan(spec: DecisionSpec) -> tuple:
-    """The plan of `spec`, found by identity (a factorized flow alternates
-    its outer and inner specs) or compiled.  A spec is read-only once a
-    proposal has been drawn from it."""
-    if _PLANS and _PLANS[0][0] is spec:
-        return _PLANS[0][1]
-    entry = next((entry for entry in _PLANS if entry[0] is spec), None) or (
-        spec, _compile(spec.points))
-    _PLANS[:] = [entry, *(other for other in _PLANS if other is not entry)][:4]
-    return entry[1]
 
 
 def _compile(points) -> tuple:

@@ -120,19 +120,17 @@ class SyntheticNASOracle:
 
 class TableOracle:
     """Precomputed rewards keyed by canonical DNA text.  ``reward_from_dna``
-    checks a spec for float points once per spec object, held by identity."""
+    reads a spec's `is_continuous`, which a spec computes once."""
 
     def __init__(self, spec: DecisionSpec, rewards: dict[str, float]):
         if spec.is_continuous:
             raise ContinuousSpaceForTable("table oracles require fully discrete spaces")
         self.spec = spec
         self.rewards = dict(rewards)
-        self._discrete = spec  # the last spec found to be discrete, held, never an id
 
     def reward_from_dna(self, dna: DNA, spec: DecisionSpec) -> float:
-        if spec is not self._discrete and spec.is_continuous:
+        if spec.is_continuous:
             raise ContinuousSpaceForTable("table oracles require fully discrete spaces")
-        self._discrete = spec
         return self.lookup(encode_dna(dna, spec))
 
     def lookup(self, dna_text: str) -> float:

@@ -9,10 +9,10 @@ import re
 import pytest
 
 import symsearch as ss
+from symsearch import decisions
 from symsearch.algorithms import RandomSearch
 from symsearch.decisions import (
     DNA,
-    DecisionSpec,
     abstract_search_space,
     decode_dna,
     encode_dna,
@@ -331,14 +331,14 @@ def test_table_run_walks_its_spec_for_floats_once(monkeypatch):
     space = build_nasbench_space(2, 2)
     table = dump_table(space, SyntheticNASOracle(2, 2, seed=3))
     spec = abstract_search_space(space)  # not the table's own spec object
-    walks = []
-    walk = DecisionSpec.is_continuous.fget
-    monkeypatch.setattr(DecisionSpec, "is_continuous",
-                        property(lambda self: walks.append(self) or walk(self)))
+    walks = []  # every points list walked, nested ones (all empty here) included
+    walk = decisions.iter_all_points
+    monkeypatch.setattr(decisions, "iter_all_points",
+                        lambda points: walks.append(points) or walk(points))
     report = run_joint(spec, RandomSearch(seed=0),
                        lambda child, dna: eval_oracle(table, dna, spec), 10)
     assert report.oracle_calls == 10
-    assert walks == [spec]
+    assert [points for points in walks if points] == [spec.points]
 
 
 def test_table_refuses_a_continuous_spec_at_every_call():

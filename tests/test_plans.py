@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,12 +280,37 @@ def times_compiled(compiled, spec):
     return sum(points is spec.points for points in compiled)
 
 
-def test_a_joint_run_compiles_its_plan_once(monkeypatch):
-    spec = abstract_search_space(ss.build_nasbench_space(4, 3))
+def levels(spec):
+    """The points lists of `spec` that hold decisions: the top level and
+    each candidate's nonempty subspace."""
+    return [spec.points, *(sub for point in decisions.iter_all_points(spec.points)
+                           if isinstance(point, CategoricalPoint)
+                           for sub in point.subspaces if sub)]
+
+
+JOINT_SPECS = {"nasbench 4x3": lambda: abstract_search_space(ss.build_nasbench_space(4, 3)),
+               "typed space": FIXED_SPECS["typed space"],
+               "eager-shaped": FIXED_SPECS["eager-shaped"]}
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_SPECS))
+def test_a_joint_run_compiles_its_plan_once(monkeypatch, name):
+    """Each level of the spec is compiled once, when the first DNA is
+    drawn: a mutation that switches a candidate reads its sub-plan."""
+    spec = JOINT_SPECS[name]()
     compiled = count_compiles(monkeypatch)
-    report = run_joint(spec, RegularizedEvolution(4, 2, seed=0), lambda child, dna: 0.0, 30)
-    assert len(report.records) == 30
-    assert times_compiled(compiled, spec) == 1 and len(compiled) == 1
+    mutated, mutate_ = [], algorithms.mutate  # the compile count after each mutation
+
+    def counted(*args, **kwargs):
+        child = mutate_(*args, **kwargs)
+        mutated.append(len(compiled))
+        return child
+    monkeypatch.setattr(algorithms, "mutate", counted)
+    report = run_joint(spec, RegularizedEvolution(4, 2, seed=0), lambda child, dna: 0.0, 300)
+    assert len(report.records) == 300 and len(mutated) == 300 - 4
+    every = levels(spec)
+    assert len(compiled) == len(every) and {*map(id, compiled)} == {*map(id, every)}
+    assert set(mutated) == {len(every)}
 
 
 def test_a_factorized_run_compiles_the_outer_plan_once_and_each_inner_plan_once(monkeypatch):
@@ -301,23 +327,28 @@ def test_a_factorized_run_compiles_the_outer_plan_once_and_each_inner_plan_once(
     assert len(compiled) == 7
 
 
-def test_an_evicted_plan_recompiles_and_draws_the_same(monkeypatch):
+def test_a_plan_dies_with_its_spec(monkeypatch):
+    """A spec keeps its plan however many other specs are drawn from, and
+    holds the only reference to it: a dropped spec is freed at once."""
     compiled = count_compiles(monkeypatch)
     spec = abstract_search_space(typed_shaped_space())
     first = random_dna(spec, random.Random(5))
-    others = [abstract_search_space(ss.build_nasbench_space(nodes, 2)) for nodes in range(2, 6)]
-    for other in others:
-        random_dna(other, random.Random(0))
+    for nodes in range(2, 6):
+        random_dna(abstract_search_space(ss.build_nasbench_space(nodes, 2)), random.Random(0))
     assert random_dna(spec, random.Random(5)) == first
-    assert times_compiled(compiled, spec) == 2
-    for other in reversed(others[1:]):  # the last three stay compiled
-        random_dna(other, random.Random(0))
-    assert [times_compiled(compiled, other) for other in others] == [1, 1, 1, 1]
+    assert times_compiled(compiled, spec) == 1
+    gc.disable()
+    try:
+        ref = weakref.ref(spec)
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_plan_holds_no_reference_cycle():
-    """Compiling, drawing, mutating and evicting plans leaves nothing for
-    the cyclic collector."""
+    """Compiling plans, drawing and mutating through them, and dropping
+    their specs leaves nothing for the cyclic collector."""
     gc.collect()
     gc.disable()
     try:

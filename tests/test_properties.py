@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import symsearch as ss
 from conftest import HOLDERS, SpaceGenerator, seeded_spaces
+from test_plans import head_resample
 from symsearch import algorithms
-from symsearch.algorithms import RegularizedEvolution, _resample, mutate
+from symsearch.algorithms import RegularizedEvolution, mutate
 from symsearch.decisions import (
     DNA,
     CategoricalPoint,
@@ -325,7 +326,7 @@ def reference_mutate(dna, spec, rng):
     if not sites:
         return dna, None
     point, decision, location = sites[rng.randrange(len(sites))]
-    new_decision = _resample(point, decision, rng)
+    new_decision = head_resample(point, decision, rng)
     if new_decision is decision:
         return dna, point
     return DNA(replace_at(spec.points, dna.decisions, location, new_decision)), point
@@ -462,7 +463,7 @@ def test_a_mutation_checks_its_resampled_decision(space, seed, with_float):
     assume(not spec.is_empty)
     resampled = []
 
-    def resample(point, decision, rng):  # leaves the point's range
+    def resample(point, decision, rng, subplans):  # leaves the point's range
         resampled.append(point)
         if isinstance(point, CategoricalPoint):
             return [Choice(point.n) for _ in range(point.k)]
